@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import SizeBoundExceeded
-from .limits import CANONICAL_MAX_EDGES, effective_bound
+from .limits import CANONICAL_MAX_EDGES, check_size
 from .presentation import ArrowPresentation, components
 
 _STATE_CAP = 2_000_000
@@ -101,11 +101,7 @@ def _component_key(pres: ArrowPresentation) -> bytes:
 
 def canonical_key(pres: ArrowPresentation, max_edges: int | None = None) -> bytes:
     """A complete equivalence invariant, as a printable byte string."""
-    bound = effective_bound(CANONICAL_MAX_EDGES, max_edges)
-    if pres.edge_count > bound:
-        raise SizeBoundExceeded(
-            f"{pres.edge_count} edges exceeds canonical-form bound {bound}"
-        )
+    check_size(pres.edge_count, CANONICAL_MAX_EDGES, max_edges, "canonical-form")
     return b";".join(sorted(_component_key(c) for c in components(pres)))
 
 

@@ -29,8 +29,8 @@ from itertools import permutations, product
 from typing import Iterator
 
 from .canonical import canonical_key
-from .errors import RibbonError, SizeBoundExceeded
-from .limits import ENUMERATION_MAX_EDGES, effective_bound
+from .errors import RibbonError
+from .limits import ENUMERATION_MAX_EDGES, check_size
 from .presentation import (
     EMPTY,
     Arrow,
@@ -102,11 +102,7 @@ def enumerate_all(filt: EnumerationFilter) -> Iterator[ArrowPresentation]:
 
     Classes appear in increasing edge count, then canonical-key order.
     """
-    bound = effective_bound(ENUMERATION_MAX_EDGES, None)
-    if filt.max_edges > bound:
-        raise SizeBoundExceeded(
-            f"{filt.max_edges} edges exceeds enumeration bound {bound}"
-        )
+    check_size(filt.max_edges, ENUMERATION_MAX_EDGES, None, "enumeration")
     if filt.max_edges < 0:
         raise RibbonError("max_edges must be >= 0")
     for layer in _layers(filt.max_edges):

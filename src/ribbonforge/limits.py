@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import os
 
+from .errors import RibbonError, SizeBoundExceeded
+
 CANONICAL_MAX_EDGES = 8
 MINOR_SEARCH_MAX_EDGES = 8
 PLANE_DUAL_MAX_EDGES = 12
@@ -18,22 +20,33 @@ ENUMERATION_MAX_EDGES = 5
 
 
 def env_override() -> int | None:
-    """The global bound override, if RIBBONFORGE_MAX_EDGES is set and sane."""
+    """The global bound override from RIBBONFORGE_MAX_EDGES, if set.
+
+    A value that is not a positive integer is bad input and raises.
+    """
     raw = os.environ.get("RIBBONFORGE_MAX_EDGES")
     if raw is None:
         return None
     try:
         value = int(raw)
     except ValueError:
-        return None
-    return value if value > 0 else None
+        value = 0
+    if value <= 0:
+        raise RibbonError(
+            f"RIBBONFORGE_MAX_EDGES must be a positive integer, not {raw!r}"
+        )
+    return value
 
 
-def effective_bound(default: int, max_edges: int | None = None) -> int:
-    """Resolve a bound: explicit argument wins, then env var, then default."""
-    if max_edges is not None:
-        return max_edges
-    override = env_override()
-    if override is not None:
-        return override
-    return default
+def check_size(size: int, default: int, max_edges: int | None, search: str) -> None:
+    """Refuse a ``size``-edge input to ``search`` above its bound.
+
+    The bound is ``max_edges`` if given, else the environment override, else
+    ``default``.
+    """
+    bound = max_edges if max_edges is not None else env_override() or default
+    if size > bound:
+        raise SizeBoundExceeded(
+            f"{size} edges exceeds {search} bound {bound}; "
+            "raise it with --max-edges or RIBBONFORGE_MAX_EDGES"
+        )

@@ -22,22 +22,21 @@ from .errors import (
     OrientabilityViolation,
     ParseError,
     RibbonError,
-    SizeBoundExceeded,
     StrandCountError,
     UnknownLabel,
     UnknownVertex,
 )
-from .limits import PLANE_DUAL_MAX_EDGES, effective_bound
+from .limits import PLANE_DUAL_MAX_EDGES, check_size
 from .minors import (
     MinorScript,
     Step,
     bbar1_script,
     build_B,
     build_theta_t,
-    has_minor,
+    trim_steps,
     verified_script,
 )
-from .moves import contract_edge, delete_edge, partial_dual
+from .moves import partial_dual
 from .presentation import (
     Arrow,
     ArrowPresentation,
@@ -230,7 +229,12 @@ def _two_colour(
     On success returns (colouring, None); otherwise (None, cycle) with the
     shortest odd cycle, ties broken lexicographically.
     """
-    adj = {v: graph.neighbours(v) for v in graph.vertices}
+    adj: dict[str, list[str]] = {v: [] for v in graph.vertices}
+    for a, b in graph.edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    for lst in adj.values():
+        lst.sort()
     colour: dict[str, int] = {}
     bipartite = True
     for root in graph.vertices:
@@ -250,25 +254,64 @@ def _two_colour(
             frontier = nxt
     if bipartite:
         return colour, None
+    return None, _shortest_odd_cycle(adj)
 
-    best: tuple[int, tuple[str, ...]] | None = None
-    for start in graph.vertices:
-        stack: list[tuple[str, ...]] = [(start,)]
-        while stack:
-            path = stack.pop()
-            tip = path[-1]
-            if len(path) >= 3 and len(path) % 2 == 1 and start in adj[tip]:
-                key = (len(path), path)
-                if best is None or key < best:
-                    best = key
-            if best is not None and len(path) >= best[0]:
-                continue
-            for w in adj[tip]:
-                if w > start and w not in path:
-                    stack.append(path + (w,))
+
+def _parity_distances(
+    adj: dict[str, list[str]], start: str, limit: int | None
+) -> dict[tuple[str, int], int]:
+    """BFS on the parity double cover of the subgraph on vertices >= start.
+
+    Maps (vertex, parity) to the length of the shortest walk from ``start``
+    of that parity.  Stops once (start, 1) is reached, or before walks of
+    length ``limit``; every state closer than the stopping depth is present.
+    """
+    dist = {(start, 0): 0}
+    frontier = [(start, 0)]
+    depth = 0
+    while frontier and (start, 1) not in dist:
+        depth += 1
+        if limit is not None and depth >= limit:
+            break
+        nxt = []
+        for v, p in frontier:
+            for w in adj[v]:
+                state = (w, p ^ 1)
+                if w >= start and state not in dist:
+                    dist[state] = depth
+                    nxt.append(state)
+        frontier = nxt
+    return dist
+
+
+def _shortest_odd_cycle(adj: dict[str, list[str]]) -> tuple[str, ...]:
+    """The lexicographically least shortest odd cycle of a non-bipartite graph.
+
+    One parity BFS per start vertex s, on the vertices >= s, finds the
+    shortest odd closed walk through s (Itai & Rodeh style, O(V(V+E))); the
+    least s reaching the global minimum length L starts the answer.  The
+    cycle is then grown greedily from s: each step takes the smallest
+    neighbour w > s from which a walk of the remaining length and parity
+    returns to s.  A closed odd walk of the minimum odd length is a simple
+    cycle, so the greedy walk is the least cycle in the old order: length
+    first, then the label sequence read from its least vertex.
+    """
+    best: tuple[int, str, dict[tuple[str, int], int]] | None = None
+    for start in sorted(adj):
+        dist = _parity_distances(adj, start, best[0] if best else None)
+        length = dist.get((start, 1))
+        if length is not None and (best is None or length < best[0]):
+            best = (length, start, dist)
     if best is None:
         raise InternalInvariantViolation("non-bipartite graph with no odd cycle")
-    return None, best[1]
+    length, start, dist = best
+    cycle = [start]
+    for remaining in range(length - 1, 0, -1):
+        cycle.append(next(
+            w for w in adj[cycle[-1]]
+            if w > start and dist.get((w, remaining % 2), length) <= remaining
+        ))
+    return tuple(cycle)
 
 
 # -- plane-biseparations ------------------------------------------------------
@@ -349,11 +392,7 @@ def brute_force_plane_dual(
     Exhaustive over all subsets; the authoritative but exponential oracle
     that the decision procedure is tested against.
     """
-    bound = effective_bound(PLANE_DUAL_MAX_EDGES, max_edges)
-    if pres.edge_count > bound:
-        raise SizeBoundExceeded(
-            f"{pres.edge_count} edges exceeds plane-dual search bound {bound}"
-        )
+    check_size(pres.edge_count, PLANE_DUAL_MAX_EDGES, max_edges, "plane-dual search")
     labels = pres.labels()
     subsets = chain.from_iterable(
         combinations(labels, r) for r in range(len(labels) + 1)
@@ -397,6 +436,43 @@ class Verdict:
         }
 
 
+def _bouquet_reduction(
+    cycle: tuple[str, ...], tree: set[str]
+) -> tuple[list[Step], bool]:
+    """Steps taking H down to B3 or the toroidal theta, where H^S = B_L.
+
+    ``cycle`` is B_L's interlacement cycle and S = ``tree`` & cycle.  Each
+    stage removes two loops consecutive in the cycle left so far, which
+    turns B_m into B_{m-2} on the remaining cycle.  Removing loop f of the
+    bouquet is a contraction; by G/e = G^e - e and (G - e)^A = G^A - e, on
+    H's side that is contracting f if f is outside S and deleting it if f
+    is in S.  The end point B3^S' is B3 when |S'| is even and the toroidal
+    theta when it is odd.  Unless S is the whole cycle (or L = 3) the stages
+    leave |S'| even: one mixed pair first if |S| is odd, then pairs with
+    equal membership, which an odd cycle always has.  Returns the steps and
+    whether |S'| is even.
+    """
+    rest = list(cycle)
+    marked = sum(1 for label in rest if label in tree)
+    steps: list[Step] = []
+    while len(rest) > 3:
+        m = len(rest)
+        mixed = marked % 2 == 1 and marked < m
+        i = next(
+            i for i in range(m)
+            if ((rest[i] in tree) != (rest[(i + 1) % m] in tree)) == mixed
+        )
+        pair = (rest[i], rest[(i + 1) % m])
+        for label in pair:
+            if label in tree:
+                marked -= 1
+                steps.append(("delete_edge", label))
+            else:
+                steps.append(("contract_edge", label))
+        rest = [label for label in rest if label not in pair]
+    return steps, marked % 2 == 0
+
+
 def _pattern_certificate(
     pres: ArrowPresentation,
     tree: tuple[str, ...],
@@ -405,34 +481,20 @@ def _pattern_certificate(
 ) -> tuple[MinorScript, str]:
     """A minor script from ``pres`` to B3 or the toroidal theta.
 
-    First trims the graph to the odd interlacement cycle pulled back through
-    the spanning tree and searches there; falls back to a full search.
+    An explicit, polynomial script: no minor search and no size bound.  The
+    shortest odd interlacement cycle C has no chords, so deleting the edges
+    outside C and the spanning tree T (and the vertices left bare) and
+    contracting T - C leaves a graph H with H^S = B_L, S = T & C, L = |C|;
+    ``_bouquet_reduction`` takes H the rest of the way.  The target is B3
+    unless C lies inside T, or L = 3 and |S| is odd (H is then the toroidal
+    theta itself).  The final replay is the only check.
     """
-    keep = set(cycle) | set(tree)
-    prefix: list[Step] = []
-    cur = pres
-    for label in sorted(set(pres.labels()) - keep):
-        prefix.append(("delete_edge", label))
-        cur = delete_edge(cur, label)
-    for idx in sorted(cur.isolated_vertices(), reverse=True):
-        prefix.append(("delete_vertex", idx))
-        cur = delete_vertex(cur, idx)
-    for label in sorted(set(tree) - set(cycle)):
-        prefix.append(("contract_edge", label))
-        cur = contract_edge(cur, label)
-    targets = (("b3", build_B(3)), ("theta_t", build_theta_t()))
-    for name, target in targets:
-        found, inner = has_minor(cur, target, max_edges)
-        if found:
-            steps = tuple(prefix) + inner.steps
-            return verified_script(pres, steps, target, max_edges), name
-    for name, target in targets:
-        found, script = has_minor(pres, target, max_edges)
-        if found:
-            return script, name
-    raise InternalInvariantViolation(
-        "odd interlacement cycle but neither forbidden pattern found"
-    )
+    in_tree = set(tree)
+    steps = trim_steps(pres, set(cycle) | in_tree)
+    steps += [("contract_edge", label) for label in sorted(in_tree - set(cycle))]
+    reduction, even = _bouquet_reduction(cycle, in_tree)
+    name, target = ("b3", build_B(3)) if even else ("theta_t", build_theta_t())
+    return verified_script(pres, steps + reduction, target, max_edges), name
 
 
 def represents_link(
@@ -447,7 +509,10 @@ def represents_link(
     must be bipartite.  A positive answer carries a verified plane-dual
     witness; a negative one carries a verified minor certificate to one of
     the three forbidden patterns (unless ``certificates`` is off, which
-    skips the potentially expensive extraction).
+    skips the extraction and its replay).  Certificates are explicit
+    scripts, polynomial in the size of the graph; extraction never searches
+    and never meets the minor-search bound.  ``max_edges`` bounds only the
+    final equivalence check, on a graph of at most three edges.
     """
     if not is_orientable(pres):
         cert = bbar1_script(pres, max_edges) if certificates else None

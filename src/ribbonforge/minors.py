@@ -22,7 +22,7 @@ from .errors import (
     RibbonError,
     SizeBoundExceeded,
 )
-from .limits import MINOR_SEARCH_MAX_EDGES, effective_bound
+from .limits import MINOR_SEARCH_MAX_EDGES, check_size
 from .moves import contract_edge, delete_edge, partial_dual
 from .presentation import (
     ArrowPresentation,
@@ -30,7 +30,6 @@ from .presentation import (
     components,
     delete_vertex,
     from_words,
-    presentation,
     spanning_tree,
 )
 from .surfaces import (
@@ -98,8 +97,9 @@ def build_B(n: int) -> ArrowPresentation:
 
     One curve with word  e2 e1 e3 e2 e4 e3 ... en e(n-1) e1 en;  for n = 1
     this degenerates to ``e1 e1``.  Every arrow points along the curve, so
-    the result is orientable; it has exactly one boundary component for every
-    n >= 2, and Euler genus n for odd n.
+    the result is orientable.  For odd n it has two boundary components and
+    Euler genus n - 1; for even n, three boundary components and Euler genus
+    n - 2.
     """
     if n < 1:
         raise RibbonError("n must be >= 1")
@@ -162,11 +162,7 @@ def has_minor(
     wrong orientability class (minors of orientable graphs stay orientable).
     ``memo_limit`` caps the number of remembered equivalence classes.
     """
-    bound = effective_bound(MINOR_SEARCH_MAX_EDGES, max_edges)
-    if pres.edge_count > bound:
-        raise SizeBoundExceeded(
-            f"{pres.edge_count} edges exceeds minor-search bound {bound}"
-        )
+    check_size(pres.edge_count, MINOR_SEARCH_MAX_EDGES, max_edges, "minor-search")
     target_key = canonical_key(target, max_edges)
     target_edges = target.edge_count
     target_genus = surface_summary(target).euler_genus
@@ -213,6 +209,23 @@ def has_minor(
 
 
 # -- the twisted-loop shortcut ----------------------------------------------
+
+
+def trim_steps(pres: ArrowPresentation, keep: set[str]) -> list[Step]:
+    """Steps deleting every edge outside ``keep``, then the vertices left bare.
+
+    Edge deletion keeps curve indices, so the bare vertices are read off the
+    arrows directly, without building the intermediate graphs.
+    """
+    steps: list[Step] = [
+        ("delete_edge", label) for label in sorted(set(pres.labels()) - keep)
+    ]
+    bare = [
+        i for i, curve in enumerate(pres.curves)
+        if not any(a.label in keep for a in curve)
+    ]
+    steps += [("delete_vertex", i) for i in reversed(bare)]
+    return steps
 
 
 def _odd_twist_cycle(pres: ArrowPresentation) -> tuple[list[str], str]:
@@ -300,18 +313,8 @@ def bbar1_script(pres: ArrowPresentation, max_edges: int | None = None) -> Minor
     if is_orientable(pres):
         raise RibbonError("graph is orientable; it has no twisted-loop minor")
     chain, kept = _odd_twist_cycle(pres)
-    cycle = set(chain) | {kept}
-    steps: list[Step] = []
-    cur = pres
-    for label in sorted(set(pres.labels()) - cycle):
-        steps.append(("delete_edge", label))
-        cur = delete_edge(cur, label)
-    for idx in sorted(cur.isolated_vertices(), reverse=True):
-        steps.append(("delete_vertex", idx))
-        cur = delete_vertex(cur, idx)
-    for label in chain:
-        steps.append(("contract_edge", label))
-        cur = contract_edge(cur, label)
+    steps = trim_steps(pres, set(chain) | {kept})
+    steps += [("contract_edge", label) for label in chain]
     return verified_script(pres, steps, build_Bbar1(), max_edges)
 
 
@@ -345,11 +348,7 @@ def excluded_minor_scan(
     Keys are drawn from {"bbar1", "b3", "theta_t"}.  The twisted loop is
     detected by the orientability shortcut; the other two by generic search.
     """
-    bound = effective_bound(MINOR_SEARCH_MAX_EDGES, max_edges)
-    if pres.edge_count > bound:
-        raise SizeBoundExceeded(
-            f"{pres.edge_count} edges exceeds minor-search bound {bound}"
-        )
+    check_size(pres.edge_count, MINOR_SEARCH_MAX_EDGES, max_edges, "minor-search")
     found: dict[str, MinorScript] = {}
     if not is_orientable(pres):
         found["bbar1"] = bbar1_script(pres, max_edges)

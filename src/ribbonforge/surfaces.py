@@ -118,13 +118,6 @@ def boundary_component_count(pres: ArrowPresentation) -> int:
     return len(walks)
 
 
-def edge_meets_two_walks(pres: ArrowPresentation, label: str) -> bool:
-    """Whether an edge's two free sides lie on distinct boundary components."""
-    _, edge_walks = trace_boundary(pres)
-    a, b = edge_walks[label]
-    return a != b
-
-
 def twists(pres: ArrowPresentation) -> dict[str, int]:
     """Edge twist signs: +1 if the two arrows agree in direction, else -1.
 

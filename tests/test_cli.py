@@ -200,8 +200,21 @@ def test_size_bound_exit_2(arp, capsys):
     path = arp(serialize_arp(big) + "\n", "big.arp")
     code, payload = run_json(capsys, "canonical", path)
     assert code == 2 and payload["error"]["type"] == "SizeBoundExceeded"
+    message = payload["error"]["message"]
+    assert "12 edges" in message and "bound 8" in message
+    assert "--max-edges" in message and "RIBBONFORGE_MAX_EDGES" in message
     code, payload = run_json(capsys, "canonical", path, "--max-edges", "12")
     assert code == 0 and "key" in payload
+
+
+@pytest.mark.parametrize("raw", ["twelve", "0", "-3", ""])
+def test_bad_max_edges_environment_exits_2(arp, capsys, monkeypatch, raw):
+    monkeypatch.setenv("RIBBONFORGE_MAX_EDGES", raw)
+    code, payload = run_json(capsys, "canonical", arp(TORUS))
+    assert code == 2 and payload["error"]["type"] == "RibbonError"
+    assert "RIBBONFORGE_MAX_EDGES" in payload["error"]["message"]
+    monkeypatch.setenv("RIBBONFORGE_MAX_EDGES", "12")
+    assert run_json(capsys, "canonical", arp(TORUS))[0] == 0
 
 
 def test_verify_subset(capsys):

@@ -6,8 +6,11 @@ from importlib import resources
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ribbonforge import (
+    MinorScript,
     NotABouquet,
     OrientabilityViolation,
     ParseError,
@@ -19,12 +22,15 @@ from ribbonforge import (
     build_B,
     build_Bbar1,
     build_theta_t,
+    components,
+    contract_edge,
     defines_plane_biseparation,
     disjoint_union,
     enumerate_presentations,
     equivalent,
     euler_genus,
     from_words,
+    has_minor,
     intersection_graph,
     is_orientable,
     is_separating_vertex,
@@ -36,7 +42,9 @@ from ribbonforge import (
     represents_link,
     restriction,
     serialize_pd,
+    spanning_tree,
 )
+from ribbonforge.links import IntersectionGraph, _bouquet_reduction, _two_colour
 
 TORUS = from_words([["a", "b", "a", "b"]])
 PATTERN = {
@@ -288,3 +296,155 @@ def test_verdict_agrees_with_brute_force_and_evidence_verifies():
                 assert len(verdict.odd_cycle) % 2 == 1
     assert total == 128
     assert checked_neg > 30
+
+
+# -- the polynomial odd-cycle search and certificate layer ----------------------
+
+
+def _two_colour_by_path_search(graph):
+    """Reference: colour by BFS, else the least shortest odd cycle by DFS.
+
+    The DFS enumerates simple paths from each start through larger labels
+    only, so it is exponential; it is kept as the oracle for the BFS search.
+    """
+    adj = {v: graph.neighbours(v) for v in graph.vertices}
+    colour = {}
+    bipartite = True
+    for root in graph.vertices:
+        if root in colour:
+            continue
+        colour[root] = 0
+        frontier = [root]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for w in adj[v]:
+                    if w not in colour:
+                        colour[w] = colour[v] ^ 1
+                        nxt.append(w)
+                    elif colour[w] == colour[v]:
+                        bipartite = False
+            frontier = nxt
+    if bipartite:
+        return colour, None
+    best = None
+    for start in graph.vertices:
+        stack = [(start,)]
+        while stack:
+            path = stack.pop()
+            tip = path[-1]
+            if len(path) >= 3 and len(path) % 2 == 1 and start in adj[tip]:
+                key = (len(path), path)
+                if best is None or key < best:
+                    best = key
+            if best is not None and len(path) >= best[0]:
+                continue
+            for w in adj[tip]:
+                if w > start and w not in path:
+                    stack.append(path + (w,))
+    return None, best[1]
+
+
+@st.composite
+def _simple_graphs(draw):
+    n = draw(st.integers(min_value=1, max_value=12))
+    labels = [f"v{i}" for i in range(n)]  # "v10" < "v2": ties read as strings
+    pairs = list(combinations(labels, 2))
+    chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = frozenset(tuple(sorted(p)) for p, keep in zip(pairs, chosen) if keep)
+    return IntersectionGraph(tuple(sorted(labels)), edges)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_simple_graphs())
+def test_odd_cycle_search_matches_path_search(graph):
+    assert _two_colour(graph) == _two_colour_by_path_search(graph)
+
+
+def _pattern_of(verdict):
+    return PATTERN[verdict.certificate_target]()
+
+
+def test_thirty_loop_bouquet_gets_a_certified_verdict():
+    # the simple-path search ran for more than 30 s on this shuffle
+    word = [f"e{i}" for i in range(30)] * 2
+    random.Random("30-4").shuffle(word)
+    g = from_words([word])
+    verdict = represents_link(g)
+    assert not verdict.representable
+    assert len(verdict.odd_cycle) % 2 == 1
+    assert equivalent(replay(g, verdict.certificate), _pattern_of(verdict))
+
+
+@pytest.mark.parametrize("n", [9, 11, 21, 101])
+def test_large_odd_bouquets_certify_b3(n):
+    # above the 8-edge search bound; the certificate never searches
+    g = build_B(n)
+    verdict = represents_link(g)
+    assert verdict.certificate_target == "b3"
+    assert len(verdict.odd_cycle) == n
+    assert equivalent(replay(g, verdict.certificate), build_B(3))
+
+
+def test_bouquet_reduction_on_partial_duals_of_odd_bouquets():
+    # H = B_L^S: the target is the toroidal theta exactly when S is every loop
+    rng = random.Random("reduction")
+    cases = [(5, set(sub)) for r in range(6) for sub in combinations(build_B(5).labels(), r)]
+    for _ in range(24):
+        cases.append((7, {f"e{i}" for i in range(1, 8) if rng.random() < 0.5}))
+    cases.append((7, {f"e{i}" for i in range(1, 8)}))
+    for n, sub in cases:
+        h = partial_dual(build_B(n), sub)
+        cycle = tuple(f"e{i}" for i in range(1, n + 1))
+        steps, even = _bouquet_reduction(cycle, sub)
+        assert even == (len(sub) < n), (n, sorted(sub))
+        end = build_B(3) if even else build_theta_t()
+        assert equivalent(replay(h, MinorScript(tuple(steps))), end)
+        if not even:
+            assert not has_minor(h, build_B(3))[0]
+
+
+def _trimmed_search_target(g):
+    """The pattern a minor search on the trimmed odd-cycle graph finds first."""
+    for comp in components(g):
+        tree = spanning_tree(comp)
+        _, cycle = _two_colour(intersection_graph(partial_dual(comp, set(tree))))
+        if cycle is not None:
+            break
+    cur = restriction(comp, set(cycle) | set(tree))
+    for label in sorted(set(tree) - set(cycle)):
+        cur = contract_edge(cur, label)
+    return "b3" if has_minor(cur, build_B(3))[0] else "theta_t"
+
+
+def _random_orientable(rng, edges):
+    arrows = [f"e{i}" for i in range(edges)] * 2
+    rng.shuffle(arrows)
+    cuts = sorted(rng.sample(range(1, 2 * edges), rng.randint(0, 2)))
+    bounds = [0, *cuts, 2 * edges]
+    return from_words([arrows[a:b] for a, b in zip(bounds, bounds[1:])])
+
+
+def test_certificate_target_is_the_trimmed_search_pick():
+    rng = random.Random("trimmed")
+    graphs = list(enumerate_presentations(4))
+    graphs += [_random_orientable(rng, rng.randint(3, 8)) for _ in range(80)]
+    for n in (5, 7):
+        labels = build_B(n).labels()
+        full = partial_dual(build_B(n), set(labels))
+        assert represents_link(full).certificate_target == "theta_t"
+        graphs += [full] + [
+            partial_dual(build_B(n), {l for l in labels if rng.random() < 0.5})
+            for _ in range(12)
+        ]
+    checked = 0
+    for g in graphs:
+        if not is_orientable(g):
+            continue
+        verdict = represents_link(g)
+        if verdict.representable:
+            continue
+        checked += 1
+        assert verdict.certificate_target == _trimmed_search_target(g), g.words()
+        assert equivalent(replay(g, verdict.certificate), _pattern_of(verdict))
+    assert checked > 70
