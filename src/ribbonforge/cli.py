@@ -111,7 +111,6 @@ def _build_parser() -> _Parser:
                    help="include the plane partial-dual subset when representable")
     p.add_argument("--certificate", action="store_true",
                    help="include a minor script to an obstruction when not")
-    p.add_argument("--max-edges", type=int, default=None)
 
     p = command("from-pd", "build the all-A state ribbon graph of a PD code")
     p.add_argument("file")
@@ -195,11 +194,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "represents-link":
-        verdict = represents_link(
-            _load(args.file),
-            max_edges=args.max_edges,
-            certificates=args.certificate,
-        )
+        verdict = represents_link(_load(args.file), certificates=args.certificate)
         payload = verdict.as_dict()
         if not args.witness:
             payload["witness"] = None

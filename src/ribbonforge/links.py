@@ -350,8 +350,9 @@ def _spanning_piece_count(pres: ArrowPresentation, side: set[str]) -> int:
             x = parent[x]
         return x
 
+    edges = underlying_edges(pres)
     for label in side:
-        a, b = pres.endpoints(label)
+        a, b = edges[label]
         parent[find(a)] = find(b)
     return len({find(i) for i in range(len(parent))})
 
@@ -477,7 +478,6 @@ def _pattern_certificate(
     pres: ArrowPresentation,
     tree: tuple[str, ...],
     cycle: tuple[str, ...],
-    max_edges: int | None,
 ) -> tuple[MinorScript, str]:
     """A minor script from ``pres`` to B3 or the toroidal theta.
 
@@ -494,13 +494,11 @@ def _pattern_certificate(
     steps += [("contract_edge", label) for label in sorted(in_tree - set(cycle))]
     reduction, even = _bouquet_reduction(cycle, in_tree)
     name, target = ("b3", build_B(3)) if even else ("theta_t", build_theta_t())
-    return verified_script(pres, steps + reduction, target, max_edges), name
+    return verified_script(pres, steps + reduction, target), name
 
 
 def represents_link(
-    pres: ArrowPresentation,
-    max_edges: int | None = None,
-    certificates: bool = True,
+    pres: ArrowPresentation, *, certificates: bool = True
 ) -> Verdict:
     """Decide whether the ribbon graph is the all-A state of some diagram.
 
@@ -511,11 +509,10 @@ def represents_link(
     the three forbidden patterns (unless ``certificates`` is off, which
     skips the extraction and its replay).  Certificates are explicit
     scripts, polynomial in the size of the graph; extraction never searches
-    and never meets the minor-search bound.  ``max_edges`` bounds only the
-    final equivalence check, on a graph of at most three edges.
+    and never meets a size bound.
     """
     if not is_orientable(pres):
-        cert = bbar1_script(pres, max_edges) if certificates else None
+        cert = bbar1_script(pres) if certificates else None
         return Verdict(
             representable=False,
             certificate=cert,
@@ -534,7 +531,7 @@ def represents_link(
         if colouring is None:
             cert, name = (None, None)
             if certificates:
-                cert, name = _pattern_certificate(pres, tree, cycle, max_edges)
+                cert, name = _pattern_certificate(pres, tree, cycle)
             return Verdict(
                 representable=False,
                 certificate=cert,

@@ -1,12 +1,14 @@
 """Edit operations: edge deletion, contraction, and partial duality.
 
-Contraction and partial duality share one local splice on the two e-labelled
-arrows α and β: delete the two arrow arcs and reconnect the loose ends with a
-segment from the head of α to the tail of β and another from the head of β to
-the tail of α.  For contraction the new segments are plain; for partial
-duality each carries a fresh e-labelled arrow pointing the way it was drawn.
-The affected curves fall apart into new closed curves, which are read off by
-walking the resulting 1-complex; all other curves pass through unchanged.
+Contraction and partial duality of an edge e are one splice: a walk of the
+arc complex (see ``surfaces``) of the curves carrying e, with e opened.
+Opening e removes its two arrows α and β and joins the loose ends by its
+free sides, from the head of α to the tail of β and from the head of β to
+the tail of α.  For contraction the free sides are plain; for partial
+duality each carries a fresh e-labelled arrow pointing the way it was
+drawn.  The affected curves fall apart into the cycles of the walk, each
+read off as the arrows met along it; all other curves pass through
+unchanged.
 
 Partial duality over a set is the splice applied edge by edge (the result is
 independent of the order up to equivalence; labels are processed sorted for
@@ -18,10 +20,9 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import InternalInvariantViolation, UnknownLabel
-from .presentation import Arrow, ArrowPresentation, presentation
-
-# Nodes of the splice complex: (curve, position, end) with end 0=tail, 1=head.
+from .errors import UnknownLabel
+from .presentation import ArrowPresentation, presentation
+from .surfaces import walk_arcs
 
 
 def delete_edge(pres: ArrowPresentation, label: str) -> ArrowPresentation:
@@ -33,59 +34,11 @@ def delete_edge(pres: ArrowPresentation, label: str) -> ArrowPresentation:
 
 
 def _splice(pres: ArrowPresentation, label: str, dual: bool) -> ArrowPresentation:
-    (c1, p1), (c2, p2) = pres.arrow_positions(label)
-    affected = sorted({c1, c2})
-
-    # Arcs of the 1-complex: (node, node, arrow-payload or None); the payload
-    # (label, tail node, head node) lets the walk recover arrow directions.
-    arcs = []
-    for ci in affected:
-        curve = pres.curves[ci]
-        m = len(curve)
-        for pi, arrow in enumerate(curve):
-            tail, head = (ci, pi, 0), (ci, pi, 1)
-            enter, leave = (tail, head) if arrow.along else (head, tail)
-            nxt = (pi + 1) % m
-            nxt_arrow = curve[nxt]
-            nxt_enter = (ci, nxt, 0) if nxt_arrow.along else (ci, nxt, 1)
-            arcs.append((leave, nxt_enter, None))
-            if (ci, pi) not in ((c1, p1), (c2, p2)):
-                arcs.append((enter, leave, (arrow.label, tail, head)))
-
-    ha, ta = (c1, p1, 1), (c1, p1, 0)
-    hb, tb = (c2, p2, 1), (c2, p2, 0)
-    arcs.append((ha, tb, (label, ha, tb) if dual else None))
-    arcs.append((hb, ta, (label, hb, ta) if dual else None))
-
-    adjacency: dict[tuple, list[tuple[int, tuple]]] = {}
-    for aid, (x, y, _) in enumerate(arcs):
-        adjacency.setdefault(x, []).append((aid, y))
-        adjacency.setdefault(y, []).append((aid, x))
-    for node, conns in adjacency.items():
-        if len(conns) != 2:
-            raise InternalInvariantViolation(f"splice node {node} has degree {len(conns)}")
-
-    new_curves: list[list[Arrow]] = []
-    seen: set[tuple] = set()
-    for start in sorted(adjacency):
-        if start in seen:
-            continue
-        curve: list[Arrow] = []
-        aid, cur = adjacency[start][0]
-        payload = arcs[aid][2]
-        if payload is not None:
-            curve.append(Arrow(payload[0], start == payload[1]))
-        seen.add(start)
-        while cur != start:
-            seen.add(cur)
-            first, second = adjacency[cur]
-            aid, nxt = second if first[0] == aid else first
-            payload = arcs[aid][2]
-            if payload is not None:
-                curve.append(Arrow(payload[0], cur == payload[1]))
-            cur = nxt
-        new_curves.append(curve)
-
+    slots = pres.arrow_positions(label)
+    affected = sorted({ci for ci, _ in slots})
+    new_curves = [
+        arrows for _, arrows in walk_arcs(pres, affected, {label: slots}, dual)
+    ]
     out: list = []
     for ci, curve in enumerate(pres.curves):
         if ci == affected[0]:

@@ -196,32 +196,81 @@ def serialize_arp(pres: ArrowPresentation) -> str:
 # -- graph-level structure -------------------------------------------------
 
 
+def arrow_slots(pres: ArrowPresentation) -> dict[str, list[tuple[int, int]]]:
+    """label -> its two (curve, position) slots in reading order, in one pass."""
+    slots: dict[str, list[tuple[int, int]]] = {}
+    for ci, curve in enumerate(pres.curves):
+        for pi, arrow in enumerate(curve):
+            slots.setdefault(arrow.label, []).append((ci, pi))
+    return slots
+
+
 def underlying_edges(pres: ArrowPresentation) -> dict[str, tuple[int, int]]:
     """label -> (curve, curve) incidence map of the underlying multigraph."""
-    return {label: pres.endpoints(label) for label in pres.labels()}
+    slots = arrow_slots(pres)
+    return {label: (slots[label][0][0], slots[label][1][0]) for label in sorted(slots)}
+
+
+class CurveForest(NamedTuple):
+    """A breadth-first spanning forest of the curve graph.
+
+    Each component is rooted at its least curve and searched breadth-first,
+    taking at every curve its non-loop edges in (label, far curve) order.
+    ``order`` lists the curves as visited; ``root``, ``parent`` (a root is
+    its own parent) and ``label`` (the tree edge to the parent, None at a
+    root) are indexed by curve; ``incident`` holds the sorted non-loop
+    (label, far curve) pairs of each curve.
+    """
+
+    order: list[int]
+    root: list[int]
+    parent: list[int]
+    label: list[str | None]
+    incident: list[list[tuple[str, int]]]
+
+    def components(self) -> list[list[int]]:
+        """Curve indices of each component, sorted, in root order."""
+        groups: dict[int, list[int]] = {}
+        for ci, r in enumerate(self.root):
+            groups.setdefault(r, []).append(ci)
+        return list(groups.values())
+
+
+def curve_forest(
+    pres: ArrowPresentation, slots: dict[str, list[tuple[int, int]]]
+) -> CurveForest:
+    """The breadth-first forest of ``pres``, given its ``arrow_slots``."""
+    n = len(pres.curves)
+    incident: list[list[tuple[str, int]]] = [[] for _ in range(n)]
+    for label, ((a, _), (b, _)) in slots.items():
+        if a != b:
+            incident[a].append((label, b))
+            incident[b].append((label, a))
+    for lst in incident:
+        lst.sort()
+    root = [-1] * n
+    parent = list(range(n))
+    tree_label: list[str | None] = [None] * n
+    order: list[int] = []
+    for r in range(n):
+        if root[r] >= 0:
+            continue
+        root[r] = r
+        i = len(order)
+        order.append(r)
+        while i < len(order):
+            v = order[i]
+            i += 1
+            for label, w in incident[v]:
+                if root[w] < 0:
+                    root[w], parent[w], tree_label[w] = r, v, label
+                    order.append(w)
+    return CurveForest(order, root, parent, tree_label, incident)
 
 
 def component_vertex_sets(pres: ArrowPresentation) -> list[set[int]]:
     """Vertex sets of connected components, each sorted by smallest member."""
-    adjacency: dict[int, set[int]] = {i: set() for i in range(len(pres.curves))}
-    for a, b in underlying_edges(pres).values():
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-    seen: set[int] = set()
-    comps = []
-    for start in range(len(pres.curves)):
-        if start in seen:
-            continue
-        stack, comp = [start], set()
-        while stack:
-            v = stack.pop()
-            if v in comp:
-                continue
-            comp.add(v)
-            stack.extend(adjacency[v] - comp)
-        seen |= comp
-        comps.append(comp)
-    return comps
+    return [set(c) for c in curve_forest(pres, arrow_slots(pres)).components()]
 
 
 def component_count(pres: ArrowPresentation) -> int:
@@ -229,10 +278,15 @@ def component_count(pres: ArrowPresentation) -> int:
 
 
 def components(pres: ArrowPresentation) -> list[ArrowPresentation]:
-    """Split into connected components (curve order preserved within each)."""
+    """Split into connected components (curve order preserved within each).
+
+    The curves are already rotation-normalized and no label crosses
+    components, so the parts are built without validating them again.
+    """
+    forest = curve_forest(pres, arrow_slots(pres))
     return [
-        presentation(pres.curves[i] for i in sorted(comp))
-        for comp in component_vertex_sets(pres)
+        ArrowPresentation(tuple(pres.curves[i] for i in comp))
+        for comp in forest.components()
     ]
 
 
@@ -271,35 +325,16 @@ def delete_vertex(pres: ArrowPresentation, index: int) -> ArrowPresentation:
 def spanning_tree(pres: ArrowPresentation) -> tuple[str, ...]:
     """Edge labels of a deterministic spanning tree of a connected graph.
 
-    Breadth-first from curve 0; at each step the lexicographically smallest
-    label reaching a new curve is taken.  Returns the sorted tuple of chosen
-    labels (empty for a single vertex).
+    The tree edges of ``curve_forest``: breadth-first from curve 0, taking
+    the lexicographically smallest label reaching a new curve at each step.
+    Returns the sorted tuple of chosen labels (empty for a single vertex).
     """
-    n = len(pres.curves)
-    if n == 0:
+    if not pres.curves:
         raise NotConnected("empty presentation has no spanning tree")
-    incident: dict[int, list[tuple[str, int]]] = {i: [] for i in range(n)}
-    for label, (a, b) in underlying_edges(pres).items():
-        if a != b:
-            incident[a].append((label, b))
-            incident[b].append((label, a))
-    for lst in incident.values():
-        lst.sort()
-    visited = {0}
-    frontier = [0]
-    tree: list[str] = []
-    while frontier:
-        nxt: list[int] = []
-        for v in frontier:
-            for label, w in incident[v]:
-                if w not in visited:
-                    visited.add(w)
-                    tree.append(label)
-                    nxt.append(w)
-        frontier = nxt
-    if len(visited) != n:
+    forest = curve_forest(pres, arrow_slots(pres))
+    if any(r != 0 for r in forest.root):
         raise NotConnected("presentation is not connected")
-    return tuple(sorted(tree))
+    return tuple(sorted(label for label in forest.label if label is not None))
 
 
 def disjoint_union(*parts: ArrowPresentation) -> ArrowPresentation:

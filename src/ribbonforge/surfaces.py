@@ -1,12 +1,24 @@
-"""Boundary components, orientability and genus of a ribbon graph.
+"""The arc complex of a presentation: boundary, splices and orientability.
 
-The boundary of the surface is traced combinatorially.  Each arrow contributes
-two endpoint nodes (tail and head).  Walking a curve in its written order, the
-stretches between consecutive arrows are *plain arcs* of boundary; each edge
-additionally contributes its two *free sides* — for e-labelled arrows α and β
-these connect {head(α), tail(β)} and {head(β), tail(α)}.  Every node then has
-degree exactly two, and the boundary components of the surface are the cycles
-of this graph, plus one full circle for every curve with no arrows.
+Each arrow contributes two nodes, its tail and its head.  The *arc complex*
+of some curves joins them by the *plain arc* from each arrow to the next
+along its curve and by each arrow itself, from tail to head, except that an
+*opened* edge replaces its two arrows α and β by its two *free sides*, which
+join {head α, tail β} and {head β, tail α}.  Every node then has degree
+two, and ``walk_arcs`` reads the complex off as cycles.  Two walks of it do
+all the work on curves:
+
+- opening every edge of every curve gives the boundary of the surface: its
+  cycles, plus one full circle for every curve with no arrows, are the
+  boundary components (``trace_boundary``);
+- opening one edge e on the curves carrying it splices e: the arrows met
+  along each cycle form one new curve.  With bare free sides this contracts
+  e; when the free sides carry fresh e-arrows it is the partial dual at e
+  (see ``moves``).
+
+An edge is twisted when its two arrows point opposite ways.  The graph is
+orientable unless some cycle has an odd number of twisted edges, which
+``odd_twist_cycle`` finds on the breadth-first curve forest.
 
 Euler's formula for a ribbon graph with v vertices, e edges, f boundary
 components and k connected components reads  v − e + f = 2k − γ  where γ is
@@ -17,33 +29,95 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable, Sequence
 
 from .errors import InternalInvariantViolation
-from .presentation import ArrowPresentation, component_vertex_sets
+from .presentation import (
+    Arrow,
+    ArrowPresentation,
+    arrow_slots,
+    component_vertex_sets,
+    curve_forest,
+)
 
-# A boundary node: (curve index, arrow position, end) with end 0=tail, 1=head.
+# A node of the arc complex: (curve index, arrow position, end), 0=tail, 1=head.
 Node = tuple[int, int, int]
+# An arc: (node, node, label or None); a label means it carries an arrow
+# drawn from its first node to its second.
+Arc = tuple[Node, Node, str | None]
 # A boundary walk: either a cycle of nodes, or ("vertex", i) for a bare curve.
 Walk = tuple
 
 
-def _arrow_ends(pres: ArrowPresentation):
-    """Per-arrow IN/OUT nodes in walking order, plus tail/head nodes."""
-    ins: dict[tuple[int, int], Node] = {}
-    outs: dict[tuple[int, int], Node] = {}
-    tails: dict[tuple[int, int], Node] = {}
-    heads: dict[tuple[int, int], Node] = {}
-    for ci, curve in enumerate(pres.curves):
+def walk_arcs(
+    pres: ArrowPresentation,
+    curve_indices: Iterable[int],
+    opened: dict[str, Sequence[tuple[int, int]]],
+    sides_labelled: bool,
+) -> list[tuple[list[Node], list[Arrow]]]:
+    """The cycles of the arc complex of some curves with some edges opened.
+
+    ``opened`` maps each opened label to its two (curve, position) slots,
+    which lie on the given curves; its free sides carry the label when
+    ``sides_labelled`` is set.  Arcs are numbered curve by curve, each
+    position giving its plain arc and then its arrow, and then the free
+    sides in label order.  Each cycle starts at the least node not yet
+    walked and leaves it by its lower-numbered arc.  It is returned as the
+    nodes it passes and the arrows its labelled arcs carry, each pointing
+    the way the cycle runs along it.
+    """
+    arcs: list[Arc] = []
+    for ci in curve_indices:
+        curve = pres.curves[ci]
+        m = len(curve)
         for pi, arrow in enumerate(curve):
-            tail: Node = (ci, pi, 0)
-            head: Node = (ci, pi, 1)
-            tails[ci, pi] = tail
-            heads[ci, pi] = head
-            # An arrow pointing along the curve is entered at its tail;
-            # one pointing against it is met head first.
-            ins[ci, pi] = tail if arrow.along else head
-            outs[ci, pi] = head if arrow.along else tail
-    return ins, outs, tails, heads
+            nxt = (pi + 1) % m
+            # An arrow pointing along the curve is left at its head, and the
+            # next one is entered at its tail if it points along too.
+            arcs.append((
+                (ci, pi, 1 if arrow.along else 0),
+                (ci, nxt, 0 if curve[nxt].along else 1),
+                None,
+            ))
+            if arrow.label not in opened:
+                arcs.append(((ci, pi, 0), (ci, pi, 1), arrow.label))
+    for label in sorted(opened):
+        (c1, p1), (c2, p2) = opened[label]
+        carried = label if sides_labelled else None
+        arcs.append(((c1, p1, 1), (c2, p2, 0), carried))
+        arcs.append(((c2, p2, 1), (c1, p1, 0), carried))
+
+    adjacency: dict[Node, list[tuple[int, Node]]] = {}
+    for aid, (x, y, _) in enumerate(arcs):
+        adjacency.setdefault(x, []).append((aid, y))
+        adjacency.setdefault(y, []).append((aid, x))
+    for node, conns in adjacency.items():
+        if len(conns) != 2:
+            raise InternalInvariantViolation(
+                f"arc complex node {node} has degree {len(conns)}"
+            )
+
+    cycles: list[tuple[list[Node], list[Arrow]]] = []
+    seen: set[Node] = set()
+    for start in sorted(adjacency):
+        if start in seen:
+            continue
+        nodes: list[Node] = []
+        arrows: list[Arrow] = []
+        node, (aid, ahead) = start, adjacency[start][0]
+        while True:
+            seen.add(node)
+            nodes.append(node)
+            tail, _, label = arcs[aid]
+            if label is not None:
+                arrows.append(Arrow(label, node == tail))
+            if ahead == start:
+                break
+            node = ahead
+            first, second = adjacency[node]
+            aid, ahead = second if first[0] == aid else first
+        cycles.append((nodes, arrows))
+    return cycles
 
 
 def trace_boundary(pres: ArrowPresentation):
@@ -54,61 +128,17 @@ def trace_boundary(pres: ArrowPresentation):
     vertices) and ``edge_walks`` maps each label to the sorted pair of walk
     indices containing its two free sides.
     """
-    ins, outs, tails, heads = _arrow_ends(pres)
-
-    adjacency: dict[Node, list[tuple[int, Node]]] = {}
-    conn_count = 0
-
-    def connect(a: Node, b: Node) -> None:
-        nonlocal conn_count
-        cid = conn_count
-        conn_count += 1
-        adjacency.setdefault(a, []).append((cid, b))
-        adjacency.setdefault(b, []).append((cid, a))
-
-    for ci, curve in enumerate(pres.curves):
-        m = len(curve)
-        for pi in range(m):
-            connect(outs[ci, pi], ins[ci, (pi + 1) % m])
-
-    free_sides: dict[str, list[tuple[Node, Node]]] = {}
-    for label in pres.labels():
-        (c1, p1), (c2, p2) = pres.arrow_positions(label)
-        s1 = (heads[c1, p1], tails[c2, p2])
-        s2 = (heads[c2, p2], tails[c1, p1])
-        connect(*s1)
-        connect(*s2)
-        free_sides[label] = [s1, s2]
-
-    for node, conns in adjacency.items():
-        if len(conns) != 2:
-            raise InternalInvariantViolation(
-                f"boundary node {node} has degree {len(conns)}"
-            )
-
+    slots = arrow_slots(pres)
     walks: list[Walk] = []
     node_walk: dict[Node, int] = {}
-    for start in sorted(adjacency):
-        if start in node_walk:
-            continue
-        index = len(walks)
-        walk = [start]
-        node_walk[start] = index
-        cid, cur = adjacency[start][0]
-        while cur != start:
-            walk.append(cur)
-            node_walk[cur] = index
-            first, second = adjacency[cur]
-            cid, cur = second if first[0] == cid else first
-        walks.append(tuple(walk))
-
-    for i, curve in enumerate(pres.curves):
-        if not curve:
-            walks.append(("vertex", i))
-
+    for nodes, _ in walk_arcs(pres, range(len(pres.curves)), slots, False):
+        for node in nodes:
+            node_walk[node] = len(walks)
+        walks.append(tuple(nodes))
+    walks.extend(("vertex", i) for i, curve in enumerate(pres.curves) if not curve)
     edge_walks = {
-        label: tuple(sorted(node_walk[s[0]] for s in sides))
-        for label, sides in free_sides.items()
+        label: tuple(sorted(node_walk[ci, pi, 1] for ci, pi in slots[label]))
+        for label in sorted(slots)
     }
     return walks, edge_walks
 
@@ -118,6 +148,17 @@ def boundary_component_count(pres: ArrowPresentation) -> int:
     return len(walks)
 
 
+def _flips(
+    pres: ArrowPresentation, slots: dict[str, list[tuple[int, int]]]
+) -> dict[str, bool]:
+    """label -> whether the edge's two arrows point opposite ways."""
+    curves = pres.curves
+    return {
+        label: curves[c1][p1].along != curves[c2][p2].along
+        for label, ((c1, p1), (c2, p2)) in slots.items()
+    }
+
+
 def twists(pres: ArrowPresentation) -> dict[str, int]:
     """Edge twist signs: +1 if the two arrows agree in direction, else -1.
 
@@ -125,47 +166,54 @@ def twists(pres: ArrowPresentation) -> dict[str, int]:
     curve backwards toggles the sign of every non-loop edge at it, which is
     exactly the gauge freedom the orientability test quotients out.
     """
-    out = {}
-    for label in pres.labels():
-        (c1, p1), (c2, p2) = pres.arrow_positions(label)
-        a = pres.curves[c1][p1]
-        b = pres.curves[c2][p2]
-        out[label] = 1 if a.along == b.along else -1
-    return out
+    flips = _flips(pres, arrow_slots(pres))
+    return {label: -1 if flips[label] else 1 for label in sorted(flips)}
+
+
+def odd_twist_cycle(pres: ArrowPresentation) -> tuple[list[str], str] | None:
+    """A cycle with an odd number of twisted edges, or None if orientable.
+
+    Returns (labels to contract in order, label kept as the final twisted
+    loop).  The least twisted loop is returned as ([], its label).
+    Otherwise the parity of each curve along ``curve_forest`` is compared
+    across the non-tree edges, taking components in root order, then curves
+    by index, then labels; the first conflict w-v closes the cycle, whose
+    chain runs up the tree from v to where the root paths of v and w meet
+    and down to w.
+    """
+    slots = arrow_slots(pres)
+    flips = _flips(pres, slots)
+    loops = sorted(
+        label for label, ((c1, _), (c2, _)) in slots.items()
+        if c1 == c2 and flips[label]
+    )
+    if loops:
+        return [], loops[0]
+    forest = curve_forest(pres, slots)
+    parity = [False] * len(pres.curves)
+    for v in forest.order:
+        if forest.label[v] is not None:
+            parity[v] = parity[forest.parent[v]] ^ flips[forest.label[v]]
+    for comp in forest.components():
+        for v in comp:
+            for label, w in forest.incident[v]:
+                if w > v and parity[v] ^ parity[w] ^ flips[label]:
+                    up, down = [v], [w]
+                    for path in (up, down):
+                        while forest.parent[path[-1]] != path[-1]:
+                            path.append(forest.parent[path[-1]])
+                    while len(up) > 1 and len(down) > 1 and up[-2] == down[-2]:
+                        up.pop()
+                        down.pop()
+                    chain = [forest.label[x] for x in up[:-1]]
+                    chain += [forest.label[x] for x in reversed(down[:-1])]
+                    return chain, label
+    return None
 
 
 def is_orientable(pres: ArrowPresentation) -> bool:
-    """True unless some cycle has an odd number of twisted edges.
-
-    A twisted loop is immediately non-orientable; otherwise a parity
-    union-find over the curves detects any odd-twist cycle.
-    """
-    parent: dict[int, int] = {i: i for i in range(len(pres.curves))}
-    parity: dict[int, int] = {i: 0 for i in parent}
-
-    def find(x: int) -> tuple[int, int]:
-        p = 0
-        while parent[x] != x:
-            p ^= parity[x]
-            x = parent[x]
-        return x, p
-
-    for label, twist in twists(pres).items():
-        (c1, _), (c2, _) = pres.arrow_positions(label)
-        flip = 1 if twist == -1 else 0
-        if c1 == c2:
-            if flip:
-                return False
-            continue
-        r1, p1 = find(c1)
-        r2, p2 = find(c2)
-        if r1 == r2:
-            if p1 ^ p2 != flip:
-                return False
-        else:
-            parent[r1] = r2
-            parity[r1] = p1 ^ p2 ^ flip
-    return True
+    """True unless some cycle, a twisted loop included, has odd twist."""
+    return odd_twist_cycle(pres) is None
 
 
 @dataclass(frozen=True)

@@ -217,6 +217,17 @@ def test_bad_max_edges_environment_exits_2(arp, capsys, monkeypatch, raw):
     assert run_json(capsys, "canonical", arp(TORUS))[0] == 0
 
 
+def test_represents_link_takes_no_size_bound(arp, capsys, monkeypatch):
+    path = arp(serialize_arp(build_B(3)) + "\n", "b3.arp")
+    monkeypatch.setenv("RIBBONFORGE_MAX_EDGES", "2")
+    code, payload = run_json(capsys, "represents-link", path, "--certificate")
+    assert code == 1 and payload["certificate"]["target"] == "b3"
+    code, payload = run_json(
+        capsys, "represents-link", path, "--certificate", "--max-edges", "2"
+    )
+    assert code == 2 and payload["error"]["type"] == "ParseError"
+
+
 def test_verify_subset(capsys):
     code, payload = run_json(capsys, "verify", "--criteria", "3,6")
     assert code == 0

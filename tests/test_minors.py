@@ -6,7 +6,6 @@ import pytest
 
 from ribbonforge import (
     EMPTY,
-    ClaimViolation,
     InternalInvariantViolation,
     MinorScript,
     RibbonError,
@@ -34,7 +33,6 @@ from ribbonforge import (
     partial_dual,
     random_ribbon_graph,
     replay,
-    surface_summary,
     verified_script,
 )
 
@@ -154,6 +152,21 @@ def test_bbar1_script_on_non_orientable_graphs():
     assert checked > 30
     with pytest.raises(RibbonError):
         bbar1_script(build_B(3))
+
+
+def test_bbar1_script_steps_are_pinned():
+    g = from_words([["a", "b"], ["c", "d"], ["c'", "d"], ["a", "b'"]])
+    assert bbar1_script(g).as_json() == [
+        ["delete_edge", "c"], ["delete_edge", "d"],
+        ["delete_vertex", 2], ["delete_vertex", 1], ["contract_edge", "a"],
+    ]
+    # interleaved components: the one holding curve 0 is searched first
+    g = from_words([["a", "b"], ["d", "e"], ["a", "c"], ["b", "c'"], ["d", "e'"]])
+    assert bbar1_script(g).as_json() == [
+        ["delete_edge", "d"], ["delete_edge", "e"],
+        ["delete_vertex", 4], ["delete_vertex", 1],
+        ["contract_edge", "a"], ["contract_edge", "b"],
+    ]
 
 
 def test_contraction_chain_reaches_b3():

@@ -48,6 +48,13 @@ def test_contract_edge_small_oracles():
     assert equivalent(contract_edge(TORUS, "a"), from_words([["b"], ["b"]]))
 
 
+def test_splice_curve_words_are_pinned():
+    assert contract_edge(build_B(5), "e3").words() == [
+        ["e1", "e5", "e2", "e1", "e5", "e4"],
+        ["e2", "e4"],
+    ]
+
+
 def test_geometric_dual_small_oracles():
     assert equivalent(geometric_dual(B1), EDGE)
     assert equivalent(geometric_dual(EDGE), B1)

@@ -142,8 +142,23 @@ def test_spanning_tree_of_connected_graph():
     tree = spanning_tree(g)
     assert len(tree) == g.vertex_count - 1
     assert set(tree) <= set(g.labels())
+    assert tree == ("a", "b")
     with pytest.raises(NotConnected):
         spanning_tree(from_words([["a", "a"], ["b", "b"]]))
+    with pytest.raises(NotConnected):
+        spanning_tree(EMPTY)
+
+
+def test_components_of_interleaved_curves():
+    g = from_words([["a", "b"], ["d", "e"], ["a", "c"], ["b", "c'"], ["d", "e'"]])
+    assert [c.words() for c in components(g)] == [
+        [["a", "b"], ["a", "c"], ["b", "c'"]],
+        [["d", "e"], ["d", "e'"]],
+    ]
+    assert [spanning_tree(c) for c in components(g)] == [("a", "b"), ("d",)]
+    assert underlying_edges(g) == {
+        "a": (0, 2), "b": (0, 3), "c": (2, 3), "d": (1, 4), "e": (1, 4),
+    }
 
 
 def test_disjoint_union_renames_collisions():

@@ -1,12 +1,10 @@
 """Boundary tracing, genus, orientability: frozen small oracles + identities."""
 
 import random
-
-import pytest
+from itertools import product
 
 from ribbonforge import (
     EMPTY,
-    InternalInvariantViolation,
     boundary_component_count,
     build_B,
     build_Bbar1,
@@ -21,6 +19,7 @@ from ribbonforge import (
     trace_boundary,
     twists,
 )
+from ribbonforge.surfaces import odd_twist_cycle
 
 # (words, vertices, edges, boundary, euler_genus, orientable) — hand-traced
 FROZEN = [
@@ -67,6 +66,15 @@ def test_boundary_walks_cover_every_edge_twice():
             assert 0 <= w1 < len(walks) and 0 <= w2 < len(walks)
 
 
+def test_trace_boundary_walk_order_is_pinned():
+    walks, edge_walks = trace_boundary(from_words([["a", "b", "a", "b"]]))
+    assert walks == [(
+        (0, 0, 0), (0, 3, 1), (0, 1, 0), (0, 0, 1),
+        (0, 2, 0), (0, 1, 1), (0, 3, 0), (0, 2, 1),
+    )]
+    assert edge_walks == {"a": (0, 0), "b": (0, 0)}
+
+
 def test_twists_and_orientability():
     g = from_words([["a", "b", "a'", "b"]])
     t = twists(g)
@@ -81,6 +89,31 @@ def test_twisted_non_loop_edge_alone_is_orientable():
     g = from_words([["a"], ["a'"]])
     assert is_orientable(g)
     assert euler_genus(g) == 0
+
+
+def test_odd_twist_cycle_takes_components_in_root_order():
+    # components {0, 2, 3} and {1, 4} interleave; the conflict at curve 1
+    # has the least endpoint overall, but the component of curve 0 comes first
+    g = from_words([["a", "b"], ["d", "e"], ["a", "c"], ["b", "c'"], ["d", "e'"]])
+    assert odd_twist_cycle(g) == (["a", "b"], "c")
+    assert odd_twist_cycle(from_words([["a", "b'", "b", "a'"]])) == ([], "a")
+    assert odd_twist_cycle(build_B(5)) is None
+
+
+def test_orientability_against_curve_flips():
+    # orientable exactly when reversing some curves untwists every edge
+    rng = random.Random("flips")
+    for i in range(200):
+        g = random_ribbon_graph(rng.randint(1, 8), f"of-{i}")
+        ends = {}
+        for ci, curve in enumerate(g.curves):
+            for arrow in curve:
+                ends.setdefault(arrow.label, []).append((ci, arrow.along))
+        flattenable = any(
+            all((a ^ flip[c]) == (b ^ flip[d]) for (c, a), (d, b) in ends.values())
+            for flip in product((False, True), repeat=g.vertex_count)
+        )
+        assert is_orientable(g) == flattenable == (odd_twist_cycle(g) is None), g
 
 
 def test_euler_formula_on_random_graphs():
