@@ -201,23 +201,36 @@ class IntersectionGraph:
 
 
 def intersection_graph(pres: ArrowPresentation) -> IntersectionGraph:
-    """The interlacement graph of a one-vertex ribbon graph."""
+    """The interlacement graph of a one-vertex ribbon graph.
+
+    One scan of the word keeps the open labels in a chain, each linked to
+    the one opened just before it.  When e closes, the labels opened after
+    it and still open are exactly those with one end between e's ends, so
+    the walk down the chain from the last opened label to e lists e's new
+    neighbours, and e is unlinked: O(L + |edges|) for a word of length L.
+    """
     if len(pres.curves) != 1:
         raise NotABouquet(
             f"interlacement needs a single vertex, found {len(pres.curves)}"
         )
-    word = [a.label for a in pres.curves[0]]
-    pos: dict[str, list[int]] = {}
-    for i, label in enumerate(word):
-        pos.setdefault(label, []).append(i)
-    labels = tuple(sorted(pos))
+    below: dict[str, str | None] = {}
+    top: str | None = None
     edges = set()
-    for e, f in combinations(labels, 2):
-        i, j = pos[e]
-        between = sum(1 for p in pos[f] if i < p < j)
-        if between == 1:
-            edges.add((e, f))
-    return IntersectionGraph(labels, frozenset(edges))
+    for arrow in pres.curves[0]:
+        e = arrow.label
+        if e not in below:
+            below[e], top = top, e
+            continue
+        above, f = None, top
+        while f != e:
+            edges.add((e, f) if e < f else (f, e))
+            above, f = f, below[f]
+        if above is None:
+            top = below[e]
+        else:
+            below[above] = below[e]
+        del below[e]
+    return IntersectionGraph(pres.labels(), frozenset(edges))
 
 
 def _two_colour(

@@ -49,12 +49,18 @@ Curve = tuple[Arrow, ...]
 
 
 def _min_rotation(curve: Curve) -> Curve:
-    """The lexicographically least rotation of a curve word."""
+    """The lexicographically least rotation of a curve word.
+
+    That rotation begins with the least arrow, which a valid curve carries
+    at most twice (each label occurs twice in the whole presentation), so
+    only the rotations starting there are compared: O(n) for n arrows.
+    """
     if len(curve) < 2:
         return curve
-    n = len(curve)
-    best = min(range(n), key=lambda i: tuple(curve[i:] + curve[:i]))
-    return curve[best:] + curve[:best]
+    least = min(curve)
+    return min(
+        curve[i:] + curve[:i] for i, arrow in enumerate(curve) if arrow == least
+    )
 
 
 @dataclass(frozen=True)
@@ -124,9 +130,9 @@ def presentation(curves: Iterable[Iterable[Arrow]]) -> ArrowPresentation:
     rotates each curve to a fixed representative so structurally equal inputs
     compare equal.
     """
-    normalized = tuple(_min_rotation(tuple(curve)) for curve in curves)
+    raw = [tuple(curve) for curve in curves]
     counts: dict[str, int] = {}
-    for curve in normalized:
+    for curve in raw:
         for arrow in curve:
             if not arrow.label:
                 raise EmptyLabelError("arrow with empty label")
@@ -136,7 +142,7 @@ def presentation(curves: Iterable[Iterable[Arrow]]) -> ArrowPresentation:
         raise LabelCountError(
             f"labels must appear exactly twice, violated by: {', '.join(bad)}"
         )
-    return ArrowPresentation(normalized)
+    return ArrowPresentation(tuple(_min_rotation(curve) for curve in raw))
 
 
 def from_words(words: Iterable[Iterable[str]]) -> ArrowPresentation:

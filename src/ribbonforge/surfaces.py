@@ -11,10 +11,10 @@ all the work on curves:
 - opening every edge of every curve gives the boundary of the surface: its
   cycles, plus one full circle for every curve with no arrows, are the
   boundary components (``trace_boundary``);
-- opening one edge e on the curves carrying it splices e: the arrows met
-  along each cycle form one new curve.  With bare free sides this contracts
-  e; when the free sides carry fresh e-arrows it is the partial dual at e
-  (see ``moves``).
+- opening a set of edges on the curves carrying them splices the set: the
+  arrows met along each cycle form one new curve.  With bare free sides
+  this contracts a single edge; when each free side carries a fresh arrow
+  of its edge it is the partial dual at the whole set (see ``moves``).
 
 An edge is twisted when its two arrows point opposite ways.  The graph is
 orientable unless some cycle has an odd number of twisted edges, which

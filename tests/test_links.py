@@ -173,6 +173,34 @@ def test_intersection_graph_of_odd_cycle_family():
         assert len(graph.edges) == n
 
 
+def _interlacement_by_pairs(pres):
+    """Reference: e ~ f iff exactly one end of f lies between the ends of e."""
+    pos = {}
+    for i, arrow in enumerate(pres.curves[0]):
+        pos.setdefault(arrow.label, []).append(i)
+    edges = set()
+    for e, f in combinations(sorted(pos), 2):
+        i, j = pos[e]
+        if sum(1 for p in pos[f] if i < p < j) == 1:
+            edges.add((e, f))
+    return IntersectionGraph(tuple(sorted(pos)), frozenset(edges))
+
+
+@st.composite
+def _bouquets(draw):
+    n = draw(st.integers(min_value=0, max_value=14))
+    tokens = [f"e{i}" for i in range(n)] * 2  # "e10" < "e2": order as strings
+    word = draw(st.permutations(tokens))
+    flips = draw(st.lists(st.booleans(), min_size=2 * n, max_size=2 * n))
+    return from_words([[t + "'" if f else t for t, f in zip(word, flips)]])
+
+
+@settings(max_examples=400, deadline=None)
+@given(_bouquets())
+def test_intersection_graph_matches_pairwise_definition(bouquet):
+    assert intersection_graph(bouquet) == _interlacement_by_pairs(bouquet)
+
+
 # -- separating vertices and plane biseparations -------------------------------
 
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import ribbonforge.moves as moves
 from ribbonforge import (
     EMPTY,
     UnknownLabel,
@@ -17,6 +18,7 @@ from ribbonforge import (
     euler_genus,
     from_words,
     geometric_dual,
+    intersection_graph,
     is_orientable,
     partial_dual,
     random_ribbon_graph,
@@ -53,6 +55,51 @@ def test_splice_curve_words_are_pinned():
         ["e1", "e5", "e2", "e1", "e5", "e4"],
         ["e2", "e4"],
     ]
+
+
+def test_single_label_dual_words_are_pinned():
+    assert partial_dual(build_B(5), {"e3"}).words() == [
+        ["e1", "e3'", "e5", "e4", "e1", "e5", "e2"],
+        ["e2", "e4", "e3'"],
+    ]
+
+
+def test_contract_edge_rejects_unknown_label_from_one_arrow_pass(monkeypatch):
+    def forbidden(self, label):
+        raise AssertionError("second arrow pass")
+
+    monkeypatch.setattr(moves.ArrowPresentation, "arrow_positions", forbidden)
+    assert contract_edge(EDGE, "a") == from_words([[]])
+    with pytest.raises(UnknownLabel) as info:
+        contract_edge(B1, "zz")
+    assert str(info.value) == "label 'zz' not present exactly twice"
+
+
+def test_partial_dual_over_a_set_is_one_walk(monkeypatch):
+    calls = []
+    walk = moves.walk_arcs
+
+    def counted(*args):
+        calls.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(moves, "walk_arcs", counted)
+    partial_dual(build_B(7), {"e1", "e2", "e4", "e6"})
+    assert len(calls) == 1
+
+
+def test_partial_dual_over_a_set_matches_label_by_label():
+    rng = random.Random("one-walk")
+    for i in range(300):
+        g = random_ribbon_graph(rng.randint(1, 8), f"ow-{i}")
+        subset = {l for l in g.labels() if rng.random() < 0.5}
+        stepwise = g
+        for label in sorted(subset):
+            stepwise = partial_dual(stepwise, {label})
+        at_once = partial_dual(g, subset)
+        assert canonical_key(at_once) == canonical_key(stepwise)
+        if len(at_once.curves) == 1:
+            assert intersection_graph(at_once) == intersection_graph(stepwise)
 
 
 def test_geometric_dual_small_oracles():

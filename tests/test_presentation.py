@@ -27,6 +27,7 @@ from ribbonforge import (
     spanning_tree,
     underlying_edges,
 )
+from ribbonforge.presentation import _min_rotation
 
 
 def test_presentation_normalizes_rotation():
@@ -87,6 +88,17 @@ def test_serialize_parse_round_trip_random():
     for i in range(200):
         g = random_ribbon_graph(rng.randint(0, 6), f"rt-{i}")
         assert parse_arp(serialize_arp(g)) == g
+
+
+def test_min_rotation_matches_brute_force():
+    # a small alphabet makes repeated and periodic words common, beyond the
+    # two copies of an arrow a valid presentation allows
+    rng = random.Random("rotation")
+    alphabet = [Arrow(label, along) for label in "abc" for along in (True, False)]
+    for _ in range(400):
+        curve = tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 9)))
+        brute = min((curve[i:] + curve[:i] for i in range(len(curve))), default=())
+        assert _min_rotation(curve) == brute
 
 
 def test_loop_and_endpoint_queries():
