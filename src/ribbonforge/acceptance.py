@@ -121,9 +121,7 @@ def _criterion_3() -> tuple[bool, str]:
     return True, "single-edge duals return B3; closure over 8 subsets is {B3, theta}"
 
 
-def _identity_failure(
-    pres: ArrowPresentation, subset_pairs, bound: int | None
-) -> str | None:
+def _identity_failure(pres: ArrowPresentation, subset_pairs) -> str | None:
     summary = surface_summary(pres)
     if partial_dual(pres, set()) != pres:
         return "dual at the empty set changed the presentation"
@@ -132,7 +130,7 @@ def _identity_failure(
     for label in pres.labels():
         contracted = contract_edge(pres, label)
         via_dual = delete_edge(partial_dual(pres, {label}), label)
-        if not equivalent(contracted, via_dual, bound):
+        if not equivalent(contracted, via_dual):
             return f"contraction differs from dual-then-delete at {label}"
     for a_set, b_set in subset_pairs:
         half = partial_dual(pres, a_set)
@@ -140,9 +138,9 @@ def _identity_failure(
             return f"orientability changed under dual at {sorted(a_set)}"
         twice = partial_dual(half, b_set)
         direct = partial_dual(pres, a_set ^ b_set)
-        if not equivalent(twice, direct, bound):
+        if not equivalent(twice, direct):
             return f"dual composition failed at {sorted(a_set)}, {sorted(b_set)}"
-    for step, child in one_step_minors(pres, bound).values():
+    for step, child in one_step_minors(pres).values():
         if surface_summary(child).euler_genus > summary.euler_genus:
             return f"Euler genus rose along {step}"
     return None
@@ -156,7 +154,7 @@ def _criterion_4() -> tuple[bool, str]:
         pairs = [
             (set(a), set(b)) for a in _subsets(labels) for b in _subsets(labels)
         ]
-        problem = _identity_failure(pres, pairs, None)
+        problem = _identity_failure(pres, pairs)
         checked += 1
         if problem:
             return False, f"G={serialize_arp(pres)!r}: {problem}"
@@ -171,7 +169,7 @@ def _criterion_4() -> tuple[bool, str]:
             )
             for _ in range(2)
         ]
-        problem = _identity_failure(pres, pairs, None)
+        problem = _identity_failure(pres, pairs)
         checked += 1
         if problem:
             return False, f"random graph {i}: {problem}"

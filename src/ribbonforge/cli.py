@@ -207,6 +207,8 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "enumerate":
+        if args.edges < 0:
+            raise ParseError(f"-n must be >= 0, not {args.edges}")
         classes = enumerate_presentations(
             args.edges,
             connected_only=args.connected,

@@ -9,8 +9,9 @@ Two independent generators produce every equivalence class up to a size cap:
   complete.
 * ``enumerate_by_slots`` builds raw configurations directly: cyclic
   arrangements of 2n arrow slots (one permutation per arrangement, via its
-  cycle decomposition), a perfect matching of slots into edges, and a
-  direction bit per edge.
+  cycle decomposition), slots 2i and 2i+1 as the two arrows of edge e(i+1)
+  (the fixed edge involution of a rotation system, onto which a renaming
+  of the slots carries any other pairing), and a direction bit per edge.
 
 Their agreement on small sizes is an acceptance check.  Except for the two
 zero-edge classes (the empty graph and the bare vertex), emitted classes
@@ -35,6 +36,7 @@ from .presentation import (
     EMPTY,
     Arrow,
     ArrowPresentation,
+    _trusted,
     component_count,
     presentation,
 )
@@ -59,7 +61,7 @@ def _children(parent: ArrowPresentation, label: str) -> Iterator[ArrowPresentati
     for half in _insertions(parent.curves, Arrow(label, True)):
         for along in (True, False):
             for full in _insertions(half, Arrow(label, along)):
-                child = presentation(full)
+                child = _trusted(full)
                 if not child.isolated_vertices():
                     yield child
 
@@ -91,9 +93,9 @@ def enumerate_presentations(
     flags keep only connected graphs, orientable graphs, or bouquets (one
     vertex).
     """
-    check_size(max_edges, ENUMERATION_MAX_EDGES, None, "enumeration")
     if max_edges < 0:
         raise RibbonError("max_edges must be >= 0")
+    check_size(max_edges, ENUMERATION_MAX_EDGES, None, "enumeration")
     out = []
     for layer in _layers(max_edges):
         for pres in layer:
@@ -110,69 +112,38 @@ def enumerate_presentations(
 # -- the independent cross-check generator ------------------------------------
 
 
-def _matchings(slots: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
-    if not slots:
-        yield ()
-        return
-    first, rest = slots[0], slots[1:]
-    for i, second in enumerate(rest):
-        for tail in _matchings(rest[:i] + rest[i + 1 :]):
-            yield ((first, second),) + tail
-
-
 def enumerate_by_slots(n: int) -> list[ArrowPresentation]:
     """Classes with exactly n >= 1 edges, built from raw slot configurations.
 
     Independent of the augmentation generator: arranges the 2n arrow slots
     into directed cycles (one arrangement per permutation of the slots, via
-    its cycle decomposition), matches slots into label pairs, and chooses
-    the second arrow's direction per edge.  Exponential in n; meant for
-    cross-checking at tiny sizes.
+    its cycle decomposition), labels slots 2i and 2i+1 as edge e(i+1), and
+    chooses the second arrow's direction per edge.  One pairing suffices:
+    renaming the slots carries any other pairing onto it and the
+    arrangement onto another permutation, which is enumerated too.
+    Exponential in n; meant for cross-checking at tiny sizes.
     """
     if n < 1:
         raise RibbonError("slot enumeration needs n >= 1")
-    slots = tuple(range(2 * n))
-    arrangements: list[tuple[tuple[int, ...], ...]] = []
-    for perm in permutations(slots):
-        cycles: list[tuple[int, ...]] = []
-        seen_slots: set[int] = set()
-        for s in slots:
-            if s in seen_slots:
-                continue
-            cyc = [s]
-            seen_slots.add(s)
-            t = perm[s]
-            while t != s:
-                cyc.append(t)
-                seen_slots.add(t)
-                t = perm[t]
-            cycles.append(tuple(cyc))
-        arrangements.append(tuple(cycles))
+    slots = range(2 * n)
     seen: dict[bytes, ArrowPresentation] = {}
-    for match in _matchings(slots):
-        label_of = {}
-        first_slot = {}
-        for idx, (a, b) in enumerate(match):
-            name = f"e{idx + 1}"
-            label_of[a] = label_of[b] = name
-            first_slot[name] = min(a, b)
-        for cycles in arrangements:
-            for flags in product((True, False), repeat=n):
-                flip = {f"e{i + 1}": flags[i] for i in range(n)}
-                curves = [
-                    tuple(
-                        Arrow(
-                            label_of[s],
-                            True if s == first_slot[label_of[s]] else flip[label_of[s]],
-                        )
-                        for s in cyc
-                    )
-                    for cyc in cycles
-                ]
-                pres = presentation(curves)
-                key = canonical_key(pres)
-                if key not in seen:
-                    seen[key] = pres
+    for perm in permutations(slots):
+        cycles: list[list[int]] = []
+        done: set[int] = set()
+        for s in slots:
+            cyc = []
+            while s not in done:
+                done.add(s)
+                cyc.append(s)
+                s = perm[s]
+            if cyc:
+                cycles.append(cyc)
+        for flags in product((True, False), repeat=n):
+            pres = presentation(
+                [Arrow(f"e{s // 2 + 1}", s % 2 == 0 or flags[s // 2]) for s in cyc]
+                for cyc in cycles
+            )
+            seen.setdefault(canonical_key(pres), pres)
     return [seen[key] for key in sorted(seen)]
 
 
@@ -197,5 +168,4 @@ def random_ribbon_graph(n: int, seed) -> ArrowPresentation:
     curve_count = rng.randint(1, n)
     cuts = sorted(rng.sample(range(1, 2 * n), curve_count - 1))
     bounds = [0] + cuts + [2 * n]
-    curves = [arrows[a:b] for a, b in zip(bounds, bounds[1:])]
-    return presentation(curves)
+    return _trusted(arrows[a:b] for a, b in zip(bounds, bounds[1:]))

@@ -3,10 +3,11 @@
 All brute-force machinery (canonical forms, minor search, plane-dual sweeps,
 enumeration) refuses inputs above a configured edge count so that runaway
 searches fail fast instead of hanging.  The edge-count bounds can be raised
-globally through the ``RIBBONFORGE_MAX_EDGES`` environment variable and,
-except enumeration's, per call via a ``max_edges=`` argument (the
-``--max-edges`` flag).  ``MINOR_SEARCH_MEMO_LIMIT`` caps the equivalence
-classes one ``has_minor`` search remembers; it has no override.
+globally through the ``RIBBONFORGE_MAX_EDGES`` environment variable, which
+never lowers a default, and, except enumeration's, set per call via a
+``max_edges=`` argument (the ``--max-edges`` flag).
+``MINOR_SEARCH_MEMO_LIMIT`` caps the equivalence classes one ``has_minor``
+search remembers; it has no override.
 """
 
 from __future__ import annotations
@@ -44,14 +45,14 @@ def env_override() -> int | None:
 def check_size(size: int, default: int, max_edges: int | None, search: str) -> None:
     """Refuse a ``size``-edge input to ``search`` above its bound.
 
-    The bound is ``max_edges`` if given, else the environment override, else
-    ``default``.  A negative ``max_edges`` is bad input; 0 is a bound like
-    any other.  Enumeration takes no per-call bound, so its refusal names
-    only the environment variable.
+    The bound is ``max_edges`` if given, else the larger of ``default`` and
+    the environment override.  A negative ``max_edges`` is bad input; 0 is a
+    bound like any other.  Enumeration takes no per-call bound, so its
+    refusal names only the environment variable.
     """
     if max_edges is not None and max_edges < 0:
         raise RibbonError(f"max_edges must be >= 0, not {max_edges}")
-    bound = max_edges if max_edges is not None else env_override() or default
+    bound = max_edges if max_edges is not None else max(default, env_override() or 0)
     if size > bound:
         flag = "" if search == "enumeration" else "--max-edges or "
         raise SizeBoundExceeded(

@@ -39,11 +39,11 @@ from .moves import partial_dual
 from .presentation import (
     Arrow,
     ArrowPresentation,
+    _trusted,
     arrow_slots,
     component_count,
     components,
     curve_forest,
-    presentation,
     restriction,
     spanning_tree,
 )
@@ -165,7 +165,7 @@ def all_A_ribbon_graph(code: PDCode, convention: str = "A") -> ArrowPresentation
             if cur == start:
                 break
         curves.append(word)
-    state = presentation(curves)
+    state = _trusted(curves)
     if not is_orientable(state):
         raise OrientabilityViolation(
             "state ribbon graph came out non-orientable; "

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .canonical import canonical_key, equivalent
+from .enumeration import enumerate_presentations
 from .errors import (
     ClaimViolation,
     InternalInvariantViolation,
@@ -447,8 +448,6 @@ def b_family_members(n: int, max_edges: int) -> list[ArrowPresentation]:
     equal to its edge count, so members with at most ``max_edges`` edges
     are found by filtering exhaustive enumeration.
     """
-    from .enumeration import enumerate_presentations
-
     if n < 0:
         raise RibbonError("family index must be >= 0")
     out: list[ArrowPresentation] = []

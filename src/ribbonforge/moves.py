@@ -22,23 +22,22 @@ from __future__ import annotations
 from typing import Iterable
 
 from .errors import UnknownLabel
-from .presentation import ArrowPresentation, arrow_slots, presentation
+from .presentation import ArrowPresentation, _min_rotation, _trusted, arrow_slots
 from .surfaces import walk_arcs
 
 
 def delete_edge(pres: ArrowPresentation, label: str) -> ArrowPresentation:
     """Remove both arrows of an edge; the vertices stay (possibly isolated)."""
     pres.arrow_positions(label)  # validates presence
-    return presentation(
-        [a for a in curve if a.label != label] for curve in pres.curves
-    )
+    return _trusted([a for a in curve if a.label != label] for curve in pres.curves)
 
 
 def _splice(
     pres: ArrowPresentation, labels: set[str], dual: bool
 ) -> ArrowPresentation:
     """Open every edge of ``labels`` in one walk; the new curves take the
-    place of the first affected curve."""
+    place of the first affected curve.  Untouched curves are reused as they
+    are, and only the new ones are rotation-normalized."""
     if not labels:
         return pres
     slots = arrow_slots(pres)
@@ -50,7 +49,10 @@ def _splice(
         )
     opened = {label: slots[label] for label in labels}
     affected = sorted({ci for pair in opened.values() for ci, _ in pair})
-    new_curves = [arrows for _, arrows in walk_arcs(pres, affected, opened, dual)]
+    new_curves = [
+        _min_rotation(tuple(arrows))
+        for _, arrows in walk_arcs(pres, affected, opened, dual)
+    ]
     out: list = []
     hit = set(affected)
     for ci, curve in enumerate(pres.curves):
@@ -58,7 +60,7 @@ def _splice(
             out.extend(new_curves)
         elif ci not in hit:
             out.append(curve)
-    return presentation(out)
+    return ArrowPresentation(tuple(out))
 
 
 def contract_edge(pres: ArrowPresentation, label: str) -> ArrowPresentation:

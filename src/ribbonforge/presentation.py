@@ -16,7 +16,10 @@ comment.  For example the one-edge orientable and non-orientable loops are::
     a a'    # Moebius band
 
 Presentations are immutable values: every operation returns a new one, curves
-are rotation-normalized on construction, and equality is structural.
+are rotation-normalized on construction, and equality is structural.  Input
+from outside the package is validated once, by ``presentation``; operations
+on a valid presentation build their results with ``_trusted``, which only
+rotates.
 """
 
 from __future__ import annotations
@@ -65,7 +68,12 @@ def _min_rotation(curve: Curve) -> Curve:
 
 @dataclass(frozen=True)
 class ArrowPresentation:
-    """An immutable multiset of closed curves with labelled arrows."""
+    """An immutable multiset of closed curves with labelled arrows.
+
+    Direct construction does no checking: it must be given valid curves
+    (every label nonempty and on exactly two arrows), each already
+    rotation-normalized.  Use ``presentation`` for anything else.
+    """
 
     curves: tuple[Curve, ...]
 
@@ -142,7 +150,16 @@ def presentation(curves: Iterable[Iterable[Arrow]]) -> ArrowPresentation:
         raise LabelCountError(
             f"labels must appear exactly twice, violated by: {', '.join(bad)}"
         )
-    return ArrowPresentation(tuple(_min_rotation(curve) for curve in raw))
+    return _trusted(raw)
+
+
+def _trusted(curves: Iterable[Iterable[Arrow]]) -> ArrowPresentation:
+    """Rotation-normalize curves that are already valid, without checking.
+
+    For results built from a valid presentation, which keep every label on
+    exactly two arrows.
+    """
+    return ArrowPresentation(tuple(_min_rotation(tuple(curve)) for curve in curves))
 
 
 def from_words(words: Iterable[Iterable[str]]) -> ArrowPresentation:
@@ -312,7 +329,7 @@ def restriction(pres: ArrowPresentation, labels: Iterable[str]) -> ArrowPresenta
         touched = [a for a in curve if a.label in keep]
         if touched:
             curves.append(touched)
-    return presentation(curves)
+    return _trusted(curves)
 
 
 def delete_vertex(pres: ArrowPresentation, index: int) -> ArrowPresentation:
@@ -325,7 +342,7 @@ def delete_vertex(pres: ArrowPresentation, index: int) -> ArrowPresentation:
         for i, curve in enumerate(pres.curves)
         if i != index
     ]
-    return presentation(curves)
+    return _trusted(curves)
 
 
 def spanning_tree(pres: ArrowPresentation) -> tuple[str, ...]:

@@ -244,6 +244,21 @@ def test_negative_max_edges_exits_2(arp, capsys):
     assert code == 2 and payload["error"]["type"] == "SizeBoundExceeded"
 
 
+def test_negative_enumeration_size_names_the_flag(capsys):
+    code, payload = run_json(capsys, "enumerate", "-n", "-1")
+    assert code == 2 and payload["error"]["type"] == "ParseError"
+    assert payload["error"]["message"] == "-n must be >= 0, not -1"
+
+
+def test_environment_bound_never_lowers_a_default(arp, capsys, monkeypatch):
+    monkeypatch.setenv("RIBBONFORGE_MAX_EDGES", "3")
+    code, out = run(capsys, "enumerate", "-n", "4")
+    assert code == 0 and out.splitlines()[-1] == "# total 978"
+    path = arp(TORUS + "c d c d\n")
+    code, payload = run_json(capsys, "canonical", path)
+    assert code == 0 and "key" in payload
+
+
 @pytest.mark.parametrize("raw", ["twelve", "0", "-3", ""])
 def test_bad_max_edges_environment_exits_2(arp, capsys, monkeypatch, raw):
     monkeypatch.setenv("RIBBONFORGE_MAX_EDGES", raw)

@@ -1,5 +1,8 @@
 """Class enumeration: counts, filters, dedup, the independent cross-check."""
 
+import hashlib
+import json
+
 import pytest
 
 from ribbonforge import (
@@ -79,7 +82,7 @@ def test_enumerate_presentations_respects_bounds():
 
 
 def test_slot_generator_agrees_with_augmentation():
-    for n in (1, 2):
+    for n in (1, 2, 3):
         by_slots = {canonical_key(g) for g in enumerate_by_slots(n)}
         by_augmentation = {
             canonical_key(g)
@@ -90,6 +93,21 @@ def test_slot_generator_agrees_with_augmentation():
         assert len(by_slots) == COUNTS[n]
     with pytest.raises(RibbonError):
         enumerate_by_slots(0)
+
+
+# sha256 of json.dumps([g.words() for g in enumerate_by_slots(n)]), taken
+# when the oracle still ran over every pairing of slots into edges
+SLOT_WORDS_SHA256 = {
+    1: "1ba6c872bc86e89ff39fc1fe35015a5420943c07e33d8adbee011221d58013bd",
+    2: "b435b62644e98ab5eda01f2119423bcbb17d702747d9d9848a36de38d0f37407",
+    3: "abd726c845b71739582207a6c287c6e82fa26a23a63aebbecafe26cd521498a6",
+}
+
+
+def test_slot_generator_representatives_are_pinned():
+    for n, digest in SLOT_WORDS_SHA256.items():
+        words = json.dumps([g.words() for g in enumerate_by_slots(n)])
+        assert hashlib.sha256(words.encode()).hexdigest() == digest
 
 
 def test_one_edge_classes_explicitly():

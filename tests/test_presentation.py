@@ -1,6 +1,7 @@
 """Arrow presentations: construction, validation, text format, structure."""
 
 import random
+import sys
 
 import pytest
 
@@ -13,13 +14,18 @@ from ribbonforge import (
     ParseError,
     UnknownLabel,
     UnknownVertex,
+    all_A_ribbon_graph,
     component_count,
     components,
+    contract_edge,
+    delete_edge,
     delete_vertex,
     disjoint_union,
     equivalent,
     from_words,
     parse_arp,
+    parse_pd,
+    partial_dual,
     presentation,
     random_ribbon_graph,
     restriction,
@@ -179,3 +185,29 @@ def test_disjoint_union_renames_collisions():
     assert u.vertex_count == 3 and u.edge_count == 3
     assert len(set(u.labels())) == 3
     assert equivalent(restriction(u, {u.labels()[1]}), g)
+
+
+def test_operations_on_valid_presentations_are_not_revalidated(monkeypatch):
+    g = random_ribbon_graph(8, "trusted")
+    labels = g.labels()
+    code = parse_pd("X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)")
+    operations = [
+        lambda: delete_edge(g, labels[0]),
+        lambda: contract_edge(g, labels[1]),
+        lambda: partial_dual(g, {labels[2]}),
+        lambda: partial_dual(g, labels[::2]),
+        lambda: delete_vertex(g, 0),
+        lambda: restriction(g, labels[1::2]),
+        lambda: random_ribbon_graph(6, "trusted"),
+        lambda: all_A_ribbon_graph(code),
+    ]
+    expected = [op() for op in operations]
+
+    def refuse(curves):
+        raise AssertionError("a valid result was validated again")
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "ribbonforge":
+            if getattr(module, "presentation", None) is presentation:
+                monkeypatch.setattr(module, "presentation", refuse)
+    assert [op() for op in operations] == expected
