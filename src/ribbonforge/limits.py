@@ -6,8 +6,8 @@ searches fail fast instead of hanging.  The edge-count bounds can be raised
 globally through the ``RIBBONFORGE_MAX_EDGES`` environment variable, which
 never lowers a default, and, except enumeration's, set per call via a
 ``max_edges=`` argument (the ``--max-edges`` flag).
-``MINOR_SEARCH_MEMO_LIMIT`` caps the equivalence classes one ``has_minor``
-search remembers; it has no override.
+``MINOR_SEARCH_MEMO_LIMIT`` caps the equivalence classes one minor search
+remembers (B3 and theta_t share one in a scan); it has no override.
 """
 
 from __future__ import annotations
@@ -47,15 +47,17 @@ def check_size(size: int, default: int, max_edges: int | None, search: str) -> N
 
     The bound is ``max_edges`` if given, else the larger of ``default`` and
     the environment override.  A negative ``max_edges`` is bad input; 0 is a
-    bound like any other.  Enumeration takes no per-call bound, so its
-    refusal names only the environment variable.
+    bound like any other.  The refusal names only what can raise the bound:
+    not the environment past an explicit ``max_edges``, and no flag for
+    enumeration, which takes no per-call bound.
     """
     if max_edges is not None and max_edges < 0:
         raise RibbonError(f"max_edges must be >= 0, not {max_edges}")
     bound = max_edges if max_edges is not None else max(default, env_override() or 0)
     if size > bound:
-        flag = "" if search == "enumeration" else "--max-edges or "
+        flag = [] if search == "enumeration" else ["--max-edges"]
+        env = [] if max_edges is not None else ["RIBBONFORGE_MAX_EDGES"]
         raise SizeBoundExceeded(
             f"{size} edges exceeds {search} bound {bound}; "
-            f"raise it with {flag}RIBBONFORGE_MAX_EDGES"
+            f"raise it with {' or '.join(flag + env)}"
         )

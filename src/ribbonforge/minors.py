@@ -2,7 +2,8 @@
 
 A minor is reached by deleting edges, contracting edges, and deleting isolated
 vertices.  Minor operations never raise the Euler genus and never make an
-orientable graph non-orientable, which the search uses for pruning.
+orientable graph non-orientable, and only vertex deletions keep the edge
+count; the search prunes by all three, looking for several targets at once.
 
 The three patterns whose absence characterizes link-diagram representability
 are built here: ``BBAR1`` (the twisted loop), ``B3`` (the bouquet of three
@@ -27,15 +28,13 @@ from .limits import MINOR_SEARCH_MAX_EDGES, MINOR_SEARCH_MEMO_LIMIT, check_size
 from .moves import contract_edge, delete_edge, partial_dual
 from .presentation import (
     ArrowPresentation,
-    component_vertex_sets,
+    arrow_slots,
     components,
+    curve_forest,
     delete_vertex,
     from_words,
-    spanning_tree,
-    underlying_edges,
 )
 from .surfaces import (
-    boundary_component_count,
     is_orientable,
     odd_twist_cycle,
     surface_summary,
@@ -147,6 +146,62 @@ def one_step_minors(
     return out
 
 
+def _minor_search(
+    pres: ArrowPresentation,
+    targets: list[ArrowPresentation],
+    max_edges: int | None,
+) -> list[MinorScript | None]:
+    """The search of ``has_minor`` for several targets at once; a script or None each.
+
+    A state is pruned only when no target can lie below it.  Each script is
+    the first path to its target's class, and a found target stays in the
+    search like any other class, so it is the script a search for that
+    target alone finds.  ``MINOR_SEARCH_MEMO_LIMIT`` caps remembered classes.
+    """
+    index = {canonical_key(t, max_edges): i for i, t in enumerate(targets)}
+    min_edges = min(t.edge_count for t in targets)
+    min_genus = min(surface_summary(t).euler_genus for t in targets)
+    any_orientable = any(surface_summary(t).orientable for t in targets)
+    scripts: list[MinorScript | None] = [None] * len(targets)
+
+    def prunable(state: ArrowPresentation) -> bool:
+        edges = state.edge_count
+        if edges < min_edges or edges == min_edges and not state.isolated_vertices():
+            return True
+        s = surface_summary(state)
+        return s.euler_genus < min_genus or (s.orientable and not any_orientable)
+
+    # Each level streams (key, path, state) for the classes it reaches: the
+    # start, then the children of the previous level's unpruned new classes.
+    level: Iterable = [(canonical_key(pres, max_edges), (), pres)]
+    visited: set[bytes] = set()
+    while True:
+        frontier: list[tuple[ArrowPresentation, tuple[Step, ...]]] = []
+        for key, steps, state in level:
+            if key in visited:
+                continue
+            if len(visited) >= MINOR_SEARCH_MEMO_LIMIT:
+                raise SizeBoundExceeded(
+                    f"minor search visited more than {MINOR_SEARCH_MEMO_LIMIT} classes"
+                )
+            visited.add(key)
+            if key in index:
+                i = index[key]
+                scripts[i] = verified_script(pres, steps, targets[i])
+                if None not in scripts:
+                    return scripts
+            if not prunable(state):
+                frontier.append((state, steps))
+        if not frontier:
+            return scripts
+        level = (
+            (key, steps + (step,), child)
+            for state, steps in frontier
+            for key, (step, child) in one_step_minors(state, max_edges).items()
+            if step[0] == "delete_vertex" or state.edge_count > min_edges
+        )
+
+
 def has_minor(
     pres: ArrowPresentation,
     target: ArrowPresentation,
@@ -154,55 +209,14 @@ def has_minor(
 ) -> tuple[bool, MinorScript | None]:
     """Search for a minor equivalent to ``target``; returns a verified script.
 
-    Breadth-first over the canonically deduplicated minor space, pruning
-    states with too few edges, smaller Euler genus than the target, or the
-    wrong orientability class (minors of orientable graphs stay orientable).
-    ``MINOR_SEARCH_MEMO_LIMIT`` caps the number of remembered equivalence
-    classes.
+    Breadth-first over the canonically deduplicated minor space.  States
+    with too few edges or too small an Euler genus, orientable states below
+    a non-orientable target, and dead ends (the target's edge count and no
+    isolated vertex to delete) are not expanded.
     """
     check_size(pres.edge_count, MINOR_SEARCH_MAX_EDGES, max_edges, "minor-search")
-    target_key = canonical_key(target, max_edges)
-    target_edges = target.edge_count
-    target_genus = surface_summary(target).euler_genus
-    target_orientable = is_orientable(target)
-
-    def prunable(state: ArrowPresentation) -> bool:
-        if state.edge_count < target_edges:
-            return True
-        if surface_summary(state).euler_genus < target_genus:
-            return True
-        if not target_orientable and is_orientable(state):
-            return True
-        return False
-
-    start_key = canonical_key(pres, max_edges)
-    if start_key == target_key:
-        return True, verified_script(pres, (), target)
-    if prunable(pres):
-        return False, None
-
-    frontier: list[tuple[ArrowPresentation, tuple[Step, ...]]] = [(pres, ())]
-    visited = {start_key}
-    while frontier:
-        nxt: list[tuple[ArrowPresentation, tuple[Step, ...]]] = []
-        for state, steps in frontier:
-            for key, (step, child) in one_step_minors(state, max_edges).items():
-                if step[0] != "delete_vertex" and state.edge_count <= target_edges:
-                    continue
-                if key in visited:
-                    continue
-                if len(visited) >= MINOR_SEARCH_MEMO_LIMIT:
-                    raise SizeBoundExceeded(
-                        "minor search visited more than "
-                        f"{MINOR_SEARCH_MEMO_LIMIT} classes"
-                    )
-                visited.add(key)
-                if key == target_key:
-                    return True, verified_script(pres, steps + (step,), target)
-                if not prunable(child):
-                    nxt.append((child, steps + (step,)))
-        frontier = nxt
-    return False, None
+    (script,) = _minor_search(pres, [target], max_edges)
+    return script is not None, script
 
 
 # -- the twisted-loop shortcut ----------------------------------------------
@@ -269,15 +283,16 @@ def excluded_minor_scan(
     """Which of the three forbidden patterns occur as minors, with witnesses.
 
     Keys are drawn from {"bbar1", "b3", "theta_t"}.  The twisted loop is
-    detected by the orientability shortcut; the other two by generic search.
+    detected by the orientability shortcut; B3 and theta_t by one minor
+    search for both, which finds the scripts ``has_minor`` would.
     """
     check_size(pres.edge_count, MINOR_SEARCH_MAX_EDGES, max_edges, "minor-search")
     found: dict[str, MinorScript] = {}
     if not is_orientable(pres):
         found["bbar1"] = bbar1_script(pres)
-    for name, target in (("b3", build_B(3)), ("theta_t", build_theta_t())):
-        present, script = has_minor(pres, target, max_edges)
-        if present:
+    scripts = _minor_search(pres, [build_B(3), build_theta_t()], max_edges)
+    for name, script in zip(("b3", "theta_t"), scripts):
+        if script is not None:
             found[name] = script
     return found
 
@@ -305,13 +320,13 @@ def _delete_two_walk_edges(
     for idx in sorted(pres.isolated_vertices(), reverse=True):
         steps.append(("delete_vertex", idx))
         pres = delete_vertex(pres, idx)
-    if surface_summary(pres).euler_genus != before:
+    after = surface_summary(pres)
+    if after.euler_genus != before:
         raise InternalInvariantViolation("boundary-merging deletion changed genus")
-    for comp in components(pres):
-        if boundary_component_count(comp) != 1:
-            raise InternalInvariantViolation(
-                "component left with several boundary walks and no mergeable edge"
-            )
+    if after.boundary != after.components:
+        raise InternalInvariantViolation(
+            "component left with several boundary walks and no mergeable edge"
+        )
     return pres
 
 
@@ -343,38 +358,35 @@ def _lower_to_genus(
         if key in seen:
             return None
         seen.add(key)
-        comp_sets = component_vertex_sets(state)
-        comp_of = {v: cid for cid, vs in enumerate(comp_sets) for v in vs}
-        comp_orientable = [is_orientable(c) for c in components(state)]
         deficit = genus - target
-        drop_one_seen = [False] * len(comp_sets)
         candidates = []
-        for label, (end, _) in underlying_edges(state).items():
-            cid = comp_of[end]
-            extra: list[Step] = []
-            child = _delete_two_walk_edges(delete_edge(state, label), extra)
-            child_genus = surface_summary(child).euler_genus
-            drop = genus - child_genus
-            if comp_orientable[cid]:
-                if drop != 2:
+        for comp in components(state):
+            orientable = is_orientable(comp)
+            drop_one_seen = False
+            for label in comp.labels():
+                extra: list[Step] = []
+                child = _delete_two_walk_edges(delete_edge(state, label), extra)
+                child_genus = surface_summary(child).euler_genus
+                drop = genus - child_genus
+                if orientable:
+                    if drop != 2:
+                        raise InternalInvariantViolation(
+                            "deleting an edge of an orientable one-boundary "
+                            f"bouquet changed the Euler genus by {drop}, not 2"
+                        )
+                    rank = 0 if deficit >= 2 else 3
+                elif drop == 1:
+                    drop_one_seen = True
+                    rank = 1
+                elif drop == 2:
+                    rank = 2
+                else:
                     raise InternalInvariantViolation(
-                        "deleting an edge of an orientable one-boundary "
-                        f"bouquet changed the Euler genus by {drop}, not 2"
+                        f"an edge deletion changed the Euler genus by {drop}"
                     )
-                rank = 0 if deficit >= 2 else 3
-            elif drop == 1:
-                drop_one_seen[cid] = True
-                rank = 1
-            elif drop == 2:
-                rank = 2
-            else:
-                raise InternalInvariantViolation(
-                    f"an edge deletion changed the Euler genus by {drop}"
-                )
-            steps_here = (("delete_edge", label), *extra)
-            candidates.append((rank, label, child, child_genus, steps_here))
-        for cid, orientable in enumerate(comp_orientable):
-            if not orientable and not drop_one_seen[cid]:
+                steps_here = (("delete_edge", label), *extra)
+                candidates.append((rank, label, child, child_genus, steps_here))
+            if not orientable and not drop_one_seen:
                 raise ClaimViolation(
                     "non-orientable one-boundary bouquet with no "
                     "boundary-preserving edge deletion"
@@ -421,11 +433,8 @@ def extract_genus_minor(pres: ArrowPresentation, target_genus: int) -> MinorScri
         )
     steps: list[Step] = []
     cur = pres
-    tree_edges: list[str] = []
-    for comp in components(pres):
-        if comp.edge_count:
-            tree_edges.extend(spanning_tree(comp))
-    for label in sorted(tree_edges):
+    forest = curve_forest(pres, arrow_slots(pres))
+    for label in sorted(l for l in forest.label if l is not None):
         steps.append(("contract_edge", label))
         cur = contract_edge(cur, label)
     if surface_summary(cur).euler_genus != start:
@@ -452,17 +461,12 @@ def b_family_members(n: int, max_edges: int) -> list[ArrowPresentation]:
         raise RibbonError("family index must be >= 0")
     out: list[ArrowPresentation] = []
     for pres in enumerate_presentations(max_edges):
-        if not pres.edge_count or pres.isolated_vertices():
-            continue
-        if any(a != b for a, b in underlying_edges(pres).values()):
-            continue
-        if any(boundary_component_count(c) != 1 for c in components(pres)):
-            continue
-        genus = surface_summary(pres).euler_genus
-        required = n + 1
-        if n % 2 == 0 and is_orientable(pres):
-            required = n + 2
-        if genus == required:
+        s = surface_summary(pres)
+        # one vertex and one boundary walk per component, none of them bare;
+        # the empty graph fails on its Euler genus of 0
+        bouquets = s.vertices == s.components == s.boundary
+        required = n + 2 if n % 2 == 0 and s.orientable else n + 1
+        if bouquets and not pres.isolated_vertices() and s.euler_genus == required:
             out.append(pres)
     return out
 

@@ -27,7 +27,7 @@ the Euler genus (2·genus when orientable, the cross-cap count otherwise).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -227,15 +227,7 @@ class SurfaceSummary:
     orientable: bool
 
     def as_dict(self) -> dict:
-        return {
-            "vertices": self.vertices,
-            "edges": self.edges,
-            "boundary": self.boundary,
-            "components": self.components,
-            "euler_genus": self.euler_genus,
-            "genus": self.genus,
-            "orientable": self.orientable,
-        }
+        return asdict(self)
 
 
 @lru_cache(maxsize=1 << 18)

@@ -208,7 +208,9 @@ def test_size_bound_exit_2(arp, capsys):
 
 
 @pytest.mark.parametrize("command", ["canonical", "equivalent", "has-minor", "scan"])
-def test_size_bound_names_the_flag_of_each_bounded_command(arp, capsys, command):
+def test_size_bound_names_the_flag_of_each_bounded_command(
+    arp, capsys, monkeypatch, command
+):
     big = from_words([[f"e{i}", f"e{i}"] for i in range(12)])
     path = arp(serialize_arp(big) + "\n", "big.arp")
     extra = {"equivalent": [path], "has-minor": ["--target", "b3"]}.get(command, [])
@@ -217,6 +219,13 @@ def test_size_bound_names_the_flag_of_each_bounded_command(arp, capsys, command)
     assert payload["error"]["message"].endswith(
         "raise it with --max-edges or RIBBONFORGE_MAX_EDGES"
     )
+    # an explicit bound wins over the environment, so only the flag can raise it
+    monkeypatch.setenv("RIBBONFORGE_MAX_EDGES", "12")
+    code, payload = run_json(capsys, command, path, *extra, "--max-edges", "3")
+    assert code == 2 and payload["error"]["type"] == "SizeBoundExceeded"
+    message = payload["error"]["message"]
+    assert message.startswith("12 edges exceeds ")
+    assert message.endswith(" bound 3; raise it with --max-edges")
 
 
 def test_enumeration_bound_names_only_the_environment(capsys, monkeypatch):

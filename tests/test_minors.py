@@ -22,6 +22,7 @@ from ribbonforge import (
     contraction_chain_Bn,
     delete_edge,
     disjoint_union,
+    enumerate_presentations,
     equivalent,
     euler_genus,
     excluded_minor_scan,
@@ -146,6 +147,108 @@ def test_has_minor_memo_limit(monkeypatch):
     monkeypatch.setattr(minors, "MINOR_SEARCH_MEMO_LIMIT", 5)
     with pytest.raises(SizeBoundExceeded, match="more than 5 classes"):
         has_minor(build_B(7), build_B(3), max_edges=8)
+
+
+def reference_has_minor(pres, target, max_edges=None):
+    """The one-target breadth-first search that the shared search replaced.
+
+    Kept as the oracle for scripts: it prunes only by edge count, Euler
+    genus and orientability, so it still expands dead ends.
+    """
+    target_key = canonical_key(target, max_edges)
+    target_edges = target.edge_count
+    target_genus = euler_genus(target)
+    target_orientable = is_orientable(target)
+
+    def prunable(state):
+        if state.edge_count < target_edges:
+            return True
+        if euler_genus(state) < target_genus:
+            return True
+        if not target_orientable and is_orientable(state):
+            return True
+        return False
+
+    start_key = canonical_key(pres, max_edges)
+    if start_key == target_key:
+        return True, verified_script(pres, (), target)
+    if prunable(pres):
+        return False, None
+
+    frontier = [(pres, ())]
+    visited = {start_key}
+    while frontier:
+        nxt = []
+        for state, steps in frontier:
+            for key, (step, child) in one_step_minors(state, max_edges).items():
+                if step[0] != "delete_vertex" and state.edge_count <= target_edges:
+                    continue
+                if key in visited:
+                    continue
+                visited.add(key)
+                if key == target_key:
+                    return True, verified_script(pres, steps + (step,), target)
+                if not prunable(child):
+                    nxt.append((child, steps + (step,)))
+        frontier = nxt
+    return False, None
+
+
+def test_search_scripts_match_the_one_target_oracle():
+    targets = {"bbar1": build_Bbar1(), "b3": build_B(3), "theta_t": build_theta_t()}
+    graphs = list(enumerate_presentations(3))
+    graphs += [random_ribbon_graph(4 + s % 3, f"oracle-{s}") for s in range(60)]
+    for g in graphs:
+        expected = {}
+        for name, target in targets.items():
+            found, script = reference_has_minor(g, target)
+            assert has_minor(g, target) == (found, script), (g.words(), name)
+            if found:
+                expected[name] = script
+        scan = excluded_minor_scan(g)
+        assert list(scan) == list(expected), g.words()
+        for name in ("b3", "theta_t"):
+            assert scan.get(name) == expected.get(name), (g.words(), name)
+
+
+@pytest.fixture
+def expanded(monkeypatch):
+    """Every state the minor search expands, in order."""
+    from ribbonforge import minors
+
+    states = []
+
+    def recording(state, max_edges=None):
+        states.append(state)
+        return one_step_minors(state, max_edges)
+
+    monkeypatch.setattr(minors, "one_step_minors", recording)
+    return states
+
+
+DISJOINT_TORI = ["a b a b c d c d", "a b a b c d c d e f e f"]
+
+
+@pytest.mark.parametrize("word", DISJOINT_TORI)
+def test_scan_is_one_search(expanded, word):
+    g = from_words([word.split()])
+    has_minor(g, build_B(3))
+    alone = len(expanded)
+    expanded.clear()
+    excluded_minor_scan(g)
+    assert 0 < len(expanded) <= alone
+
+
+@pytest.mark.parametrize("word", DISJOINT_TORI)
+def test_search_expands_no_dead_end(expanded, word):
+    # at three edges only an isolated-vertex deletion keeps a state alive
+    g = from_words([word.split()])
+    has_minor(g, build_B(3))
+    excluded_minor_scan(g)
+    assert expanded
+    assert not [
+        s.words() for s in expanded if s.edge_count == 3 and not s.isolated_vertices()
+    ]
 
 
 def test_search_step_order_is_pinned():
