@@ -27,14 +27,8 @@ _STATE_CAP = 2_000_000
 
 def _curve_variants(curve):
     """All distinct readings of one curve: rotations x (reverse + flip)."""
-    out = []
-    n = len(curve)
-    forward = tuple(curve)
     backward = tuple(a.reversed() for a in reversed(curve))
-    for base in (forward, backward):
-        for r in range(n):
-            out.append(base[r:] + base[:r])
-    return set(out)
+    return {b[r:] + b[:r] for b in (tuple(curve), backward) for r in range(len(curve))}
 
 
 def _render(variant, assign, pending):
@@ -65,12 +59,14 @@ def _component_key(pres: ArrowPresentation) -> bytes:
         return b"()" * len(pres.curves)
 
     curves = pres.curves
-    # state: (encoding so far, used curve mask, assign, pending-first-flags)
-    states = [((), 0, {}, {})]
+    # state: (used curve mask, assign, pending-first-flags); a level's states
+    # share the best encoding so far, so only their new pieces compete
+    encoding = []
+    states = [(0, {}, {})]
     for _ in range(len(curves)):
         best = None
         next_states = {}
-        for enc, used, assign, pending in states:
+        for used, assign, pending in states:
             tried = set()
             for ci, curve in enumerate(curves):
                 if used >> ci & 1 or curve in tried:
@@ -78,22 +74,21 @@ def _component_key(pres: ArrowPresentation) -> bytes:
                 tried.add(curve)
                 for variant in _curve_variants(curve):
                     piece, assign2, pending2 = _render(variant, assign, pending)
-                    cand = enc + (piece,)
-                    if best is not None and cand > best:
+                    if best is not None and piece > best:
                         continue
-                    if best is None or cand < best:
-                        best = cand
+                    if best is None or piece < best:
+                        best = piece
                         next_states = {}
                     dedup = (
                         used | 1 << ci,
                         tuple(sorted(assign2.items())),
                         tuple(sorted(pending2.items())),
                     )
-                    next_states[dedup] = (cand, used | 1 << ci, assign2, pending2)
+                    next_states[dedup] = (used | 1 << ci, assign2, pending2)
+        encoding.append(best)
         states = list(next_states.values())
         if len(states) > _STATE_CAP:
             raise SizeBoundExceeded("canonical-form search exploded")
-    encoding = states[0][0]
     return "|".join(
         " ".join(f"{i}{'+' if f else '-'}" for i, f in piece) for piece in encoding
     ).encode("ascii")

@@ -6,7 +6,8 @@ Two independent generators produce every equivalence class up to a size cap:
   n edges arises from some class on n - 1 edges by re-inserting a removed
   edge's two arrows (removing also any vertices that became bare), so
   inserting one new edge in all positions of all smaller classes is
-  complete.
+  complete.  Each layer (the classes with n edges) is built once per
+  process, from the layer below, and every call filters the cached layers.
 * ``enumerate_by_slots`` builds raw configurations directly: cyclic
   arrangements of 2n arrow slots (one permutation per arrangement, via its
   cycle decomposition), slots 2i and 2i+1 as the two arrows of edge e(i+1)
@@ -26,6 +27,7 @@ right trade-off for seeding property tests.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from itertools import permutations, product
 from typing import Iterator
 
@@ -66,19 +68,16 @@ def _children(parent: ArrowPresentation, label: str) -> Iterator[ArrowPresentati
                     yield child
 
 
-def _layers(max_edges: int) -> Iterator[list[ArrowPresentation]]:
-    """Classes with 0, 1, ..., max_edges edges, one representative each."""
-    layer = [EMPTY, SINGLE_VERTEX]
-    yield layer
-    for n in range(1, max_edges + 1):
-        seen: dict[bytes, ArrowPresentation] = {}
-        for parent in layer:
-            for child in _children(parent, f"e{n}"):
-                key = canonical_key(child, max_edges)
-                if key not in seen:
-                    seen[key] = child
-        layer = [seen[key] for key in sorted(seen)]
-        yield layer
+@lru_cache(maxsize=None)
+def _layer(n: int) -> tuple[ArrowPresentation, ...]:
+    """The classes with n edges, one representative each, in key order."""
+    if n == 0:
+        return (EMPTY, SINGLE_VERTEX)
+    seen: dict[bytes, ArrowPresentation] = {}
+    for parent in _layer(n - 1):
+        for child in _children(parent, f"e{n}"):
+            seen.setdefault(canonical_key(child, n), child)
+    return tuple(seen[key] for key in sorted(seen))
 
 
 def enumerate_presentations(
@@ -96,17 +95,14 @@ def enumerate_presentations(
     if max_edges < 0:
         raise RibbonError("max_edges must be >= 0")
     check_size(max_edges, ENUMERATION_MAX_EDGES, None, "enumeration")
-    out = []
-    for layer in _layers(max_edges):
-        for pres in layer:
-            if connected_only and component_count(pres) != 1:
-                continue
-            if bouquets_only and len(pres.curves) != 1:
-                continue
-            if orientable_only and not is_orientable(pres):
-                continue
-            out.append(pres)
-    return out
+    return [
+        pres
+        for n in range(max_edges + 1)
+        for pres in _layer(n)
+        if (not connected_only or component_count(pres) == 1)
+        and (not bouquets_only or len(pres.curves) == 1)
+        and (not orientable_only or is_orientable(pres))
+    ]
 
 
 # -- the independent cross-check generator ------------------------------------

@@ -136,8 +136,14 @@ def one_step_minors(
     then isolated-vertex deletions, each sorted); the first step reaching
     each class is kept, and the classes are listed in the order reached.
     """
-    steps: list[Step] = [("delete_edge", label) for label in pres.labels()]
-    steps += [("contract_edge", label) for label in pres.labels()]
+    return _keyed_minors(pres, max_edges, edges=True)
+
+
+def _keyed_minors(pres: ArrowPresentation, max_edges: int | None, edges: bool):
+    """``one_step_minors``, or without ``edges`` its vertex deletions alone."""
+    labels = pres.labels() if edges else []
+    steps: list[Step] = [("delete_edge", label) for label in labels]
+    steps += [("contract_edge", label) for label in labels]
     steps += [("delete_vertex", idx) for idx in pres.isolated_vertices()]
     out: dict[bytes, tuple[Step, ArrowPresentation]] = {}
     for step in steps:
@@ -194,11 +200,15 @@ def _minor_search(
                 frontier.append((state, steps))
         if not frontier:
             return scripts
+        # At the least target edge count only vertex deletions can help.
         level = (
             (key, steps + (step,), child)
             for state, steps in frontier
-            for key, (step, child) in one_step_minors(state, max_edges).items()
-            if step[0] == "delete_vertex" or state.edge_count > min_edges
+            for key, (step, child) in (
+                one_step_minors(state, max_edges)
+                if state.edge_count > min_edges
+                else _keyed_minors(state, max_edges, edges=False)
+            ).items()
         )
 
 
@@ -212,7 +222,8 @@ def has_minor(
     Breadth-first over the canonically deduplicated minor space.  States
     with too few edges or too small an Euler genus, orientable states below
     a non-orientable target, and dead ends (the target's edge count and no
-    isolated vertex to delete) are not expanded.
+    isolated vertex to delete) are not expanded; other states at the
+    target's edge count only have their isolated vertices deleted.
     """
     check_size(pres.edge_count, MINOR_SEARCH_MAX_EDGES, max_edges, "minor-search")
     (script,) = _minor_search(pres, [target], max_edges)

@@ -81,11 +81,7 @@ class ArrowPresentation:
 
     def labels(self) -> tuple[str, ...]:
         """All edge labels, sorted."""
-        seen = set()
-        for curve in self.curves:
-            for arrow in curve:
-                seen.add(arrow.label)
-        return tuple(sorted(seen))
+        return tuple(sorted({arrow.label for curve in self.curves for arrow in curve}))
 
     @property
     def vertex_count(self) -> int:

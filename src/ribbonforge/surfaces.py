@@ -4,9 +4,9 @@ Each arrow contributes two nodes, its tail and its head.  The *arc complex*
 of some curves joins them by the *plain arc* from each arrow to the next
 along its curve and by each arrow itself, from tail to head, except that an
 *opened* edge replaces its two arrows α and β by its two *free sides*, which
-join {head α, tail β} and {head β, tail α}.  Every node then has degree
-two, and ``walk_arcs`` reads the complex off as cycles.  Two walks of it do
-all the work on curves:
+join {head α, tail β} and {head β, tail α}.  Each node then lies on one plain
+arc and one *cross* arc, and ``walk_arcs`` walks the cycles in place.  Two
+walks of it do all the work on curves:
 
 - opening every edge of every curve gives the boundary of the surface: its
   cycles, plus one full circle for every curve with no arrows, are the
@@ -42,9 +42,6 @@ from .presentation import (
 
 # A node of the arc complex: (curve index, arrow position, end), 0=tail, 1=head.
 Node = tuple[int, int, int]
-# An arc: (node, node, label or None); a label means it carries an arrow
-# drawn from its first node to its second.
-Arc = tuple[Node, Node, str | None]
 # A boundary walk: either a cycle of nodes, or ("vertex", i) for a bare curve.
 Walk = tuple
 
@@ -58,65 +55,61 @@ def walk_arcs(
     """The cycles of the arc complex of some curves with some edges opened.
 
     ``opened`` maps each opened label to its two (curve, position) slots,
-    which lie on the given curves; its free sides carry the label when
-    ``sides_labelled`` is set.  Arcs are numbered curve by curve, each
-    position giving its plain arc and then its arrow, and then the free
-    sides in label order.  Each cycle starts at the least node not yet
-    walked and leaves it by its lower-numbered arc.  It is returned as the
-    nodes it passes and the arrows its labelled arcs carry, each pointing
-    the way the cycle runs along it.
+    which must lie on the given curves and carry that label; its free sides
+    carry the label when ``sides_labelled`` is set.  A node's plain arc goes
+    to the previous or next arrow on its curve, and its cross arc to the
+    other end of its own arrow or, for an opened edge, along the free side
+    to the other slot; each cycle alternates the two.  Cycles start at the
+    least node not yet walked and leave it by the plain arc, except at the
+    entry node of a curve's first arrow when the curve has more than one
+    arrow and that edge is not opened: there it crosses first.  Each cycle
+    is returned as the nodes it passes and the arrows its labelled arcs
+    carry, each pointing the way the cycle runs along it.
     """
-    arcs: list[Arc] = []
-    for ci in curve_indices:
-        curve = pres.curves[ci]
-        m = len(curve)
-        for pi, arrow in enumerate(curve):
-            nxt = (pi + 1) % m
-            # An arrow pointing along the curve is left at its head, and the
-            # next one is entered at its tail if it points along too.
-            arcs.append((
-                (ci, pi, 1 if arrow.along else 0),
-                (ci, nxt, 0 if curve[nxt].along else 1),
-                None,
-            ))
-            if arrow.label not in opened:
-                arcs.append(((ci, pi, 0), (ci, pi, 1), arrow.label))
-    for label in sorted(opened):
-        (c1, p1), (c2, p2) = opened[label]
-        carried = label if sides_labelled else None
-        arcs.append(((c1, p1, 1), (c2, p2, 0), carried))
-        arcs.append(((c2, p2, 1), (c1, p1, 0), carried))
-
-    adjacency: dict[Node, list[tuple[int, Node]]] = {}
-    for aid, (x, y, _) in enumerate(arcs):
-        adjacency.setdefault(x, []).append((aid, y))
-        adjacency.setdefault(y, []).append((aid, x))
-    for node, conns in adjacency.items():
-        if len(conns) != 2:
-            raise InternalInvariantViolation(
-                f"arc complex node {node} has degree {len(conns)}"
-            )
+    curves = pres.curves
+    given = set(curve_indices)
+    partner: dict[tuple[int, int], tuple[int, int]] = {}
+    for label, (a, b) in opened.items():
+        if a == b or not all(
+            c in given and 0 <= p < len(curves[c]) and curves[c][p].label == label
+            for c, p in (a, b)
+        ):
+            raise InternalInvariantViolation(f"bad slots {a}, {b} for opened {label!r}")
+        partner[a], partner[b] = b, a
 
     cycles: list[tuple[list[Node], list[Arrow]]] = []
     seen: set[Node] = set()
-    for start in sorted(adjacency):
-        if start in seen:
-            continue
-        nodes: list[Node] = []
-        arrows: list[Arrow] = []
-        node, (aid, ahead) = start, adjacency[start][0]
-        while True:
-            seen.add(node)
-            nodes.append(node)
-            tail, _, label = arcs[aid]
-            if label is not None:
-                arrows.append(Arrow(label, node == tail))
-            if ahead == start:
-                break
-            node = ahead
-            first, second = adjacency[node]
-            aid, ahead = second if first[0] == aid else first
-        cycles.append((nodes, arrows))
+    for ci in sorted(given):
+        curve = curves[ci]
+        crosses_first = len(curve) > 1 and (ci, 0) not in partner
+        for start in ((ci, pi, end) for pi in range(len(curve)) for end in (0, 1)):
+            if start in seen:
+                continue
+            nodes, arrows, node = [], [], start
+            cross = crosses_first and start[1:] == (0, 1 - curve[0].along)
+            while True:
+                seen.add(node)
+                nodes.append(node)
+                c, p, end = node
+                on = curves[c]
+                if cross and (c, p) in partner:
+                    if sides_labelled:
+                        arrows.append(Arrow(on[p].label, end == 1))
+                    node = (*partner[c, p], 1 - end)
+                elif cross:
+                    arrows.append(Arrow(on[p].label, end == 0))
+                    node = (c, p, 1 - end)
+                elif end == on[p].along:
+                    # an arrow along its curve is left at its head
+                    p = (p + 1) % len(on)
+                    node = (c, p, 0 if on[p].along else 1)
+                else:
+                    p = (p - 1) % len(on)
+                    node = (c, p, 1 if on[p].along else 0)
+                cross = not cross
+                if node == start:
+                    break
+            cycles.append((nodes, arrows))
     return cycles
 
 

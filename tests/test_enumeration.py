@@ -81,6 +81,25 @@ def test_enumerate_presentations_respects_bounds():
         enumerate_presentations(-1)
 
 
+def test_layers_are_built_once_per_process(monkeypatch):
+    from ribbonforge import enumeration
+
+    first = enumerate_presentations(4)
+    children = enumeration._children
+    built = []
+
+    def counted(parent, label):
+        built.append(label)
+        return children(parent, label)
+
+    monkeypatch.setattr(enumeration, "_children", counted)
+    assert enumerate_presentations(4) == first
+    assert enumerate_presentations(4, bouquets_only=True) == [
+        g for g in first if len(g.curves) == 1
+    ]
+    assert built == []
+
+
 def test_slot_generator_agrees_with_augmentation():
     for n in (1, 2, 3):
         by_slots = {canonical_key(g) for g in enumerate_by_slots(n)}

@@ -251,6 +251,28 @@ def test_search_expands_no_dead_end(expanded, word):
     ]
 
 
+def test_search_builds_only_vertex_deletions_at_the_target_size(monkeypatch):
+    # at three edges a deletion or contraction leaves too few edges, so the
+    # search must not build one (expanding such states fully builds 246 here)
+    from ribbonforge import minors
+
+    apply = minors.apply_step
+    wasted = []
+
+    def counted(state, step):
+        if state.edge_count == 3 and step[0] != "delete_vertex":
+            wasted.append(step)
+        return apply(state, step)
+
+    monkeypatch.setattr(minors, "apply_step", counted)
+    g = random_ribbon_graph(8, "w0")
+    assert [has_minor(g, t)[0] for t in (build_B(3), build_theta_t())] == [
+        False,
+        True,
+    ]
+    assert wasted == []
+
+
 def test_search_step_order_is_pinned():
     # the first step reaching each class wins, so these scripts fix the
     # order in which one_step_minors tries and keeps its children

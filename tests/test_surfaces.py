@@ -3,8 +3,12 @@
 import random
 from itertools import product
 
+import pytest
+
 from ribbonforge import (
     EMPTY,
+    Arrow,
+    InternalInvariantViolation,
     boundary_component_count,
     build_B,
     build_Bbar1,
@@ -14,12 +18,14 @@ from ribbonforge import (
     from_words,
     is_orientable,
     is_plane,
+    partial_dual,
     random_ribbon_graph,
     surface_summary,
     trace_boundary,
     twists,
 )
-from ribbonforge.surfaces import odd_twist_cycle
+from ribbonforge.presentation import arrow_slots
+from ribbonforge.surfaces import odd_twist_cycle, walk_arcs
 
 # (words, vertices, edges, boundary, euler_genus, orientable) — hand-traced
 FROZEN = [
@@ -73,6 +79,98 @@ def test_trace_boundary_walk_order_is_pinned():
         (0, 2, 0), (0, 1, 1), (0, 3, 0), (0, 2, 1),
     )]
     assert edge_walks == {"a": (0, 0), "b": (0, 0)}
+
+
+def reference_walk_arcs(pres, curve_indices, opened, sides_labelled):
+    """The arc-list walker ``walk_arcs`` replaced: build every arc, then walk.
+
+    Arcs are numbered curve by curve (each position's plain arc, then its
+    arrow unless opened), then the free sides in label order; each cycle
+    starts at the least unwalked node and leaves by its lower-numbered arc.
+    """
+    arcs = []
+    for ci in curve_indices:
+        curve = pres.curves[ci]
+        m = len(curve)
+        for pi, arrow in enumerate(curve):
+            nxt = (pi + 1) % m
+            arcs.append((
+                (ci, pi, 1 if arrow.along else 0),
+                (ci, nxt, 0 if curve[nxt].along else 1),
+                None,
+            ))
+            if arrow.label not in opened:
+                arcs.append(((ci, pi, 0), (ci, pi, 1), arrow.label))
+    for label in sorted(opened):
+        (c1, p1), (c2, p2) = opened[label]
+        carried = label if sides_labelled else None
+        arcs.append(((c1, p1, 1), (c2, p2, 0), carried))
+        arcs.append(((c2, p2, 1), (c1, p1, 0), carried))
+    adjacency = {}
+    for aid, (x, y, _) in enumerate(arcs):
+        adjacency.setdefault(x, []).append((aid, y))
+        adjacency.setdefault(y, []).append((aid, x))
+    assert all(len(conns) == 2 for conns in adjacency.values())
+    cycles, seen = [], set()
+    for start in sorted(adjacency):
+        if start in seen:
+            continue
+        nodes, arrows = [], []
+        node, (aid, ahead) = start, adjacency[start][0]
+        while True:
+            seen.add(node)
+            nodes.append(node)
+            tail, _, label = arcs[aid]
+            if label is not None:
+                arrows.append(Arrow(label, node == tail))
+            if ahead == start:
+                break
+            node = ahead
+            first, second = adjacency[node]
+            aid, ahead = second if first[0] == aid else first
+        cycles.append((nodes, arrows))
+    return cycles
+
+
+def openings(pres, rng):
+    """Every edge of every curve opened, then seeded subsets, walked on the
+    curves carrying them and on every curve."""
+    slots = arrow_slots(pres)
+    yield range(len(pres.curves)), slots
+    labels = sorted(slots)
+    for _ in range(3 if labels else 0):
+        chosen = rng.sample(labels, rng.randint(1, len(labels)))
+        opened = {label: slots[label] for label in chosen}
+        yield sorted({ci for pair in opened.values() for ci, _ in pair}), opened
+        yield range(len(pres.curves)), opened
+
+
+def test_walk_matches_the_arc_list_oracle():
+    rng = random.Random("walk-oracle")
+    graphs = [random_ribbon_graph(1 + i % 12, f"wo-{i}") for i in range(300)]
+    for n in (101, 401):
+        graphs.append(build_B(n))
+        for _ in range(2):
+            labels = build_B(n).labels()
+            graphs.append(partial_dual(build_B(n), rng.sample(labels, n // 3)))
+    for g in graphs:
+        for curves, opened in openings(g, rng):
+            for sides in (False, True):
+                expected = reference_walk_arcs(g, curves, opened, sides)
+                assert walk_arcs(g, curves, opened, sides) == expected, g.words()
+
+
+def test_walk_refuses_malformed_openings():
+    g = from_words([["a", "a", "b"], ["b"], ["c", "c"]])
+    slots = arrow_slots(g)
+    assert slots["b"] == [(0, 2), (1, 0)]
+    with pytest.raises(InternalInvariantViolation):
+        walk_arcs(g, [0], {"b": slots["b"]}, False)  # slot on curve 1
+    with pytest.raises(InternalInvariantViolation):
+        walk_arcs(g, [0, 1], {"b": [(0, 0), (1, 0)]}, False)  # (0, 0) is "a"
+    with pytest.raises(InternalInvariantViolation):
+        walk_arcs(g, [0, 1], {"b": [(0, 2), (0, 2)]}, False)  # one slot twice
+    assert walk_arcs(g, [0, 1], {"b": slots["b"]}, False)
 
 
 def test_twists_and_orientability():
