@@ -5,92 +5,118 @@ turned into the other by relabelling edges, permuting curves, rotating a
 curve's word, reversing a curve's word while flipping every arrow on it (the
 two ways of reading the same circle), or flipping both arrows of one edge (the
 two ways of orienting an edge disc).  ``canonical_key`` returns a byte string
-constant on each orbit of that group and distinct across orbits, computed by
-branch-and-bound over curve orders and readings: labels are numbered by first
-occurrence, each edge is flipped so its first arrow reads "along", and the
-lexicographically least full encoding wins.
+constant on each orbit of that group and distinct across orbits: the
+lexicographically least encoding over all curve orders and readings, where
+labels are numbered by first occurrence and each edge's first arrow is read
+"along" (flag 1), so the flag of its second arrow records the twist.
 
 Keys are computed per connected component and joined sorted, which is valid
-because equivalences map components to components.
+because equivalences map components to components.  Within a component only
+the first curve read is a choice.  After it, some unread curve carries the
+second arrow of a label already numbered; let m be the least such number.
+The reading that starts at that arrow, in the direction that gives it flag
+0, begins with the pair (m, 0), below the first pair of every other reading:
+those begin with a larger number, with a new label (numbered above every old
+one) or with (m, 1).  So each least first reading fixes one chain of
+readings, and the key is the least of at most 4E chains for E edges.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import SizeBoundExceeded
+from .errors import InternalInvariantViolation
 from .limits import CANONICAL_MAX_EDGES, check_size
-from .presentation import ArrowPresentation, components
-
-_STATE_CAP = 2_000_000
+from .presentation import ArrowPresentation, arrow_slots, components
 
 
-def _curve_variants(curve):
-    """All distinct readings of one curve: rotations x (reverse + flip)."""
-    backward = tuple(a.reversed() for a in reversed(curve))
-    return {b[r:] + b[:r] for b in (tuple(curve), backward) for r in range(len(curve))}
+def _curve_variants(curve, backward):
+    """All distinct readings of one curve: the rotations of it and of its
+    ``backward`` reading (reversed, every arrow flipped)."""
+    return {b[r:] + b[:r] for b in (curve, backward) for r in range(len(curve))}
 
 
-def _render(variant, assign, pending):
-    """Encode one curve reading under a partial relabelling.
+def _render(variant, assign, pending, bound=None):
+    """Encode one curve reading, extending a partial relabelling in place.
 
-    Returns (encoding, new_assign, new_pending); the encoding numbers labels
-    by first occurrence and gives every first occurrence the flag 1, so the
-    second occurrence's flag records the twist.
+    ``assign`` numbers labels by first occurrence and ``pending`` holds the
+    direction of each label seen once.  Each arrow becomes 2 * number + flag,
+    where every first occurrence gets the flag 1, so the second occurrence's
+    flag records the twist.  Returns the encoding, or None as soon as its
+    prefix is above ``bound``.
     """
-    assign = dict(assign)
-    pending = dict(pending)
     enc = []
     for label, along in variant:
         if label in pending:
-            enc.append((assign[label], 1 if along == pending.pop(label) else 0))
+            code = 2 * assign[label] + (along == pending.pop(label))
         elif label in assign:
-            raise AssertionError("label seen more than twice")
+            raise InternalInvariantViolation(f"label {label!r} seen more than twice")
         else:
+            code = 2 * len(assign) + 1
             assign[label] = len(assign)
             pending[label] = along
-            enc.append((assign[label], 1))
-    return tuple(enc), assign, pending
+        if bound is not None:
+            k = len(enc)
+            if k == len(bound) or code > bound[k]:
+                return None
+            if code != bound[k]:
+                bound = None
+        enc.append(code)
+    return tuple(enc)
 
 
 @lru_cache(maxsize=1 << 18)
 def _component_key(pres: ArrowPresentation) -> bytes:
-    if pres.edge_count == 0:
-        return b"()" * len(pres.curves)
-
     curves = pres.curves
-    # state: (used curve mask, assign, pending-first-flags); a level's states
-    # share the best encoding so far, so only their new pieces compete
-    encoding = []
-    states = [(0, {}, {})]
-    for _ in range(len(curves)):
-        best = None
-        next_states = {}
-        for used, assign, pending in states:
-            tried = set()
-            for ci, curve in enumerate(curves):
-                if used >> ci & 1 or curve in tried:
-                    continue
-                tried.add(curve)
-                for variant in _curve_variants(curve):
-                    piece, assign2, pending2 = _render(variant, assign, pending)
-                    if best is not None and piece > best:
-                        continue
-                    if best is None or piece < best:
-                        best = piece
-                        next_states = {}
-                    dedup = (
-                        used | 1 << ci,
-                        tuple(sorted(assign2.items())),
-                        tuple(sorted(pending2.items())),
-                    )
-                    next_states[dedup] = (used | 1 << ci, assign2, pending2)
-        encoding.append(best)
-        states = list(next_states.values())
-        if len(states) > _STATE_CAP:
-            raise SizeBoundExceeded("canonical-form search exploded")
+    if pres.edge_count == 0:
+        return b"()" * len(curves)
+
+    backward = [tuple((lab, not along) for lab, along in reversed(c)) for c in curves]
+    # the least first readings, each with the relabelling it leaves
+    first = None
+    starts = []
+    tried = set()
+    for ci, curve in enumerate(curves):
+        if curve in tried:
+            continue
+        tried.add(curve)
+        for variant in _curve_variants(curve, backward[ci]):
+            assign, pending = {}, {}
+            piece = _render(variant, assign, pending, first)
+            if piece is None:
+                continue
+            if piece != first:
+                first, starts = piece, []
+            starts.append((ci, assign, pending))
+
+    # each start forces one chain; keep the least, dropping a chain once above it
+    slots = arrow_slots(pres) if len(curves) > 1 else {}
+    encoding = None
+    for ci, assign, pending in starts:
+        used = {ci}
+        chain = [first]
+        below = encoding is None
+        for level in range(1, len(curves)):
+            # read from the unread arrow of the least pending label, so it gets flag 0
+            least = min(pending, key=assign.__getitem__)
+            ci, pos = next((c, p) for c, p in slots[least] if c not in used)
+            curve = curves[ci]
+            if curve[pos].along != pending[least]:
+                variant = curve[pos:] + curve[:pos]
+            else:
+                back, j = backward[ci], len(curve) - 1 - pos
+                variant = back[j:] + back[:j]
+            bound = None if below else encoding[level]
+            piece = _render(variant, assign, pending, bound)
+            if piece is None:
+                break
+            below = below or piece != bound
+            chain.append(piece)
+            used.add(ci)
+        else:
+            encoding = chain
     return "|".join(
-        " ".join(f"{i}{'+' if f else '-'}" for i, f in piece) for piece in encoding
+        " ".join(f"{v >> 1}{'-+'[v & 1]}" for v in piece) for piece in encoding
     ).encode("ascii")
 
 

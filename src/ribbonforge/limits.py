@@ -1,11 +1,12 @@
 """Size bounds for the exhaustive searches.
 
-All brute-force machinery (canonical forms, minor search, plane-dual sweeps,
-enumeration) refuses inputs above a configured edge count so that runaway
-searches fail fast instead of hanging.  The edge-count bounds can be raised
-globally through the ``RIBBONFORGE_MAX_EDGES`` environment variable, which
-never lowers a default, and, except enumeration's, set per call via a
-``max_edges=`` argument (the ``--max-edges`` flag).
+All brute-force machinery (minor search, plane-dual sweeps, enumeration)
+refuses inputs above a configured edge count so that runaway searches fail
+fast instead of hanging; canonical forms are polynomial but keep a bound
+too.  The edge-count bounds can be raised globally through the
+``RIBBONFORGE_MAX_EDGES`` environment variable, which never lowers a
+default, and, except enumeration's, set per call via a ``max_edges=``
+argument (the ``--max-edges`` flag).
 ``MINOR_SEARCH_MEMO_LIMIT`` caps the equivalence classes one minor search
 remembers (B3 and theta_t share one in a scan); it has no override.
 """

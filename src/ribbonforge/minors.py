@@ -132,9 +132,10 @@ def one_step_minors(
 ) -> dict[bytes, tuple[Step, ArrowPresentation]]:
     """All single-operation minors, one per equivalence class, by canonical key.
 
-    Operations are tried in a fixed order (edge deletions, contractions,
-    then isolated-vertex deletions, each sorted); the first step reaching
-    each class is kept, and the classes are listed in the order reached.
+    Operations are tried in a fixed order (edge deletions and contractions,
+    each sorted, then deleting the first isolated vertex: any other isolated
+    vertex gives the same class); the first step reaching each class is
+    kept, and the classes are listed in the order reached.
     """
     return _keyed_minors(pres, max_edges, edges=True)
 
@@ -144,7 +145,7 @@ def _keyed_minors(pres: ArrowPresentation, max_edges: int | None, edges: bool):
     labels = pres.labels() if edges else []
     steps: list[Step] = [("delete_edge", label) for label in labels]
     steps += [("contract_edge", label) for label in labels]
-    steps += [("delete_vertex", idx) for idx in pres.isolated_vertices()]
+    steps += [("delete_vertex", idx) for idx in pres.isolated_vertices()[:1]]
     out: dict[bytes, tuple[Step, ArrowPresentation]] = {}
     for step in steps:
         child = apply_step(pres, step)

@@ -1,18 +1,26 @@
 """Canonical keys and the equivalence decision."""
 
+import hashlib
 import random
 
 import pytest
 
 from ribbonforge import (
     EMPTY,
+    InternalInvariantViolation,
     SizeBoundExceeded,
+    canonical,
     canonical_key,
+    disjoint_union,
+    enumerate_presentations,
     equivalent,
     from_words,
     random_ribbon_graph,
     surface_summary,
 )
+from ribbonforge.enumeration import _children, _layer
+from ribbonforge.minors import build_B
+from ribbonforge.presentation import Arrow, ArrowPresentation, components
 
 
 def test_rotation_reversal_and_relabeling_are_invisible():
@@ -108,3 +116,132 @@ def test_size_bound_is_enforced_and_overridable():
     with pytest.raises(SizeBoundExceeded):
         canonical_key(big)
     assert canonical_key(big, max_edges=9)  # explicit override succeeds
+
+
+# -- the level-by-level search, kept as the oracle ---------------------------
+
+
+def reference_render(variant, assign, pending):
+    assign = dict(assign)
+    pending = dict(pending)
+    enc = []
+    for label, along in variant:
+        if label in pending:
+            enc.append((assign[label], 1 if along == pending.pop(label) else 0))
+        else:
+            assign[label] = len(assign)
+            pending[label] = along
+            enc.append((assign[label], 1))
+    return tuple(enc), assign, pending
+
+
+def reference_component_key(pres):
+    """Branch-and-bound over every curve order and reading: each level keeps
+    the states whose new piece is least, trying every unused curve."""
+    if pres.edge_count == 0:
+        return b"()" * len(pres.curves)
+    curves = pres.curves
+    encoding = []
+    states = [(0, {}, {})]
+    for _ in range(len(curves)):
+        best = None
+        next_states = {}
+        for used, assign, pending in states:
+            tried = set()
+            for ci, curve in enumerate(curves):
+                if used >> ci & 1 or curve in tried:
+                    continue
+                tried.add(curve)
+                backward = tuple(a.reversed() for a in reversed(curve))
+                for variant in {
+                    b[r:] + b[:r] for b in (curve, backward) for r in range(len(curve))
+                }:
+                    piece, assign2, pending2 = reference_render(variant, assign, pending)
+                    if best is not None and piece > best:
+                        continue
+                    if best is None or piece < best:
+                        best = piece
+                        next_states = {}
+                    dedup = (
+                        used | 1 << ci,
+                        tuple(sorted(assign2.items())),
+                        tuple(sorted(pending2.items())),
+                    )
+                    next_states[dedup] = (used | 1 << ci, assign2, pending2)
+        encoding.append(best)
+        states = list(next_states.values())
+    return "|".join(
+        " ".join(f"{i}{'+' if f else '-'}" for i, f in piece) for piece in encoding
+    ).encode("ascii")
+
+
+def oracle_graphs():
+    # every child of every class up to three edges, each distinct child once
+    yield from dict.fromkeys(
+        child
+        for n in range(4)
+        for parent in _layer(n)
+        for child in _children(parent, f"e{n + 1}")
+    )
+    rng = random.Random("canon-oracle")
+    randoms = [random_ribbon_graph(1 + s % 12, f"or{s}") for s in range(300)]
+    yield from randoms
+    for _ in range(60):
+        yield disjoint_union(*rng.sample(randoms, rng.randint(2, 3)))
+    for n in range(3, 10):
+        yield build_B(n)
+
+
+def test_key_matches_the_branch_and_bound_oracle():
+    reference = {}
+    for g in oracle_graphs():
+        parts = components(g)
+        for part in parts:
+            if part not in reference:
+                reference[part] = reference_component_key(part)
+                assert canonical._component_key(part) == reference[part], part.words()
+        assert canonical_key(g, g.edge_count) == b";".join(
+            sorted(reference[part] for part in parts)
+        )
+
+
+def test_keys_of_the_four_edge_classes_are_frozen():
+    keys = b"\n".join(map(canonical_key, enumerate_presentations(4)))
+    assert hashlib.sha256(keys).hexdigest() == (
+        "8d08756447e1606f549699831ab7c96911219d43bf884eeecf52d6cd57e445c3"
+    )
+
+
+def test_only_the_first_curve_read_is_searched(monkeypatch):
+    # after the first curve every reading is forced, so each distinct curve
+    # is expanded into its readings once, at the first level only
+    calls = []
+    variants = canonical._curve_variants
+
+    def counted(curve, *rest):
+        calls.append(curve)
+        return variants(curve, *rest)
+
+    monkeypatch.setattr(canonical, "_curve_variants", counted)
+    g = random_ribbon_graph(8, "w6")
+    assert len(components(g)) == 1 and len(set(g.curves)) == len(g.curves) == 6
+    canonical._component_key.cache_clear()
+    canonical_key(g)
+    assert sorted(calls) == sorted(g.curves)
+
+
+@pytest.mark.parametrize(
+    "curves",
+    [
+        [["a", "a", "a"]],
+        [["a", "b", "a"], ["b", "a"]],
+    ],
+)
+def test_a_label_on_three_arrows_is_an_internal_error(curves):
+    # built directly, past validation, as only a bug inside the package could
+    broken = ArrowPresentation(
+        tuple(tuple(Arrow(label, True) for label in curve) for curve in curves)
+    )
+    with pytest.raises(InternalInvariantViolation, match="seen more than twice") as err:
+        canonical._component_key(broken)
+    assert err.value.exit_code == 3

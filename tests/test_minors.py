@@ -273,6 +273,25 @@ def test_search_builds_only_vertex_deletions_at_the_target_size(monkeypatch):
     assert wasted == []
 
 
+def test_one_isolated_vertex_deletion_is_built(monkeypatch):
+    # deleting any of the three bare vertices gives the same class, so only
+    # the first deletion is built: delete a, contract a, delete vertex 1
+    from ribbonforge import minors
+
+    apply = minors.apply_step
+    steps = []
+
+    def counted(state, step):
+        steps.append(step)
+        return apply(state, step)
+
+    monkeypatch.setattr(minors, "apply_step", counted)
+    g = from_words([["a", "a"], [], [], []])
+    children = one_step_minors(g)
+    assert steps == [("delete_edge", "a"), ("contract_edge", "a"), ("delete_vertex", 1)]
+    assert [step for step, _ in children.values()] == steps
+
+
 def test_search_step_order_is_pinned():
     # the first step reaching each class wins, so these scripts fix the
     # order in which one_step_minors tries and keeps its children
