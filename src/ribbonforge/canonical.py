@@ -11,14 +11,22 @@ labels are numbered by first occurrence and each edge's first arrow is read
 "along" (flag 1), so the flag of its second arrow records the twist.
 
 Keys are computed per connected component and joined sorted, which is valid
-because equivalences map components to components.  Within a component only
-the first curve read is a choice.  After it, some unread curve carries the
-second arrow of a label already numbered; let m be the least such number.
-The reading that starts at that arrow, in the direction that gives it flag
-0, begins with the pair (m, 0), below the first pair of every other reading:
-those begin with a larger number, with a new label (numbered above every old
-one) or with (m, 1).  So each least first reading fixes one chain of
-readings, and the key is the least of at most 4E chains for E edges.
+because equivalences map components to components.  Isolated vertices key as
+``()`` with no lookup and sort first, since every other component key starts
+with a digit.  The rest of the graph is keyed whole: the cached component key
+checks connectivity on a miss and refuses a disconnected input, which alone
+is then split into components, so a connected graph is never split.  The
+minor search, which makes most calls, never builds the same set of
+operations twice, so it keys each of those sets once.
+
+Within a component only the first curve read is a choice.  After it, some
+unread curve carries the second arrow of a label already numbered; let m be
+the least such number.  The reading that starts at that arrow, in the
+direction that gives it flag 0, begins with the pair (m, 0), below the first
+pair of every other reading: those begin with a larger number, with a new
+label (numbered above every old one) or with (m, 1).  So each least first
+reading fixes one chain of readings, and the key is the least of at most 4E
+chains for E edges.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from functools import lru_cache
 
 from .errors import InternalInvariantViolation
 from .limits import CANONICAL_MAX_EDGES, check_size
-from .presentation import ArrowPresentation, arrow_slots, components
+from .presentation import ArrowPresentation, arrow_slots, components, curve_forest
 
 
 def _curve_variants(curve, backward):
@@ -65,11 +73,20 @@ def _render(variant, assign, pending, bound=None):
     return tuple(enc)
 
 
+class _Disconnected(Exception):
+    """``_component_key`` was given a disconnected graph; never cached."""
+
+
 @lru_cache(maxsize=1 << 18)
 def _component_key(pres: ArrowPresentation) -> bytes:
     curves = pres.curves
     if pres.edge_count == 0:
         return b"()" * len(curves)
+    slots = {}
+    if len(curves) > 1:
+        slots = arrow_slots(pres)
+        if any(curve_forest(pres, slots).root):  # a curve not reached from curve 0
+            raise _Disconnected
 
     backward = [tuple((lab, not along) for lab, along in reversed(c)) for c in curves]
     # the least first readings, each with the relabelling it leaves
@@ -90,7 +107,6 @@ def _component_key(pres: ArrowPresentation) -> bytes:
             starts.append((ci, assign, pending))
 
     # each start forces one chain; keep the least, dropping a chain once above it
-    slots = arrow_slots(pres) if len(curves) > 1 else {}
     encoding = None
     for ci, assign, pending in starts:
         used = {ci}
@@ -123,7 +139,15 @@ def _component_key(pres: ArrowPresentation) -> bytes:
 def canonical_key(pres: ArrowPresentation, max_edges: int | None = None) -> bytes:
     """A complete equivalence invariant, as a printable byte string."""
     check_size(pres.edge_count, CANONICAL_MAX_EDGES, max_edges, "canonical-form")
-    return b";".join(sorted(_component_key(c) for c in components(pres)))
+    bare = pres.curves.count(())
+    keys = [b"()"] * bare
+    if bare < len(pres.curves):
+        body = ArrowPresentation(tuple(c for c in pres.curves if c)) if bare else pres
+        try:
+            keys.append(_component_key(body))
+        except _Disconnected:
+            keys += sorted(map(_component_key, components(body)))
+    return b";".join(keys)
 
 
 def equivalent(

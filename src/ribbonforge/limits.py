@@ -8,7 +8,10 @@ too.  The edge-count bounds can be raised globally through the
 default, and, except enumeration's, set per call via a ``max_edges=``
 argument (the ``--max-edges`` flag).
 ``MINOR_SEARCH_MEMO_LIMIT`` caps the equivalence classes one minor search
-remembers (B3 and theta_t share one in a scan); it has no override.
+remembers (B3 and theta_t share one in a scan); it has no override.  A
+search also remembers the operation set (edges deleted and contracted,
+vertices deleted) of each child it builds, at most 2E + 1 per expanded state
+of E edges; the cap counts only classes.
 """
 
 from __future__ import annotations

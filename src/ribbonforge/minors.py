@@ -14,7 +14,7 @@ joined by three parallel edges with one boundary component).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .canonical import canonical_key, equivalent
 from .enumeration import enumerate_presentations
@@ -140,14 +140,24 @@ def one_step_minors(
     return _keyed_minors(pres, max_edges, edges=True)
 
 
-def _keyed_minors(pres: ArrowPresentation, max_edges: int | None, edges: bool):
-    """``one_step_minors``, or without ``edges`` its vertex deletions alone."""
+def _keyed_minors(
+    pres: ArrowPresentation,
+    max_edges: int | None,
+    edges: bool,
+    skip: Callable[[Step], bool] | None = None,
+):
+    """``one_step_minors``, or without ``edges`` its vertex deletions alone.
+
+    A step for which ``skip`` returns true is neither built nor keyed.
+    """
     labels = pres.labels() if edges else []
     steps: list[Step] = [("delete_edge", label) for label in labels]
     steps += [("contract_edge", label) for label in labels]
     steps += [("delete_vertex", idx) for idx in pres.isolated_vertices()[:1]]
     out: dict[bytes, tuple[Step, ArrowPresentation]] = {}
     for step in steps:
+        if skip is not None and skip(step):
+            continue
         child = apply_step(pres, step)
         out.setdefault(canonical_key(child, max_edges), (step, child))
     return out
@@ -164,12 +174,36 @@ def _minor_search(
     the first path to its target's class, and a found target stays in the
     search like any other class, so it is the script a search for that
     target alone finds.  ``MINOR_SEARCH_MEMO_LIMIT`` caps remembered classes.
+
+    Deletions and contractions of distinct edges commute and isolated
+    vertices are interchangeable, so the class of a minor is fixed by its
+    operation set: the edge steps taken and how many vertices were deleted.
+    A child whose operation set this search already built is skipped, as
+    its class was streamed, and so visited, when that set was first built.
     """
     index = {canonical_key(t, max_edges): i for i, t in enumerate(targets)}
     min_edges = min(t.edge_count for t in targets)
     min_genus = min(surface_summary(t).euler_genus for t in targets)
     any_orientable = any(surface_summary(t).orientable for t in targets)
     scripts: list[MinorScript | None] = [None] * len(targets)
+    built: set[tuple[frozenset[Step], int]] = set()
+
+    def repeated(steps: tuple[Step, ...]):
+        """The skip test for the children of the state that ``steps`` reach."""
+        done = frozenset(s for s in steps if s[0] != "delete_vertex")
+        bare = len(steps) - len(done)
+
+        def skip(step: Step) -> bool:
+            if step[0] == "delete_vertex":
+                ops = (done, bare + 1)
+            else:
+                ops = (done | {step}, bare)
+            if ops in built:
+                return True
+            built.add(ops)
+            return False
+
+        return skip
 
     def prunable(state: ArrowPresentation) -> bool:
         edges = state.edge_count
@@ -205,10 +239,8 @@ def _minor_search(
         level = (
             (key, steps + (step,), child)
             for state, steps in frontier
-            for key, (step, child) in (
-                one_step_minors(state, max_edges)
-                if state.edge_count > min_edges
-                else _keyed_minors(state, max_edges, edges=False)
+            for key, (step, child) in _keyed_minors(
+                state, max_edges, state.edge_count > min_edges, repeated(steps)
             ).items()
         )
 
@@ -224,7 +256,8 @@ def has_minor(
     with too few edges or too small an Euler genus, orientable states below
     a non-orientable target, and dead ends (the target's edge count and no
     isolated vertex to delete) are not expanded; other states at the
-    target's edge count only have their isolated vertices deleted.
+    target's edge count only have their isolated vertices deleted.  No set
+    of operations is built twice.
     """
     check_size(pres.edge_count, MINOR_SEARCH_MAX_EDGES, max_edges, "minor-search")
     (script,) = _minor_search(pres, [target], max_edges)

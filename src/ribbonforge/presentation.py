@@ -30,6 +30,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
     EmptyLabelError,
+    InternalInvariantViolation,
     LabelCountError,
     NotConnected,
     ParseError,
@@ -258,10 +259,19 @@ class CurveForest(NamedTuple):
 def curve_forest(
     pres: ArrowPresentation, slots: dict[str, list[tuple[int, int]]]
 ) -> CurveForest:
-    """The breadth-first forest of ``pres``, given its ``arrow_slots``."""
+    """The breadth-first forest of ``pres``, given its ``arrow_slots``.
+
+    A label on other than two arrows can only come from a bug inside the
+    package, and raises ``InternalInvariantViolation``.
+    """
     n = len(pres.curves)
     incident: list[list[tuple[str, int]]] = [[] for _ in range(n)]
-    for label, ((a, _), (b, _)) in slots.items():
+    for label, pair in slots.items():
+        if len(pair) != 2:
+            raise InternalInvariantViolation(
+                f"label {label!r} seen {'more' if len(pair) > 2 else 'less'} than twice"
+            )
+        (a, _), (b, _) = pair
         if a != b:
             incident[a].append((label, b))
             incident[b].append((label, a))

@@ -245,3 +245,44 @@ def test_a_label_on_three_arrows_is_an_internal_error(curves):
     with pytest.raises(InternalInvariantViolation, match="seen more than twice") as err:
         canonical._component_key(broken)
     assert err.value.exit_code == 3
+
+
+@pytest.mark.parametrize(
+    "curves",
+    [
+        [["a", "a", "a"]],
+        [["a", "b", "a"], ["b", "a"]],
+        [["a", "b", "a"], ["b", "a"], []],
+        [["a", "a", "a"], ["b", "b"]],
+    ],
+)
+def test_keys_and_splits_refuse_a_label_on_three_arrows_alike(curves):
+    broken = ArrowPresentation(
+        tuple(tuple(Arrow(label, True) for label in curve) for curve in curves)
+    )
+    for call in (canonical_key, components):
+        with pytest.raises(InternalInvariantViolation, match="seen more than twice"):
+            call(broken)
+
+
+def test_connected_graphs_are_keyed_without_splitting(monkeypatch):
+    splits = []
+    split = canonical.components
+
+    def counted(pres):
+        splits.append(pres)
+        return split(pres)
+
+    monkeypatch.setattr(canonical, "components", counted)
+    g = random_ribbon_graph(8, "w6")
+    assert len(components(g)) == 1
+    with_bare = from_words(g.words() + [[], []])
+    assert canonical_key(with_bare) == b"();();" + canonical_key(g)
+    assert splits == []
+    # isolated vertices key with no lookup at all
+    canonical._component_key.cache_clear()
+    assert canonical_key(from_words([[], [], []])) == b"();();()"
+    assert canonical._component_key.cache_info().misses == 0
+    # a disconnected rest is still split
+    canonical_key(disjoint_union(g, g), 16)
+    assert len(splits) == 1

@@ -211,18 +211,145 @@ def test_search_scripts_match_the_one_target_oracle():
             assert scan.get(name) == expected.get(name), (g.words(), name)
 
 
+def reference_minor_search(pres, targets, max_edges=None):
+    """The shared search before it remembered operation sets: every child
+    of an expanded state is built and keyed.  Kept as the oracle for the
+    scripts of the search that skips repeated operation sets."""
+    from ribbonforge import minors
+
+    index = {canonical_key(t, max_edges): i for i, t in enumerate(targets)}
+    min_edges = min(t.edge_count for t in targets)
+    min_genus = min(euler_genus(t) for t in targets)
+    any_orientable = any(is_orientable(t) for t in targets)
+    scripts = [None] * len(targets)
+
+    def prunable(state):
+        edges = state.edge_count
+        if edges < min_edges or edges == min_edges and not state.isolated_vertices():
+            return True
+        return euler_genus(state) < min_genus or (
+            is_orientable(state) and not any_orientable
+        )
+
+    level = [(canonical_key(pres, max_edges), (), pres)]
+    visited = set()
+    while True:
+        frontier = []
+        for key, steps, state in level:
+            if key in visited:
+                continue
+            visited.add(key)
+            if key in index:
+                i = index[key]
+                scripts[i] = verified_script(pres, steps, targets[i])
+                if None not in scripts:
+                    return scripts
+            if not prunable(state):
+                frontier.append((state, steps))
+        if not frontier:
+            return scripts
+        level = [
+            (key, steps + (step,), child)
+            for state, steps in frontier
+            for key, (step, child) in (
+                one_step_minors(state, max_edges)
+                if state.edge_count > min_edges
+                else minors._keyed_minors(state, max_edges, edges=False)
+            ).items()
+        ]
+
+
+def test_search_scripts_match_the_memo_free_oracle():
+    targets = [build_Bbar1(), build_B(3), build_theta_t()]
+    graphs = list(enumerate_presentations(3))
+    graphs += [random_ribbon_graph(3 + s % 5, f"memo-{s}") for s in range(40)]
+    for g in graphs:
+        for target in targets:
+            (script,) = reference_minor_search(g, [target])
+            assert has_minor(g, target) == (script is not None, script), g.words()
+        scan = excluded_minor_scan(g)
+        expected = reference_minor_search(g, targets[1:])
+        for name, script in zip(("b3", "theta_t"), expected):
+            assert scan.get(name) == script, (g.words(), name)
+
+
+def test_search_builds_no_operation_set_twice(monkeypatch):
+    # the class of a minor is fixed by its deleted and contracted edges and
+    # how many vertices it deleted, so no such set is built twice
+    from ribbonforge import minors
+
+    apply, verify = minors.apply_step, minors.verified_script
+    g = random_ribbon_graph(8, "w0")
+    ops = {id(g): (frozenset(), 0)}
+    made = [g]  # keeps every state alive, so no id is reused
+    built = []
+    replaying = []
+
+    def counted(state, step):
+        child = apply(state, step)
+        if not replaying:
+            done, bare = ops[id(state)]
+            if step[0] == "delete_vertex":
+                ops[id(child)] = (done, bare + 1)
+            else:
+                ops[id(child)] = (done | {step}, bare)
+            built.append(ops[id(child)])
+            made.append(child)
+        return child
+
+    def verified(*args):
+        replaying.append(True)  # a found script is replayed from the start
+        try:
+            return verify(*args)
+        finally:
+            replaying.pop()
+
+    monkeypatch.setattr(minors, "apply_step", counted)
+    monkeypatch.setattr(minors, "verified_script", verified)
+    assert has_minor(g, build_theta_t())[0]
+    assert built and len(built) == len(set(built))
+
+
+def test_distinct_edge_operations_commute():
+    # the theory behind the search's memo: deleting or contracting two
+    # distinct edges in either order gives one class, and deleting any
+    # isolated vertex gives the class of deleting the first
+    ops = (delete_edge, contract_edge)
+    for s in range(48):
+        g = random_ribbon_graph(3 + s % 6, f"commute-{s}")
+        labels = g.labels()
+        for i, a in enumerate(labels):
+            for b in labels[i + 1:]:
+                for op_a in ops:
+                    for op_b in ops:
+                        assert equivalent(
+                            op_b(op_a(g, a), b), op_a(op_b(g, b), a)
+                        ), (g.words(), op_a.__name__, a, op_b.__name__, b)
+        rng = random.Random(s)
+        words = g.words() + [[], []]
+        rng.shuffle(words)
+        states = [from_words(words)]
+        states += [op(g, label) for op in ops for label in labels]
+        for state in states:
+            bare = state.isolated_vertices()
+            first = apply_step(state, ("delete_vertex", bare[0])) if bare else None
+            for idx in bare[1:]:
+                assert equivalent(apply_step(state, ("delete_vertex", idx)), first)
+
+
 @pytest.fixture
 def expanded(monkeypatch):
     """Every state the minor search expands, in order."""
     from ribbonforge import minors
 
     states = []
+    keyed = minors._keyed_minors
 
-    def recording(state, max_edges=None):
+    def recording(state, *rest):
         states.append(state)
-        return one_step_minors(state, max_edges)
+        return keyed(state, *rest)
 
-    monkeypatch.setattr(minors, "one_step_minors", recording)
+    monkeypatch.setattr(minors, "_keyed_minors", recording)
     return states
 
 
