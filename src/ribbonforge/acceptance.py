@@ -27,11 +27,11 @@ from .links import (
     represents_link,
 )
 from .minors import (
+    _minor_search,
     b_family_members,
     build_B,
     build_Bbar1,
     build_theta_t,
-    contraction_chain_Bn,
     excluded_minor_scan,
     has_minor,
     one_step_minors,
@@ -177,13 +177,20 @@ def _criterion_4() -> tuple[bool, str]:
 
 
 def _criterion_5() -> tuple[bool, str]:
-    """Interlacement-cycle bouquets contract down to B3, explicitly and by search."""
+    """Interlacement-cycle bouquets contract down to B3, by certificate and by search.
+
+    The explicit chain is the certificate ``represents_link`` gives B_n: n - 3
+    edge contractions whose replay is B3.
+    """
     b3 = build_B(3)
     for n in (5, 7, 9):
-        script = contraction_chain_Bn(n)
-        if len(script.steps) != n - 3:
-            return False, f"chain for n={n} has {len(script.steps)} steps"
-        if not equivalent(replay(build_B(n), script), b3, max(n, 8)):
+        verdict = represents_link(build_B(n))
+        if verdict.certificate_target != "b3":
+            return False, f"certificate for n={n} targets {verdict.certificate_target}"
+        steps = verdict.certificate.steps
+        if len(steps) != n - 3 or any(op != "contract_edge" for op, _ in steps):
+            return False, f"chain for n={n} is not {n - 3} contractions: {steps}"
+        if not equivalent(replay(build_B(n), verdict.certificate), b3, max(n, 8)):
             return False, f"chain replay for n={n} does not reach B3"
         found, _ = has_minor(build_B(n), b3, max_edges=9)
         if not found:
@@ -236,7 +243,8 @@ def _criterion_8() -> tuple[bool, str]:
     for pres in enumerate_presentations(3):
         genus = surface_summary(pres).euler_genus
         for n in (0, 1, 2):
-            obstructed = any(has_minor(pres, m)[0] for m in families[n])
+            scripts = _minor_search(pres, families[n], None)
+            obstructed = any(s is not None for s in scripts)
             checked += 1
             if (genus <= n) == obstructed:
                 bad.append(f"G={serialize_arp(pres)!r} genus={genus} n={n}")

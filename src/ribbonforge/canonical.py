@@ -14,8 +14,9 @@ Keys are computed per connected component and joined sorted, which is valid
 because equivalences map components to components.  Isolated vertices key as
 ``()`` with no lookup and sort first, since every other component key starts
 with a digit.  The rest of the graph is keyed whole: the cached component key
-checks connectivity on a miss and refuses a disconnected input, which alone
-is then split into components, so a connected graph is never split.  The
+checks connectivity on a miss and refuses a disconnected input, handing back
+the parts that its own spanning forest found, so a connected graph is never
+split and a disconnected one has its curve graph walked once.  The
 minor search, which makes most calls, never builds the same set of
 operations twice, so it keys each of those sets once.
 
@@ -35,7 +36,7 @@ from functools import lru_cache
 
 from .errors import InternalInvariantViolation
 from .limits import CANONICAL_MAX_EDGES, check_size
-from .presentation import ArrowPresentation, arrow_slots, components, curve_forest
+from .presentation import ArrowPresentation, arrow_slots, curve_forest
 
 
 def _curve_variants(curve, backward):
@@ -74,7 +75,14 @@ def _render(variant, assign, pending, bound=None):
 
 
 class _Disconnected(Exception):
-    """``_component_key`` was given a disconnected graph; never cached."""
+    """``_component_key`` was given a disconnected graph; never cached.
+
+    ``parts`` holds its components, in the order ``components`` gives them.
+    """
+
+    def __init__(self, parts: list[ArrowPresentation]):
+        super().__init__()
+        self.parts = parts
 
 
 @lru_cache(maxsize=1 << 18)
@@ -85,8 +93,12 @@ def _component_key(pres: ArrowPresentation) -> bytes:
     slots = {}
     if len(curves) > 1:
         slots = arrow_slots(pres)
-        if any(curve_forest(pres, slots).root):  # a curve not reached from curve 0
-            raise _Disconnected
+        forest = curve_forest(pres, slots)
+        if any(forest.root):  # a curve not reached from curve 0
+            raise _Disconnected([
+                ArrowPresentation(tuple(curves[i] for i in comp))
+                for comp in forest.components()
+            ])
 
     backward = [tuple((lab, not along) for lab, along in reversed(c)) for c in curves]
     # the least first readings, each with the relabelling it leaves
@@ -145,8 +157,8 @@ def canonical_key(pres: ArrowPresentation, max_edges: int | None = None) -> byte
         body = ArrowPresentation(tuple(c for c in pres.curves if c)) if bare else pres
         try:
             keys.append(_component_key(body))
-        except _Disconnected:
-            keys += sorted(map(_component_key, components(body)))
+        except _Disconnected as split:
+            keys += sorted(map(_component_key, split.parts))
     return b";".join(keys)
 
 

@@ -300,28 +300,6 @@ def bbar1_script(pres: ArrowPresentation) -> MinorScript:
     return verified_script(pres, steps, build_Bbar1())
 
 
-def contraction_chain_Bn(n: int) -> MinorScript:
-    """The explicit two-contractions-per-stage script taking B_n down to B3.
-
-    Contracts e_n then e_{n-1}, checks the result is equivalent to B_{n-2},
-    and repeats until three edges remain.
-    """
-    if n < 5 or n % 2 == 0:
-        raise RibbonError("n must be odd and >= 5")
-    cur = build_B(n)
-    steps: list[Step] = []
-    bound = max(n, 8)
-    for m in range(n, 3, -2):
-        for label in (f"e{m}", f"e{m - 1}"):
-            steps.append(("contract_edge", label))
-            cur = contract_edge(cur, label)
-        if not equivalent(cur, build_B(m - 2), bound):
-            raise InternalInvariantViolation(
-                f"contracting e{m}, e{m - 1} did not reproduce B{m - 2}"
-            )
-    return MinorScript(tuple(steps))
-
-
 def excluded_minor_scan(
     pres: ArrowPresentation, max_edges: int | None = None
 ) -> dict[str, MinorScript]:

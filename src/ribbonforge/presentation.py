@@ -104,15 +104,6 @@ class ArrowPresentation:
             raise UnknownLabel(f"label {label!r} not present exactly twice")
         return hits[0], hits[1]
 
-    def endpoints(self, label: str) -> tuple[int, int]:
-        """The (unordered) pair of curve indices an edge joins."""
-        (c1, _), (c2, _) = self.arrow_positions(label)
-        return (c1, c2) if c1 <= c2 else (c2, c1)
-
-    def is_loop(self, label: str) -> bool:
-        a, b = self.endpoints(label)
-        return a == b
-
     def isolated_vertices(self) -> tuple[int, ...]:
         """Indices of curves carrying no arrows."""
         return tuple(i for i, c in enumerate(self.curves) if not c)

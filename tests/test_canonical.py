@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from importlib import import_module
 
 import pytest
 
@@ -20,7 +21,7 @@ from ribbonforge import (
 )
 from ribbonforge.enumeration import _children, _layer
 from ribbonforge.minors import build_B
-from ribbonforge.presentation import Arrow, ArrowPresentation, components
+from ribbonforge.presentation import Arrow, ArrowPresentation, components, curve_forest
 
 
 def test_rotation_reversal_and_relabeling_are_invisible():
@@ -266,23 +267,28 @@ def test_keys_and_splits_refuse_a_label_on_three_arrows_alike(curves):
 
 
 def test_connected_graphs_are_keyed_without_splitting(monkeypatch):
-    splits = []
-    split = canonical.components
+    # count spanning forests built anywhere, splitting into components included
+    forests = []
 
-    def counted(pres):
-        splits.append(pres)
-        return split(pres)
+    def counted(pres, slots):
+        forests.append(pres)
+        return curve_forest(pres, slots)
 
-    monkeypatch.setattr(canonical, "components", counted)
+    for module in (canonical, import_module("ribbonforge.presentation")):
+        monkeypatch.setattr(module, "curve_forest", counted)
     g = random_ribbon_graph(8, "w6")
-    assert len(components(g)) == 1
+    assert g.vertex_count > 1 and len(components(g)) == 1
+    canonical._component_key.cache_clear()
+    forests.clear()
     with_bare = from_words(g.words() + [[], []])
     assert canonical_key(with_bare) == b"();();" + canonical_key(g)
-    assert splits == []
+    assert forests == [g]
     # isolated vertices key with no lookup at all
     canonical._component_key.cache_clear()
     assert canonical_key(from_words([[], [], []])) == b"();();()"
     assert canonical._component_key.cache_info().misses == 0
-    # a disconnected rest is still split
-    canonical_key(disjoint_union(g, g), 16)
-    assert len(splits) == 1
+    # a disconnected rest is split into the parts its one forest found
+    both = disjoint_union(g, g)
+    forests.clear()
+    assert canonical_key(both, 16) == canonical_key(g) + b";" + canonical_key(g)
+    assert forests.count(both) == 1

@@ -195,6 +195,19 @@ def test_input_errors_exit_2(arp, capsys):
     assert code == 2
 
 
+def test_undecodable_input_exits_2(tmp_path, capsys, monkeypatch):
+    raw = b"\xff\xfea a\n"
+    path = tmp_path / "bad.arp"
+    path.write_bytes(raw)
+    code, payload = run_json(capsys, "info", str(path))
+    assert code == 2 and payload["error"]["type"] == "ParseError"
+    assert "cannot read" in payload["error"]["message"]
+    # a strict standard input, as under a UTF-8 locale, fails the same way
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(raw), "utf-8"))
+    code, payload = run_json(capsys, "info", "-")
+    assert code == 2 and payload["error"]["type"] == "ParseError"
+
+
 def test_size_bound_exit_2(arp, capsys):
     big = from_words([[f"e{i}", f"e{i}"] for i in range(12)])
     path = arp(serialize_arp(big) + "\n", "big.arp")

@@ -466,13 +466,14 @@ def test_thirty_loop_bouquet_gets_a_certified_verdict():
     assert equivalent(replay(g, verdict.certificate), _pattern_of(verdict))
 
 
-@pytest.mark.parametrize("n", [9, 11, 21, 101])
+@pytest.mark.parametrize("n", [5, 7, 9, 11, 21, 101])
 def test_large_odd_bouquets_certify_b3(n):
-    # above the 8-edge search bound; the certificate never searches
+    # from n = 9 above the 8-edge search bound; the certificate never searches
     g = build_B(n)
     verdict = represents_link(g)
     assert verdict.certificate_target == "b3"
     assert len(verdict.odd_cycle) == n
+    assert [op for op, _ in verdict.certificate.steps] == ["contract_edge"] * (n - 3)
     assert equivalent(replay(g, verdict.certificate), build_B(3))
 
 

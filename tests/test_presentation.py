@@ -109,10 +109,6 @@ def test_min_rotation_matches_brute_force():
 
 def test_loop_and_endpoint_queries():
     g = from_words([["a", "b", "a"], ["b"]])
-    assert g.is_loop("a")
-    assert not g.is_loop("b")
-    assert g.endpoints("a") == (0, 0)
-    assert g.endpoints("b") == (0, 1)
     assert underlying_edges(g) == {"a": (0, 0), "b": (0, 1)}
 
 
