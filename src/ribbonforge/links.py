@@ -47,6 +47,7 @@ from .presentation import (
     restriction,
     spanning_tree,
 )
+from .oddcycles import _two_colour
 from .surfaces import is_orientable, surface_summary
 
 # -- PD codes ----------------------------------------------------------------
@@ -231,100 +232,6 @@ def intersection_graph(pres: ArrowPresentation) -> IntersectionGraph:
     return IntersectionGraph(pres.labels(), frozenset(edges))
 
 
-def _two_colour(
-    graph: IntersectionGraph,
-) -> tuple[dict[str, int] | None, tuple[str, ...] | None]:
-    """Bipartition or a minimal odd cycle.
-
-    Colours each interlacement component from its smallest label (colour 0).
-    On success returns (colouring, None); otherwise (None, cycle) with the
-    shortest odd cycle, ties broken lexicographically.
-    """
-    adj: dict[str, list[str]] = {v: [] for v in graph.vertices}
-    for a, b in graph.edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    for lst in adj.values():
-        lst.sort()
-    colour: dict[str, int] = {}
-    bipartite = True
-    for root in graph.vertices:
-        if root in colour:
-            continue
-        colour[root] = 0
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w in adj[v]:
-                    if w not in colour:
-                        colour[w] = colour[v] ^ 1
-                        nxt.append(w)
-                    elif colour[w] == colour[v]:
-                        bipartite = False
-            frontier = nxt
-    if bipartite:
-        return colour, None
-    return None, _shortest_odd_cycle(adj)
-
-
-def _parity_distances(
-    adj: dict[str, list[str]], start: str, limit: int | None
-) -> dict[tuple[str, int], int]:
-    """BFS on the parity double cover of the subgraph on vertices >= start.
-
-    Maps (vertex, parity) to the length of the shortest walk from ``start``
-    of that parity.  Stops once (start, 1) is reached, or before walks of
-    length ``limit``; every state closer than the stopping depth is present.
-    """
-    dist = {(start, 0): 0}
-    frontier = [(start, 0)]
-    depth = 0
-    while frontier and (start, 1) not in dist:
-        depth += 1
-        if limit is not None and depth >= limit:
-            break
-        nxt = []
-        for v, p in frontier:
-            for w in adj[v]:
-                state = (w, p ^ 1)
-                if w >= start and state not in dist:
-                    dist[state] = depth
-                    nxt.append(state)
-        frontier = nxt
-    return dist
-
-
-def _shortest_odd_cycle(adj: dict[str, list[str]]) -> tuple[str, ...]:
-    """The lexicographically least shortest odd cycle of a non-bipartite graph.
-
-    One parity BFS per start vertex s, on the vertices >= s, finds the
-    shortest odd closed walk through s (Itai & Rodeh style, O(V(V+E))); the
-    least s reaching the global minimum length L starts the answer.  The
-    cycle is then grown greedily from s: each step takes the smallest
-    neighbour w > s from which a walk of the remaining length and parity
-    returns to s.  A closed odd walk of the minimum odd length is a simple
-    cycle, so the greedy walk is the least cycle in the old order: length
-    first, then the label sequence read from its least vertex.
-    """
-    best: tuple[int, str, dict[tuple[str, int], int]] | None = None
-    for start in sorted(adj):
-        dist = _parity_distances(adj, start, best[0] if best else None)
-        length = dist.get((start, 1))
-        if length is not None and (best is None or length < best[0]):
-            best = (length, start, dist)
-    if best is None:
-        raise InternalInvariantViolation("non-bipartite graph with no odd cycle")
-    length, start, dist = best
-    cycle = [start]
-    for remaining in range(length - 1, 0, -1):
-        cycle.append(next(
-            w for w in adj[cycle[-1]]
-            if w > start and dist.get((w, remaining % 2), length) <= remaining
-        ))
-    return tuple(cycle)
-
-
 # -- plane-biseparations ------------------------------------------------------
 
 
@@ -453,27 +360,42 @@ def _bouquet_reduction(
     is in S.  The end point B3^S' is B3 when |S'| is even and the toroidal
     theta when it is odd.  Unless S is the whole cycle (or L = 3) the stages
     leave |S'| even: one mixed pair first if |S| is odd, then pairs with
-    equal membership, which an odd cycle always has.  Returns the steps and
-    whether |S'| is even.
+    equal membership, which an odd cycle always has.  Each stage takes the
+    first such pair read from the cycle's first remaining loop.  Returns the
+    steps and whether |S'| is even.
+
+    The remaining cycle is a ring of links, so the whole reduction is
+    O(L).  A scan for an equal pair resumes one position before the last
+    pair removed: the pairs ahead of that are unchanged and were passed
+    over.  It starts from the first loop again after the mixed stage, and
+    after a stage that removed the first loop.
     """
-    rest = list(cycle)
-    marked = sum(1 for label in rest if label in tree)
+    m = len(cycle)
+    nxt = [(i + 1) % m for i in range(m)]
+    prv = [(i - 1) % m for i in range(m)]
+    inside = [label in tree for label in cycle]
+    marked = sum(inside)
+    head = scan = 0
     steps: list[Step] = []
-    while len(rest) > 3:
-        m = len(rest)
+    while m > 3:
         mixed = marked % 2 == 1 and marked < m
-        i = next(
-            i for i in range(m)
-            if ((rest[i] in tree) != (rest[(i + 1) % m] in tree)) == mixed
-        )
-        pair = (rest[i], rest[(i + 1) % m])
-        for label in pair:
-            if label in tree:
+        i = scan
+        while (inside[i] != inside[nxt[i]]) != mixed:
+            i = nxt[i]
+        j = nxt[i]
+        for k in (i, j):
+            if inside[k]:
                 marked -= 1
-                steps.append(("delete_edge", label))
+                steps.append(("delete_edge", cycle[k]))
             else:
-                steps.append(("contract_edge", label))
-        rest = [label for label in rest if label not in pair]
+                steps.append(("contract_edge", cycle[k]))
+        before, after = prv[i], nxt[j]
+        nxt[before], prv[after] = after, before
+        m -= 2
+        restart = mixed or i == head
+        if head in (i, j):
+            head = after
+        scan = head if restart else before
     return steps, marked % 2 == 0
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .errors import UnknownLabel
-from .presentation import ArrowPresentation, _min_rotation, _trusted, arrow_slots
+from .presentation import ArrowPresentation, _min_rotation, _trusted
 from .surfaces import walk_arcs
 
 
@@ -36,18 +36,22 @@ def _splice(
     pres: ArrowPresentation, labels: set[str], dual: bool
 ) -> ArrowPresentation:
     """Open every edge of ``labels`` in one walk; the new curves take the
-    place of the first affected curve.  Untouched curves are reused as they
-    are, and only the new ones are rotation-normalized."""
+    place of the first affected curve.  One scan collects the slots of those
+    labels alone.  Untouched curves are reused as they are, and only the new
+    ones are rotation-normalized."""
     if not labels:
         return pres
-    slots = arrow_slots(pres)
-    missing = sorted(labels - slots.keys())
+    opened: dict[str, list[tuple[int, int]]] = {label: [] for label in labels}
+    for ci, curve in enumerate(pres.curves):
+        for pi, arrow in enumerate(curve):
+            if arrow.label in opened:
+                opened[arrow.label].append((ci, pi))
+    missing = sorted(label for label, pair in opened.items() if not pair)
     if missing:
         raise UnknownLabel(
             f"labels not present: {', '.join(missing)}" if dual
             else f"label {missing[0]!r} not present exactly twice"
         )
-    opened = {label: slots[label] for label in labels}
     affected = sorted({ci for pair in opened.values() for ci, _ in pair})
     new_curves = [
         _min_rotation(tuple(arrows))

@@ -1,0 +1,180 @@
+"""Two-colourings and shortest odd cycles of interlacement graphs.
+
+A ribbon graph represents a link exactly when, component by component, the
+interlacement graph of its spanning-tree partial dual is bipartite (see
+``links``).  When it is not, the certificate is built from a shortest odd
+cycle, which lies inside one biconnected block; this module finds the
+blocks and searches only those that hold an odd cycle.
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+from .errors import InternalInvariantViolation
+
+if TYPE_CHECKING:
+    from .links import IntersectionGraph
+
+
+def _two_colour(
+    graph: IntersectionGraph,
+) -> tuple[dict[str, int] | None, tuple[str, ...] | None]:
+    """Bipartition or a minimal odd cycle.
+
+    Colours each interlacement component from its smallest label (colour 0).
+    On success returns (colouring, None); otherwise (None, cycle) with the
+    shortest odd cycle, ties broken lexicographically.  Every cycle lies in
+    one biconnected block, and a block holds an odd cycle exactly when one
+    of its edges joins two vertices of one colour, so only those blocks are
+    searched, and the least (length, cycle) over them is the answer.  A
+    block with as many edges as vertices is a chordless cycle, read off
+    directly from its least vertex towards its smaller neighbour.
+    """
+    adj: dict[str, list[str]] = {v: [] for v in graph.vertices}
+    for a, b in graph.edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    for lst in adj.values():
+        lst.sort()
+    colour: dict[str, int] = {}
+    clashes: set[tuple[str, str]] = set()
+    for root in graph.vertices:
+        if root in colour:
+            continue
+        colour[root] = 0
+        frontier = [root]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for w in adj[v]:
+                    if w not in colour:
+                        colour[w] = colour[v] ^ 1
+                        nxt.append(w)
+                    elif colour[w] == colour[v]:
+                        clashes.add((v, w) if v < w else (w, v))
+            frontier = nxt
+    if not clashes:
+        return colour, None
+    best: tuple[str, ...] | None = None
+    for block in _blocks(adj):
+        if clashes.isdisjoint((a, b) if a < b else (b, a) for a, b in block):
+            continue
+        sub: dict[str, list[str]] = {}
+        for a, b in block:
+            sub.setdefault(a, []).append(b)
+            sub.setdefault(b, []).append(a)
+        if len(block) == len(sub):
+            cycle = [min(sub)]
+            here = min(sub[cycle[0]])
+            while here != cycle[0]:
+                prev = cycle[-1]
+                cycle.append(here)
+                a, b = sub[here]
+                here = b if a == prev else a
+            found = tuple(cycle)
+        else:
+            for lst in sub.values():
+                lst.sort()
+            found = _shortest_odd_cycle(sub)
+        if best is None or (len(found), found) < (len(best), best):
+            best = found
+    return None, best
+
+
+def _blocks(adj: dict[str, list[str]]) -> list[list[tuple[str, str]]]:
+    """The biconnected blocks of a simple graph, each as a list of its edges.
+
+    Hopcroft and Tarjan's depth-first search, with an explicit stack since
+    interlacement graphs can have thousands of vertices: each edge is
+    pushed when first met, and when a child w of v reaches no vertex above
+    v, the edges pushed since the tree edge (v, w) form one block.
+    """
+    disc: dict[str, int] = {}
+    low: dict[str, int] = {}
+    blocks: list[list[tuple[str, str]]] = []
+    for root in adj:
+        if root in disc:
+            continue
+        disc[root] = low[root] = len(disc)
+        edges: list[tuple[str, str]] = []
+        stack = [(root, None, iter(adj[root]))]
+        while stack:
+            v, parent, todo = stack[-1]
+            for w in todo:
+                if w not in disc:
+                    disc[w] = low[w] = len(disc)
+                    edges.append((v, w))
+                    stack.append((w, v, iter(adj[w])))
+                    break
+                if w != parent and disc[w] < disc[v]:
+                    edges.append((v, w))
+                    low[v] = min(low[v], disc[w])
+            else:
+                stack.pop()
+                if parent is not None:
+                    low[parent] = min(low[parent], low[v])
+                    if low[v] >= disc[parent]:
+                        block = []
+                        while not block or block[-1] != (parent, v):
+                            block.append(edges.pop())
+                        blocks.append(block)
+    return blocks
+
+
+def _parity_distances(
+    adj: dict[str, list[str]], start: str, limit: int | None
+) -> dict[tuple[str, int], int]:
+    """BFS on the parity double cover of the subgraph on vertices >= start.
+
+    Maps (vertex, parity) to the length of the shortest walk from ``start``
+    of that parity.  Stops once (start, 1) is reached, or before walks of
+    length ``limit``; every state closer than the stopping depth is present.
+    """
+    dist = {(start, 0): 0}
+    frontier = [(start, 0)]
+    depth = 0
+    while frontier and (start, 1) not in dist:
+        depth += 1
+        if limit is not None and depth >= limit:
+            break
+        nxt = []
+        for v, p in frontier:
+            for w in adj[v]:
+                state = (w, p ^ 1)
+                if w >= start and state not in dist:
+                    dist[state] = depth
+                    nxt.append(state)
+        frontier = nxt
+    return dist
+
+
+def _shortest_odd_cycle(adj: dict[str, list[str]]) -> tuple[str, ...]:
+    """The lexicographically least shortest odd cycle of a non-bipartite graph.
+
+    ``_two_colour`` calls it on one biconnected block at a time.  One parity
+    BFS per start vertex s, on the vertices >= s, finds the shortest odd
+    closed walk through s (Itai & Rodeh style, O(V(V+E))); the
+    least s reaching the global minimum length L starts the answer.  The
+    cycle is then grown greedily from s: each step takes the smallest
+    neighbour w > s from which a walk of the remaining length and parity
+    returns to s.  A closed odd walk of the minimum odd length is a simple
+    cycle, so the greedy walk is the least cycle in the old order: length
+    first, then the label sequence read from its least vertex.
+    """
+    best: tuple[int, str, dict[tuple[str, int], int]] | None = None
+    for start in sorted(adj):
+        dist = _parity_distances(adj, start, best[0] if best else None)
+        length = dist.get((start, 1))
+        if length is not None and (best is None or length < best[0]):
+            best = (length, start, dist)
+    if best is None:
+        raise InternalInvariantViolation("non-bipartite graph with no odd cycle")
+    length, start, dist = best
+    cycle = [start]
+    for remaining in range(length - 1, 0, -1):
+        cycle.append(next(
+            w for w in adj[cycle[-1]]
+            if w > start and dist.get((w, remaining % 2), length) <= remaining
+        ))
+    return tuple(cycle)

@@ -6,7 +6,7 @@ from importlib import resources
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ribbonforge import (
@@ -51,8 +51,8 @@ from ribbonforge.links import (
     IntersectionGraph,
     _bouquet_reduction,
     _spanning_piece_count,
-    _two_colour,
 )
+from ribbonforge.oddcycles import _shortest_odd_cycle, _two_colour
 from ribbonforge.presentation import arrow_slots, component_vertex_sets
 
 TORUS = from_words([["a", "b", "a", "b"]])
@@ -451,6 +451,48 @@ def test_odd_cycle_search_matches_path_search(graph):
     assert _two_colour(graph) == _two_colour_by_path_search(graph)
 
 
+@st.composite
+def _block_graphs(draw):
+    """Blocks glued at cut vertices or joined by bridges.
+
+    Each block is a cycle, odd or even, with a few chords, or a chordless
+    odd cycle of up to 41 vertices.  The vertices are renamed at random,
+    so that orders like "v10" < "v2" decide ties.
+    """
+    edges = set()
+    count = 0
+    for _ in range(draw(st.integers(1, 5))):
+        chordless = draw(st.booleans())
+        size = 2 * draw(st.integers(1, 20)) + 1 if chordless else draw(st.integers(3, 9))
+        if count and draw(st.booleans()):
+            ring = [draw(st.integers(0, count - 1))] + list(range(count, count + size - 1))
+        else:
+            ring = list(range(count, count + size))
+            if count:
+                edges.add((draw(st.integers(0, count - 1)), count))
+        count = max(count, ring[-1] + 1)
+        edges |= {(ring[i - 1], ring[i]) for i in range(size)}
+        if not chordless:
+            chords = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))
+            edges |= {(ring[a], ring[b]) for a, b in draw(st.lists(chords, max_size=4))}
+    names = [f"v{i}" for i in draw(st.permutations(range(count)))]
+    pairs = frozenset(
+        tuple(sorted((names[a], names[b]))) for a, b in edges if a != b
+    )
+    return IntersectionGraph(tuple(sorted(names)), pairs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_block_graphs())
+def test_block_search_matches_the_all_vertex_search(graph):
+    # on the whole graph, _shortest_odd_cycle is the former search from
+    # every vertex; the block search must pick the very same cycle
+    colouring, cycle = _two_colour(graph)
+    assume(colouring is None)
+    adj = {v: graph.neighbours(v) for v in graph.vertices}
+    assert cycle == _shortest_odd_cycle(adj)
+
+
 def _pattern_of(verdict):
     return PATTERN[verdict.certificate_target]()
 
@@ -493,6 +535,43 @@ def test_bouquet_reduction_on_partial_duals_of_odd_bouquets():
         assert equivalent(replay(h, MinorScript(tuple(steps))), end)
         if not even:
             assert not has_minor(h, build_B(3))[0]
+
+
+def _bouquet_reduction_by_lists(cycle, tree):
+    """The reduction as first written, rebuilding the cycle list at every
+    stage and scanning it from the start: the oracle for the ring."""
+    rest = list(cycle)
+    marked = sum(1 for label in rest if label in tree)
+    steps = []
+    while len(rest) > 3:
+        m = len(rest)
+        mixed = marked % 2 == 1 and marked < m
+        i = next(
+            i for i in range(m)
+            if ((rest[i] in tree) != (rest[(i + 1) % m] in tree)) == mixed
+        )
+        pair = (rest[i], rest[(i + 1) % m])
+        for label in pair:
+            if label in tree:
+                marked -= 1
+                steps.append(("delete_edge", label))
+            else:
+                steps.append(("contract_edge", label))
+        rest = [label for label in rest if label not in pair]
+    return steps, marked % 2 == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 20), st.data())
+def test_bouquet_reduction_ring_matches_the_list_version(half, data):
+    # B_L^S for odd L <= 41: S is drawn at random, or the whole cycle
+    n = 2 * half + 1
+    _, cycle = _two_colour(intersection_graph(build_B(n)))
+    inside = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    if data.draw(st.booleans()):
+        inside = [True] * n
+    sub = {label for label, keep in zip(cycle, inside) if keep}
+    assert _bouquet_reduction(cycle, sub) == _bouquet_reduction_by_lists(cycle, sub)
 
 
 def _trimmed_search_target(g):

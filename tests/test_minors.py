@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ribbonforge import (
     EMPTY,
@@ -73,6 +75,109 @@ def test_replay_and_verified_script():
     assert ok.steps == script.steps
     with pytest.raises(InternalInvariantViolation):
         verified_script(g, (("delete_edge", "a"),), EMPTY)
+
+
+def _replay_step_by_step(pres, script):
+    """Replay one ``apply_step`` at a time, as it once was: the oracle."""
+    for step in script.steps:
+        pres = apply_step(pres, step)
+    return pres
+
+
+def _splices_several(script):
+    """Whether replay contracts two or more edges in one splice: a run of
+    contractions with no vertex deletion anywhere after it."""
+    ops = [op for op, _ in script.steps]
+    return any(
+        ops[i] == ops[i + 1] == "contract_edge" and "delete_vertex" not in ops[i:]
+        for i in range(len(ops) - 1)
+    )
+
+
+@st.composite
+def _scripted_graphs(draw):
+    """A random graph and a valid script of mixed runs, built step by step."""
+    g = random_ribbon_graph(draw(st.integers(3, 12)), draw(st.integers(0, 10**6)))
+    cur, steps = g, []
+    for _ in range(draw(st.integers(1, 6))):
+        kinds = ["delete_edge", "contract_edge"] if cur.edge_count else []
+        kinds += ["delete_vertex"] if cur.isolated_vertices() else []
+        if not kinds:
+            break
+        kind = draw(st.sampled_from(kinds))
+        for _ in range(draw(st.integers(1, 4))):
+            args = cur.isolated_vertices() if kind == "delete_vertex" else cur.labels()
+            if not args:
+                break
+            step = (kind, draw(st.sampled_from(args)))
+            steps.append(step)
+            cur = apply_step(cur, step)
+    return g, MinorScript(tuple(steps))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scripted_graphs())
+def test_replay_by_runs_matches_step_by_step(case):
+    g, script = case
+    expected = _replay_step_by_step(g, script)
+    result = replay(g, script)
+    if _splices_several(script):
+        assert equivalent(result, expected, 12)
+    else:
+        assert result == expected
+
+
+def test_extract_genus_minor_scripts_replay_as_step_by_step():
+    rng = random.Random("extract-runs")
+    spliced = whole = 0
+    for i in range(120):
+        g = random_ribbon_graph(rng.randint(1, 7), f"runs-{i}")
+        genus = euler_genus(g)
+        for t in range(genus):
+            if is_orientable(g) and (genus - t) % 2:
+                continue
+            script = extract_genus_minor(g, t)
+            expected = _replay_step_by_step(g, script)
+            if _splices_several(script):
+                spliced += 1
+                assert equivalent(replay(g, script), expected, 7)
+            else:
+                whole += 1
+                assert replay(g, script) == expected
+    assert spliced and whole
+
+
+_RUNS_GRAPH = from_words([["a", "b", "a", "b"], ["c", "d"], ["c", "d"], []])
+
+
+@pytest.mark.parametrize("steps", [
+    [("frobnicate", "a")],
+    [("delete_edge", "a"), ("frobnicate", "b")],
+    [("delete_edge", "zz")],
+    [("delete_edge", "a"), ("delete_edge", "b"), ("delete_edge", "a")],
+    [("contract_edge", "c"), ("contract_edge", "zz"), ("contract_edge", "yy")],
+    [("contract_edge", "a"), ("contract_edge", "a")],
+    [("delete_edge", "a"), ("contract_edge", "a")],
+    [("delete_vertex", 0)],
+    [("delete_vertex", 4)],
+    [("delete_vertex", -1)],
+    [("delete_vertex", 3), ("delete_vertex", 3)],
+    [("delete_edge", "c"), ("delete_edge", "d"),
+     ("delete_vertex", 2), ("delete_vertex", 1), ("delete_vertex", 1),
+     ("delete_vertex", 1)],
+    [("contract_edge", "c"), ("contract_edge", "d"), ("delete_vertex", 0)],
+    [("delete_edge",)],
+    [("delete_edge", ["a"])],
+    [("delete_vertex", "0")],
+])
+def test_bad_scripts_raise_as_step_by_step(steps):
+    script = MinorScript(tuple(steps))
+    with pytest.raises(Exception) as expected:
+        _replay_step_by_step(_RUNS_GRAPH, script)
+    with pytest.raises(Exception) as got:
+        replay(_RUNS_GRAPH, script)
+    assert type(got.value) is type(expected.value)
+    assert str(got.value) == str(expected.value)
 
 
 def test_one_step_minors_cover_all_operations():
