@@ -13,12 +13,14 @@ labels are numbered by first occurrence and each edge's first arrow is read
 Keys are computed per connected component and joined sorted, which is valid
 because equivalences map components to components.  Isolated vertices key as
 ``()`` with no lookup and sort first, since every other component key starts
-with a digit.  The rest of the graph is keyed whole: the cached component key
-checks connectivity on a miss and refuses a disconnected input, handing back
-the parts that its own spanning forest found, so a connected graph is never
-split and a disconnected one has its curve graph walked once.  The
-minor search, which makes most calls, never builds the same set of
-operations twice, so it keys each of those sets once.
+with a digit.  The rest of the graph is keyed whole: on a miss the cached
+component key builds one slot table (see ``presentation``), which serves
+both its connectivity check and its chains, and refuses a disconnected
+input, handing back the parts that the table's curve graph found.  So a
+connected graph is never split and a disconnected one has its curve graph
+walked once, then each part once more for its own table.  The minor
+search, which makes most calls, never builds the same set of operations
+twice, so it keys each of those sets once.
 
 Within a component only the first curve read is a choice.  After it, some
 unread curve carries the second arrow of a label already numbered; let m be
@@ -34,9 +36,13 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import InternalInvariantViolation
 from .limits import CANONICAL_MAX_EDGES, check_size
-from .presentation import ArrowPresentation, arrow_slots, curve_forest
+from .presentation import (
+    ArrowPresentation,
+    _curve_roots,
+    _group_by_root,
+    _slot_table,
+)
 
 
 def _curve_variants(curve, backward):
@@ -58,8 +64,6 @@ def _render(variant, assign, pending, bound=None):
     for label, along in variant:
         if label in pending:
             code = 2 * assign[label] + (along == pending.pop(label))
-        elif label in assign:
-            raise InternalInvariantViolation(f"label {label!r} seen more than twice")
         else:
             code = 2 * len(assign) + 1
             assign[label] = len(assign)
@@ -88,17 +92,17 @@ class _Disconnected(Exception):
 @lru_cache(maxsize=1 << 18)
 def _component_key(pres: ArrowPresentation) -> bytes:
     curves = pres.curves
-    if pres.edge_count == 0:
+    table = _slot_table(pres)
+    if not table.label:
         return b"()" * len(curves)
-    slots = {}
     if len(curves) > 1:
-        slots = arrow_slots(pres)
-        forest = curve_forest(pres, slots)
-        if any(forest.root):  # a curve not reached from curve 0
+        root, _ = _curve_roots(table)
+        if any(root):  # a curve not reached from curve 0
             raise _Disconnected([
                 ArrowPresentation(tuple(curves[i] for i in comp))
-                for comp in forest.components()
+                for comp in _group_by_root(root)
             ])
+    start, curve_of, mate = table.start, table.curve, table.mate
 
     backward = [tuple((lab, not along) for lab, along in reversed(c)) for c in curves]
     # the least first readings, each with the relabelling it leaves
@@ -127,7 +131,11 @@ def _component_key(pres: ArrowPresentation) -> bytes:
         for level in range(1, len(curves)):
             # read from the unread arrow of the least pending label, so it gets flag 0
             least = min(pending, key=assign.__getitem__)
-            ci, pos = next((c, p) for c, p in slots[least] if c not in used)
+            s = table.first[least]
+            if curve_of[s] in used:
+                s = mate[s]
+            ci = curve_of[s]
+            pos = s - start[ci]
             curve = curves[ci]
             if curve[pos].along != pending[least]:
                 variant = curve[pos:] + curve[:pos]

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .errors import UnknownLabel
-from .presentation import ArrowPresentation, _min_rotation, _trusted
+from .presentation import ArrowPresentation, _min_rotation, _slot_table, _trusted
 from .surfaces import walk_arcs
 
 
@@ -36,26 +36,24 @@ def _splice(
     pres: ArrowPresentation, labels: set[str], dual: bool
 ) -> ArrowPresentation:
     """Open every edge of ``labels`` in one walk; the new curves take the
-    place of the first affected curve.  One scan collects the slots of those
-    labels alone.  Untouched curves are reused as they are, and only the new
+    place of the first affected curve.  The slot table finds the slots of
+    those labels.  Untouched curves are reused as they are, and only the new
     ones are rotation-normalized."""
     if not labels:
         return pres
-    opened: dict[str, list[tuple[int, int]]] = {label: [] for label in labels}
-    for ci, curve in enumerate(pres.curves):
-        for pi, arrow in enumerate(curve):
-            if arrow.label in opened:
-                opened[arrow.label].append((ci, pi))
-    missing = sorted(label for label, pair in opened.items() if not pair)
+    table = _slot_table(pres)
+    first, mate = table.first, table.mate
+    missing = sorted(label for label in labels if label not in first)
     if missing:
         raise UnknownLabel(
             f"labels not present: {', '.join(missing)}" if dual
             else f"label {missing[0]!r} not present exactly twice"
         )
-    affected = sorted({ci for pair in opened.values() for ci, _ in pair})
+    opened = [s for label in labels for s in (first[label], mate[first[label]])]
+    affected = sorted({table.curve[s] for s in opened})
     new_curves = [
         _min_rotation(tuple(arrows))
-        for _, arrows in walk_arcs(pres, affected, opened, dual)
+        for _, arrows in walk_arcs(table, affected, opened, dual)
     ]
     out: list = []
     hit = set(affected)

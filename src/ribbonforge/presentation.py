@@ -20,12 +20,23 @@ are rotation-normalized on construction, and equality is structural.  Input
 from outside the package is validated once, by ``presentation``; operations
 on a valid presentation build their results with ``_trusted``, which only
 rotates.
+
+Walks over a presentation read its *slot table* (``_slot_table``), built in
+one pass and never cached: the arrows are numbered curve by curve as slots
+0, 1, ..., and each slot records its curve, its direction, the next and
+previous slot on its curve, the *mate* slot carrying the same label, and
+its label.  An end of an arrow is the *dart* 2·slot + end (0 = tail,
+1 = head), so sorting darts sorts the (curve, position, end) nodes they
+stand for.  Building the table is also where a label on other than two
+arrows, which only a bug inside the package can produce, is caught.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
@@ -222,6 +233,95 @@ def underlying_edges(pres: ArrowPresentation) -> dict[str, tuple[int, int]]:
     return {label: (slots[label][0][0], slots[label][1][0]) for label in sorted(slots)}
 
 
+def _miscounted(label: str, count: int) -> InternalInvariantViolation:
+    return InternalInvariantViolation(
+        f"label {label!r} seen {'more' if count > 2 else 'less'} than twice"
+    )
+
+
+class _SlotTable(NamedTuple):
+    """The arrows of a presentation as slots numbered curve by curve.
+
+    Curve c holds slots ``start[c]`` to ``start[c + 1] - 1`` in reading
+    order.  Per slot: ``curve``, ``along`` (whether the arrow points along
+    its curve), ``nxt`` and ``prv`` (the next and previous slot on its curve),
+    ``mate`` (the other slot of its label), ``label`` and ``arrow`` itself.
+    ``first`` maps each label to its first slot.
+    """
+
+    start: list[int]
+    curve: list[int]
+    along: tuple[bool, ...]
+    nxt: list[int]
+    prv: list[int]
+    mate: list[int]
+    label: tuple[str, ...]
+    arrow: tuple[Arrow, ...]
+    first: dict[str, int]
+
+
+def _slot_table(pres: ArrowPresentation) -> _SlotTable:
+    """The slot table of ``pres``, in one pass over its arrows.
+
+    A label on other than two arrows raises ``InternalInvariantViolation``.
+    """
+    curves = pres.curves
+    start, curve = [0], []
+    for ci, arrows in enumerate(curves):
+        curve += [ci] * len(arrows)
+        start.append(len(curve))
+    n = len(curve)
+    arrow = tuple(chain.from_iterable(curves))
+    label, along = zip(*arrow) if n else ((), ())
+    nxt = list(range(1, n + 1))
+    prv = list(range(-1, n - 1))
+    for b, e in zip(start, start[1:]):
+        if b != e:
+            nxt[e - 1], prv[b] = b, e - 1
+    mate = list(range(n))
+    first: dict[str, int] = {}
+    for t, lab in enumerate(label):
+        u = first.setdefault(lab, t)
+        if u != t:
+            if mate[u] != u:
+                break
+            mate[u], mate[t] = t, u
+    else:
+        if 2 * len(first) == n:
+            return _SlotTable(start, curve, along, nxt, prv, mate, label, arrow, first)
+    # the first label, in order of first occurrence, on other than two arrows
+    raise next(_miscounted(lab, k) for lab, k in Counter(label).items() if k != 2)
+
+
+def _curve_roots(table: _SlotTable) -> tuple[list[int], bool]:
+    """The root (least curve) of each curve's component, and whether the
+    curves can be read so that every edge is untwisted, that is whether no
+    cycle of the curve graph, a loop included, has an odd number of twisted
+    edges."""
+    start, curve, along, mate = table.start, table.curve, table.along, table.mate
+    root = [-1] * (len(start) - 1)
+    side = root[:]
+    consistent = True
+    for r in range(len(root)):
+        if root[r] >= 0:
+            continue
+        root[r], side[r] = r, 0
+        stack = [r]
+        while stack:
+            c = stack.pop()
+            here = side[c]
+            for s in range(start[c], start[c + 1]):
+                t = mate[s]
+                w = curve[t]
+                wanted = here ^ along[s] ^ along[t]
+                if root[w] < 0:
+                    root[w], side[w] = r, wanted
+                    stack.append(w)
+                elif side[w] != wanted:
+                    consistent = False
+    return root, consistent
+
+
 class CurveForest(NamedTuple):
     """A breadth-first spanning forest of the curve graph.
 
@@ -241,10 +341,15 @@ class CurveForest(NamedTuple):
 
     def components(self) -> list[list[int]]:
         """Curve indices of each component, sorted, in root order."""
-        groups: dict[int, list[int]] = {}
-        for ci, r in enumerate(self.root):
-            groups.setdefault(r, []).append(ci)
-        return list(groups.values())
+        return _group_by_root(self.root)
+
+
+def _group_by_root(root: list[int]) -> list[list[int]]:
+    """Curve indices sharing each root, sorted, in order of least curve."""
+    groups: dict[int, list[int]] = {}
+    for ci, r in enumerate(root):
+        groups.setdefault(r, []).append(ci)
+    return list(groups.values())
 
 
 def curve_forest(
@@ -259,9 +364,7 @@ def curve_forest(
     incident: list[list[tuple[str, int]]] = [[] for _ in range(n)]
     for label, pair in slots.items():
         if len(pair) != 2:
-            raise InternalInvariantViolation(
-                f"label {label!r} seen {'more' if len(pair) > 2 else 'less'} than twice"
-            )
+            raise _miscounted(label, len(pair))
         (a, _), (b, _) = pair
         if a != b:
             incident[a].append((label, b))

@@ -1,24 +1,29 @@
 """The arc complex of a presentation: boundary, splices and orientability.
 
-Each arrow contributes two nodes, its tail and its head.  The *arc complex*
-of some curves joins them by the *plain arc* from each arrow to the next
-along its curve and by each arrow itself, from tail to head, except that an
-*opened* edge replaces its two arrows α and β by its two *free sides*, which
-join {head α, tail β} and {head β, tail α}.  Each node then lies on one plain
-arc and one *cross* arc, and ``walk_arcs`` walks the cycles in place.  Two
-walks of it do all the work on curves:
+Each arrow contributes two darts, its tail and its head, numbered from the
+slot table (see ``presentation``): dart 2·slot + end, with end 0 for the
+tail and 1 for the head.  The *arc complex* of some curves joins the darts
+by the *plain arc* from each arrow to the next along its curve and by each
+arrow itself, from tail to head, except that an *opened* edge replaces its
+two arrows α and β by its two *free sides*, which join {head α, tail β} and
+{head β, tail α}.  Each dart then lies on one plain arc and one *cross*
+arc, and ``walk_arcs`` walks the cycles in place.  Two walks of it do all
+the work on curves:
 
 - opening every edge of every curve gives the boundary of the surface: its
   cycles, plus one full circle for every curve with no arrows, are the
-  boundary components (``trace_boundary``);
+  boundary components (``trace_boundary``, which turns darts back into
+  (curve, position, end) nodes for its output);
 - opening a set of edges on the curves carrying them splices the set: the
   arrows met along each cycle form one new curve.  With bare free sides
   this contracts a single edge; when each free side carries a fresh arrow
   of its edge it is the partial dual at the whole set (see ``moves``).
 
 An edge is twisted when its two arrows point opposite ways.  The graph is
-orientable unless some cycle has an odd number of twisted edges, which
-``odd_twist_cycle`` finds on the breadth-first curve forest.
+orientable unless some cycle has an odd number of twisted edges.
+``surface_summary`` counts boundary components, connected components and
+orientability in one pass over one slot table; ``odd_twist_cycle`` finds
+such a cycle, for certificates, on the breadth-first curve forest.
 
 Euler's formula for a ribbon graph with v vertices, e edges, f boundary
 components and k connected components reads  v − e + f = 2k − γ  where γ is
@@ -29,14 +34,16 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import InternalInvariantViolation
 from .presentation import (
     Arrow,
     ArrowPresentation,
+    _curve_roots,
+    _slot_table,
+    _SlotTable,
     arrow_slots,
-    component_vertex_sets,
     curve_forest,
 )
 
@@ -46,70 +53,87 @@ Node = tuple[int, int, int]
 Walk = tuple
 
 
+def _node(table: _SlotTable, dart: int) -> Node:
+    """The (curve, position, end) node of a dart."""
+    slot = dart >> 1
+    ci = table.curve[slot]
+    return ci, slot - table.start[ci], dart & 1
+
+
 def walk_arcs(
-    pres: ArrowPresentation,
+    table: _SlotTable,
     curve_indices: Iterable[int],
-    opened: dict[str, Sequence[tuple[int, int]]],
+    opened: Iterable[int],
     sides_labelled: bool,
-) -> list[tuple[list[Node], list[Arrow]]]:
+) -> list[tuple[list[int], list[Arrow]]]:
     """The cycles of the arc complex of some curves with some edges opened.
 
-    ``opened`` maps each opened label to its two (curve, position) slots,
-    which must lie on the given curves and carry that label; its free sides
-    carry the label when ``sides_labelled`` is set.  A node's plain arc goes
-    to the previous or next arrow on its curve, and its cross arc to the
-    other end of its own arrow or, for an opened edge, along the free side
-    to the other slot; each cycle alternates the two.  Cycles start at the
-    least node not yet walked and leave it by the plain arc, except at the
-    entry node of a curve's first arrow when the curve has more than one
-    arrow and that edge is not opened: there it crosses first.  Each cycle
-    is returned as the nodes it passes and the arrows its labelled arcs
-    carry, each pointing the way the cycle runs along it.
+    ``opened`` lists the slots of the opened edges, both slots of each, on
+    the given curves; their free sides carry the label when
+    ``sides_labelled`` is set.  A dart's plain arc goes to the previous or
+    next arrow on its curve, and its cross arc to the other end of its own
+    arrow or, for an opened edge, along the free side to the mate slot;
+    each cycle alternates the two.  Cycles start at the least dart not yet
+    walked and leave it by the plain arc, except at the entry dart of a
+    curve's first arrow when the curve has more than one arrow and that
+    edge is not opened: there it crosses first.  Each cycle is returned as
+    the darts it passes and the arrows its labelled arcs carry, each
+    pointing the way the cycle runs along it.
     """
-    curves = pres.curves
+    start, curve, along, nxt, prv, mate, label, arrow, _ = table
     given = set(curve_indices)
-    partner: dict[tuple[int, int], tuple[int, int]] = {}
-    for label, (a, b) in opened.items():
-        if a == b or not all(
-            c in given and 0 <= p < len(curves[c]) and curves[c][p].label == label
-            for c, p in (a, b)
-        ):
-            raise InternalInvariantViolation(f"bad slots {a}, {b} for opened {label!r}")
-        partner[a], partner[b] = b, a
+    is_open = bytearray(len(curve))
+    opened = list(opened)
+    for s in opened:
+        if not 0 <= s < len(curve) or is_open[s] or curve[s] not in given:
+            raise InternalInvariantViolation(f"bad slot {s} for an opened edge")
+        is_open[s] = 1
+    for s in opened:
+        if not is_open[mate[s]]:
+            raise InternalInvariantViolation(f"slot {s} opened without its mate")
 
-    cycles: list[tuple[list[Node], list[Arrow]]] = []
-    seen: set[Node] = set()
+    cycles: list[tuple[list[int], list[Arrow]]] = []
+    seen = bytearray(2 * len(curve))
     for ci in sorted(given):
-        curve = curves[ci]
-        crosses_first = len(curve) > 1 and (ci, 0) not in partner
-        for start in ((ci, pi, end) for pi in range(len(curve)) for end in (0, 1)):
-            if start in seen:
+        b, e = start[ci], start[ci + 1]
+        entry = 2 * b + 1 - along[b] if e - b > 1 and not is_open[b] else -1
+        for first in range(2 * b, 2 * e):
+            if seen[first]:
                 continue
-            nodes, arrows, node = [], [], start
-            cross = crosses_first and start[1:] == (0, 1 - curve[0].along)
+            darts, arrows, d = [first], [], first
+            cross = first == entry
             while True:
-                seen.add(node)
-                nodes.append(node)
-                c, p, end = node
-                on = curves[c]
-                if cross and (c, p) in partner:
-                    if sides_labelled:
-                        arrows.append(Arrow(on[p].label, end == 1))
-                    node = (*partner[c, p], 1 - end)
-                elif cross:
-                    arrows.append(Arrow(on[p].label, end == 0))
-                    node = (c, p, 1 - end)
-                elif end == on[p].along:
+                seen[d] = 1
+                s = d >> 1
+                if cross:
+                    end = d & 1
+                    if is_open[s]:
+                        labelled, forward = sides_labelled, end == 1
+                        d = 2 * mate[s] + 1 - end
+                    else:
+                        labelled, forward = True, end == 0
+                        d ^= 1
+                    if labelled:
+                        # an arrow of the label that already points this way
+                        # is reused rather than built again
+                        m = mate[s]
+                        arrows.append(
+                            arrow[s] if along[s] == forward
+                            else arrow[m] if along[m] == forward
+                            else Arrow(label[s], forward)
+                        )
+                elif d & 1 == along[s]:
                     # an arrow along its curve is left at its head
-                    p = (p + 1) % len(on)
-                    node = (c, p, 0 if on[p].along else 1)
+                    t = nxt[s]
+                    d = 2 * t + 1 - along[t]
                 else:
-                    p = (p - 1) % len(on)
-                    node = (c, p, 1 if on[p].along else 0)
-                cross = not cross
-                if node == start:
+                    t = prv[s]
+                    d = 2 * t + along[t]
+                if d == first:
                     break
-            cycles.append((nodes, arrows))
+                darts.append(d)
+                cross = not cross
+            cycles.append((darts, arrows))
     return cycles
 
 
@@ -121,24 +145,60 @@ def trace_boundary(pres: ArrowPresentation):
     vertices) and ``edge_walks`` maps each label to the sorted pair of walk
     indices containing its two free sides.
     """
-    slots = arrow_slots(pres)
+    table = _slot_table(pres)
+    slots = range(len(table.curve))
     walks: list[Walk] = []
-    node_walk: dict[Node, int] = {}
-    for nodes, _ in walk_arcs(pres, range(len(pres.curves)), slots, False):
-        for node in nodes:
-            node_walk[node] = len(walks)
-        walks.append(tuple(nodes))
+    dart_walk = [0] * (2 * len(slots))
+    for darts, _ in walk_arcs(table, range(len(pres.curves)), slots, False):
+        for d in darts:
+            dart_walk[d] = len(walks)
+        walks.append(tuple(_node(table, d) for d in darts))
     walks.extend(("vertex", i) for i, curve in enumerate(pres.curves) if not curve)
+    mate = table.mate
     edge_walks = {
-        label: tuple(sorted(node_walk[ci, pi, 1] for ci, pi in slots[label]))
-        for label in sorted(slots)
+        label: tuple(sorted((dart_walk[2 * s + 1], dart_walk[2 * mate[s] + 1])))
+        for label, s in sorted(table.first.items())
     }
     return walks, edge_walks
 
 
+def _surface_pass(pres: ArrowPresentation) -> tuple[int, int, bool]:
+    """Boundary components, connected components and orientability, from
+    one slot table.
+
+    The boundary is the arc complex with every edge opened, so no curve
+    crosses first and each cycle is counted without being recorded; every
+    bare curve adds one more component of both kinds.
+    """
+    table = _slot_table(pres)
+    along, nxt, prv, mate = table.along, table.nxt, table.prv, table.mate
+    root, orientable = _curve_roots(table)
+    boundary = pres.curves.count(())
+    seen = bytearray(2 * len(mate))
+    for first in range(2 * len(mate)):
+        if seen[first]:
+            continue
+        boundary += 1
+        d = first
+        while True:
+            seen[d] = 1
+            s = d >> 1
+            if (d & 1) == along[s]:
+                t = nxt[s]
+                d = 2 * t + 1 - along[t]
+            else:
+                t = prv[s]
+                d = 2 * t + along[t]
+            seen[d] = 1
+            # the free side to the mate slot, at the other end
+            d = 2 * mate[d >> 1] + 1 - (d & 1)
+            if d == first:
+                break
+    return boundary, len(set(root)), orientable
+
+
 def boundary_component_count(pres: ArrowPresentation) -> int:
-    walks, _ = trace_boundary(pres)
-    return len(walks)
+    return _surface_pass(pres)[0]
 
 
 def _flips(
@@ -205,8 +265,12 @@ def odd_twist_cycle(pres: ArrowPresentation) -> tuple[list[str], str] | None:
 
 
 def is_orientable(pres: ArrowPresentation) -> bool:
-    """True unless some cycle, a twisted loop included, has odd twist."""
-    return odd_twist_cycle(pres) is None
+    """True unless some cycle, a twisted loop included, has odd twist.
+
+    Read from the slot table's curve pass, as ``surface_summary`` reads it,
+    without the boundary walk that only the summary needs.
+    """
+    return _curve_roots(_slot_table(pres))[1]
 
 
 @dataclass(frozen=True)
@@ -228,9 +292,7 @@ def surface_summary(pres: ArrowPresentation) -> SurfaceSummary:
     """Vertex/edge/boundary counts and genus, with Euler-formula sanity checks."""
     v = pres.vertex_count
     e = pres.edge_count
-    f = boundary_component_count(pres)
-    k = len(component_vertex_sets(pres))
-    orientable = is_orientable(pres)
+    f, k, orientable = _surface_pass(pres)
     euler_genus = 2 * k - v + e - f
     if euler_genus < 0:
         raise InternalInvariantViolation(

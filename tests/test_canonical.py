@@ -12,16 +12,18 @@ from ribbonforge import (
     SizeBoundExceeded,
     canonical,
     canonical_key,
+    contract_edge,
     disjoint_union,
     enumerate_presentations,
     equivalent,
     from_words,
+    partial_dual,
     random_ribbon_graph,
     surface_summary,
 )
 from ribbonforge.enumeration import _children, _layer
 from ribbonforge.minors import build_B
-from ribbonforge.presentation import Arrow, ArrowPresentation, components, curve_forest
+from ribbonforge.presentation import Arrow, ArrowPresentation, _slot_table, components
 
 
 def test_rotation_reversal_and_relabeling_are_invisible():
@@ -248,6 +250,23 @@ def test_a_label_on_three_arrows_is_an_internal_error(curves):
     assert err.value.exit_code == 3
 
 
+def _built_directly(curves):
+    # past validation, as only a bug inside the package could build it
+    return ArrowPresentation(
+        tuple(tuple(Arrow(label, True) for label in curve) for curve in curves)
+    )
+
+
+# every entry point that reads the slot table, and the spanning forest's split
+MISCOUNT_CALLS = (
+    canonical_key,
+    components,
+    surface_summary,
+    lambda g: partial_dual(g, {"a"}),
+    lambda g: contract_edge(g, "a"),
+)
+
+
 @pytest.mark.parametrize(
     "curves",
     [
@@ -258,37 +277,56 @@ def test_a_label_on_three_arrows_is_an_internal_error(curves):
     ],
 )
 def test_keys_and_splits_refuse_a_label_on_three_arrows_alike(curves):
-    broken = ArrowPresentation(
-        tuple(tuple(Arrow(label, True) for label in curve) for curve in curves)
-    )
-    for call in (canonical_key, components):
-        with pytest.raises(InternalInvariantViolation, match="seen more than twice"):
+    broken = _built_directly(curves)
+    for call in MISCOUNT_CALLS:
+        with pytest.raises(InternalInvariantViolation, match="seen more than twice") as e:
             call(broken)
+        assert e.value.exit_code == 3
+
+
+@pytest.mark.parametrize(
+    "curves",
+    [
+        [["a", "b", "a"]],
+        [["a", "b"], ["a"]],
+        [["a", "a"], ["b"], []],
+        [["b"]],
+    ],
+)
+def test_every_entry_point_refuses_a_label_on_one_arrow(curves):
+    broken = _built_directly(curves)
+    for call in MISCOUNT_CALLS:
+        with pytest.raises(InternalInvariantViolation, match="'b' seen less than") as e:
+            call(broken)
+        assert e.value.exit_code == 3
 
 
 def test_connected_graphs_are_keyed_without_splitting(monkeypatch):
-    # count spanning forests built anywhere, splitting into components included
-    forests = []
+    # count slot tables built anywhere; each one walks the curve graph once
+    tables = []
 
-    def counted(pres, slots):
-        forests.append(pres)
-        return curve_forest(pres, slots)
+    def counted(pres):
+        tables.append(pres)
+        return _slot_table(pres)
 
     for module in (canonical, import_module("ribbonforge.presentation")):
-        monkeypatch.setattr(module, "curve_forest", counted)
+        monkeypatch.setattr(module, "_slot_table", counted)
     g = random_ribbon_graph(8, "w6")
     assert g.vertex_count > 1 and len(components(g)) == 1
     canonical._component_key.cache_clear()
-    forests.clear()
+    tables.clear()
     with_bare = from_words(g.words() + [[], []])
     assert canonical_key(with_bare) == b"();();" + canonical_key(g)
-    assert forests == [g]
+    assert tables == [g]
     # isolated vertices key with no lookup at all
     canonical._component_key.cache_clear()
     assert canonical_key(from_words([[], [], []])) == b"();();()"
     assert canonical._component_key.cache_info().misses == 0
-    # a disconnected rest is split into the parts its one forest found
+    # a disconnected rest is split into the parts its one table found, and
+    # each part's one table serves both its connectivity check and its chains
     both = disjoint_union(g, g)
-    forests.clear()
+    canonical._component_key.cache_clear()
+    tables.clear()
     assert canonical_key(both, 16) == canonical_key(g) + b";" + canonical_key(g)
-    assert forests.count(both) == 1
+    assert tables.count(both) == 1
+    assert len(tables) == 3 and all(t.vertex_count == 6 for t in tables[1:])

@@ -1,18 +1,28 @@
-"""Byte identity of keys, verdicts and minor scans over every 4-edge class.
+"""Byte identity of what refactors of the core must leave unchanged.
 
-One digest covers what refactors of the core must leave unchanged: the
-canonical key, the ``represents_link`` verdict with its certificate, and
-the excluded-minor scripts of each class, in enumeration order.
+One digest covers the canonical key, the ``represents_link`` verdict with
+its certificate, and the excluded-minor scripts of every 4-edge class, in
+enumeration order.  A second covers boundary walks, surface summaries,
+contraction and partial-dual words and verdicts on a wider set of graphs.
 """
 
 import hashlib
 import json
+import random
 
 from ribbonforge import (
+    build_B,
     canonical_key,
+    contract_edge,
+    disjoint_union,
     enumerate_presentations,
     excluded_minor_scan,
+    from_words,
+    partial_dual,
+    random_ribbon_graph,
     represents_link,
+    surface_summary,
+    trace_boundary,
 )
 
 DIGEST = "93c8aa62d30cdb6eff063dfd2c18aacdefa174e1c96b40d6252de0d56b4b53cd"
@@ -27,3 +37,44 @@ def test_four_edge_classes_are_byte_identical():
         for record in (verdict, scan):
             h.update((json.dumps(record, sort_keys=True) + "\n").encode())
     assert h.hexdigest() == DIGEST
+
+
+# Covers the arc walk and the surface pass: boundary walks, summaries,
+# splice and partial-dual words and verdicts, on small classes, random
+# graphs (some with bare vertices or in parts) and bouquets.
+WALK_DIGEST = "7415faa00fb86762f51aab0026607d342cb2b011bb8bccdcc657d45be6ac7774"
+
+
+def _walk_graphs():
+    yield from enumerate_presentations(4)
+    rng = random.Random("walk-identity")
+    for i in range(600):
+        g = random_ribbon_graph(rng.randint(0, 10), f"wi-{i}")
+        if i % 5 == 1:
+            g = from_words(g.words() + [[]])
+        elif i % 5 == 2:
+            g = disjoint_union(g, random_ribbon_graph(rng.randint(1, 4), f"wj-{i}"))
+        yield g
+    for n in (5, 21, 101):
+        yield build_B(n)
+
+
+def test_walks_summaries_and_splices_are_byte_identical():
+    rng = random.Random("walk-identity-sets")
+    h = hashlib.sha256()
+    for g in _walk_graphs():
+        labels = g.labels()
+        walks, edge_walks = trace_boundary(g)
+        subset = sorted(l for l in labels if rng.random() < 0.5)
+        record = {
+            "words": g.words(),
+            "walks": [list(w) for w in walks],
+            "edge_walks": {l: list(pair) for l, pair in edge_walks.items()},
+            "summary": surface_summary(g).as_dict(),
+            "contract": [contract_edge(g, l).words() for l in labels],
+            "dual": [partial_dual(g, {l}).words() for l in labels],
+            "dual_set": partial_dual(g, subset).words(),
+            "verdict": represents_link(g).as_dict(),
+        }
+        h.update((json.dumps(record, sort_keys=True) + "\n").encode())
+    assert h.hexdigest() == WALK_DIGEST

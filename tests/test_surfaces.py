@@ -4,6 +4,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ribbonforge import (
     EMPTY,
@@ -13,6 +15,7 @@ from ribbonforge import (
     build_B,
     build_Bbar1,
     build_theta_t,
+    disjoint_union,
     equivalent,
     euler_genus,
     from_words,
@@ -24,8 +27,8 @@ from ribbonforge import (
     trace_boundary,
     twists,
 )
-from ribbonforge.presentation import arrow_slots
-from ribbonforge.surfaces import odd_twist_cycle, walk_arcs
+from ribbonforge.presentation import _slot_table, arrow_slots, curve_forest
+from ribbonforge.surfaces import _node, odd_twist_cycle, walk_arcs
 
 # (words, vertices, edges, boundary, euler_genus, orientable) — hand-traced
 FROZEN = [
@@ -145,6 +148,17 @@ def openings(pres, rng):
         yield range(len(pres.curves)), opened
 
 
+def node_walk_arcs(pres, curve_indices, opened, sides_labelled):
+    """``walk_arcs`` called with (curve, position) slots, its darts read
+    back as (curve, position, end) nodes, to compare with the oracle."""
+    table = _slot_table(pres)
+    slots = [table.start[c] + p for pair in opened.values() for c, p in pair]
+    return [
+        ([_node(table, d) for d in darts], arrows)
+        for darts, arrows in walk_arcs(table, curve_indices, slots, sides_labelled)
+    ]
+
+
 def test_walk_matches_the_arc_list_oracle():
     rng = random.Random("walk-oracle")
     graphs = [random_ribbon_graph(1 + i % 12, f"wo-{i}") for i in range(300)]
@@ -157,7 +171,8 @@ def test_walk_matches_the_arc_list_oracle():
         for curves, opened in openings(g, rng):
             for sides in (False, True):
                 expected = reference_walk_arcs(g, curves, opened, sides)
-                assert walk_arcs(g, curves, opened, sides) == expected, g.words()
+                got = node_walk_arcs(g, curves, opened, sides)
+                assert got == expected, g.words()
 
 
 def test_walk_refuses_malformed_openings():
@@ -165,12 +180,50 @@ def test_walk_refuses_malformed_openings():
     slots = arrow_slots(g)
     assert slots["b"] == [(0, 2), (1, 0)]
     with pytest.raises(InternalInvariantViolation):
-        walk_arcs(g, [0], {"b": slots["b"]}, False)  # slot on curve 1
+        node_walk_arcs(g, [0], {"b": slots["b"]}, False)  # slot on curve 1
     with pytest.raises(InternalInvariantViolation):
-        walk_arcs(g, [0, 1], {"b": [(0, 0), (1, 0)]}, False)  # (0, 0) is "a"
+        node_walk_arcs(g, [0, 1], {"b": [(0, 0), (1, 0)]}, False)  # (0, 0) is "a"
     with pytest.raises(InternalInvariantViolation):
-        walk_arcs(g, [0, 1], {"b": [(0, 2), (0, 2)]}, False)  # one slot twice
-    assert walk_arcs(g, [0, 1], {"b": slots["b"]}, False)
+        node_walk_arcs(g, [0, 1], {"b": [(0, 2), (0, 2)]}, False)  # one slot twice
+    opened = {"b": slots["b"]}
+    assert node_walk_arcs(g, [0, 1], opened, False) == reference_walk_arcs(
+        g, [0, 1], opened, False
+    )
+
+
+@st.composite
+def _summary_graphs(draw):
+    kind = draw(st.sampled_from(["random", "bare", "union", "bouquet dual"]))
+    seed = draw(st.integers(0, 10**6))
+    if kind == "random":
+        return random_ribbon_graph(draw(st.integers(0, 32)), seed)
+    if kind == "bare":
+        return from_words([[]] * draw(st.integers(1, 4)))
+    if kind == "union":
+        sizes = draw(st.lists(st.integers(0, 8), min_size=3, max_size=3))
+        return disjoint_union(
+            *(random_ribbon_graph(n, f"{seed}-{i}") for i, n in enumerate(sizes))
+        )
+    bouquet = build_B(101)
+    rng = random.Random(seed)
+    return partial_dual(bouquet, rng.sample(bouquet.labels(), rng.randint(0, 101)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_summary_graphs())
+def test_one_pass_summary_matches_the_tuple_path(g):
+    # f from the arc-list walk, k from the spanning forest, orientability
+    # from the odd-twist cycle search: none of them reads the slot table
+    slots = arrow_slots(g)
+    cycles = reference_walk_arcs(g, range(g.vertex_count), slots, False)
+    f = len(cycles) + g.curves.count(())
+    k = len(curve_forest(g, slots).components())
+    s = surface_summary(g)
+    assert (s.boundary, s.components, s.orientable) == (
+        f, k, odd_twist_cycle(g) is None
+    ), g.words()
+    assert boundary_component_count(g) == f
+    assert is_orientable(g) == s.orientable
 
 
 def test_twists_and_orientability():
