@@ -39,13 +39,13 @@ from .moves import partial_dual
 from .presentation import (
     Arrow,
     ArrowPresentation,
+    _curve_roots,
+    _group_by_root,
+    _slot_table,
     _trusted,
-    arrow_slots,
     component_count,
-    components,
     curve_forest,
     restriction,
-    spanning_tree,
 )
 from .oddcycles import _two_colour
 from .surfaces import is_orientable, surface_summary
@@ -235,36 +235,33 @@ def intersection_graph(pres: ArrowPresentation) -> IntersectionGraph:
 # -- plane-biseparations ------------------------------------------------------
 
 
+def _spanning(pres: ArrowPresentation, side: set[str]) -> list[int]:
+    """The component root of every vertex in the spanning subgraph on an
+    edge side, every vertex kept."""
+    kept = _trusted([a for a in curve if a.label in side] for curve in pres.curves)
+    return _curve_roots(_slot_table(kept))[0]
+
+
 def is_separating_vertex(pres: ArrowPresentation, index: int) -> bool:
     """Whether the edges at a vertex split into two or more blocks.
 
     Each loop at the vertex is its own block; non-loop edges fall in the
     same block exactly when their far endpoints are connected after the
-    vertex is removed, that is, share a root in the curve forest of the
-    other edges.  Two or more blocks means the vertex separates.
+    vertex is removed, that is, share a root in the spanning subgraph on
+    the edges not at the vertex.  Two or more blocks means the vertex
+    separates.  A label on other than two arrows, which only a bug inside
+    the package can produce, raises ``InternalInvariantViolation``.
     """
     if not 0 <= index < len(pres.curves):
         raise UnknownVertex(f"no curve with index {index}")
-    slots = arrow_slots(pres)
-    loops = 0
-    far: set[int] = set()
-    others = {}
-    for label, ((a, _), (b, _)) in slots.items():
-        if index not in (a, b):
-            others[label] = slots[label]
-        elif a == b:
-            loops += 1
-        else:
-            far.add(a if b == index else b)
-    root = curve_forest(pres, others).root
-    return loops + len({root[w] for w in far}) >= 2
-
-
-def _spanning_piece_count(
-    pres: ArrowPresentation, slots: dict[str, list[tuple[int, int]]], side: set[str]
-) -> int:
-    """Components of the spanning subgraph on one edge side (all vertices kept)."""
-    return len(curve_forest(pres, {label: slots[label] for label in side}).components())
+    table = _slot_table(pres)
+    curve, mate, label = table.curve, table.mate, table.label
+    at = range(table.start[index], table.start[index + 1])
+    far = [curve[mate[s]] for s in at]
+    loops = far.count(index) // 2
+    others = set(table.first) - {label[s] for s in at}
+    root = _spanning(pres, others)
+    return loops + len({root[w] for w in far if w != index}) >= 2
 
 
 def defines_plane_biseparation(
@@ -289,9 +286,7 @@ def defines_plane_biseparation(
     for side in (chosen, rest):
         if surface_summary(restriction(pres, side)).euler_genus != 0:
             return False
-    slots = arrow_slots(pres)
-    pieces = _spanning_piece_count(pres, slots, chosen)
-    pieces += _spanning_piece_count(pres, slots, rest)
+    pieces = sum(len(set(_spanning(pres, side))) for side in (chosen, rest))
     return pieces == pres.vertex_count + component_count(pres)
 
 
@@ -444,8 +439,12 @@ def represents_link(
             certificate_target="bbar1" if cert else None,
         )
     witness: list[str] = []
-    for comp in components(pres):
-        tree = spanning_tree(comp)
+    # each component's breadth-first tree in the whole graph's forest is
+    # its own ``spanning_tree``: the incidence is ordered by label first
+    forest = curve_forest(_slot_table(pres))
+    for group in _group_by_root(forest.root):
+        comp = ArrowPresentation(tuple(pres.curves[i] for i in group))
+        tree = tuple(sorted(forest.label[i] for i in group[1:]))
         bouquet = partial_dual(comp, set(tree))
         if len(bouquet.curves) != 1:
             raise InternalInvariantViolation(

@@ -30,8 +30,8 @@ from .limits import MINOR_SEARCH_MAX_EDGES, MINOR_SEARCH_MEMO_LIMIT, check_size
 from .moves import _splice, contract_edge, delete_edge, partial_dual
 from .presentation import (
     ArrowPresentation,
+    _slot_table,
     _trusted,
-    arrow_slots,
     components,
     curve_forest,
     delete_vertex,
@@ -538,7 +538,7 @@ def extract_genus_minor(pres: ArrowPresentation, target_genus: int) -> MinorScri
         )
     steps: list[Step] = []
     cur = pres
-    forest = curve_forest(pres, arrow_slots(pres))
+    forest = curve_forest(_slot_table(pres))
     for label in sorted(l for l in forest.label if l is not None):
         steps.append(("contract_edge", label))
         cur = contract_edge(cur, label)

@@ -21,14 +21,19 @@ from outside the package is validated once, by ``presentation``; operations
 on a valid presentation build their results with ``_trusted``, which only
 rotates.
 
-Walks over a presentation read its *slot table* (``_slot_table``), built in
-one pass and never cached: the arrows are numbered curve by curve as slots
-0, 1, ..., and each slot records its curve, its direction, the next and
-previous slot on its curve, the *mate* slot carrying the same label, and
-its label.  An end of an arrow is the *dart* 2·slot + end (0 = tail,
-1 = head), so sorting darts sorts the (curve, position, end) nodes they
-stand for.  Building the table is also where a label on other than two
-arrows, which only a bug inside the package can produce, is caught.
+Everything read from the positions of arrows reads the *slot table*
+(``_slot_table``), the one index of them, built in one pass and never
+cached: the arrows are numbered curve by curve as slots 0, 1, ..., and each
+slot records its curve, its direction, the next and previous slot on its
+curve, the *mate* slot carrying the same label, and its label.  An end of
+an arrow is the *dart* 2·slot + end (0 = tail, 1 = head), so sorting darts
+sorts the (curve, position, end) nodes they stand for.  Building the table
+is also where a label on other than two arrows, which only a bug inside the
+package can produce, is caught.  Two passes over the curve graph read the
+table: ``_curve_roots`` gives each curve's component root and the twist
+parity, behind components, their counts and orientability;
+``curve_forest`` gives the breadth-first trees, for spanning trees and the
+cycles of certificates.
 """
 
 from __future__ import annotations
@@ -218,21 +223,6 @@ def serialize_arp(pres: ArrowPresentation) -> str:
 # -- graph-level structure -------------------------------------------------
 
 
-def arrow_slots(pres: ArrowPresentation) -> dict[str, list[tuple[int, int]]]:
-    """label -> its two (curve, position) slots in reading order, in one pass."""
-    slots: dict[str, list[tuple[int, int]]] = {}
-    for ci, curve in enumerate(pres.curves):
-        for pi, arrow in enumerate(curve):
-            slots.setdefault(arrow.label, []).append((ci, pi))
-    return slots
-
-
-def underlying_edges(pres: ArrowPresentation) -> dict[str, tuple[int, int]]:
-    """label -> (curve, curve) incidence map of the underlying multigraph."""
-    slots = arrow_slots(pres)
-    return {label: (slots[label][0][0], slots[label][1][0]) for label in sorted(slots)}
-
-
 def _miscounted(label: str, count: int) -> InternalInvariantViolation:
     return InternalInvariantViolation(
         f"label {label!r} seen {'more' if count > 2 else 'less'} than twice"
@@ -322,6 +312,15 @@ def _curve_roots(table: _SlotTable) -> tuple[list[int], bool]:
     return root, consistent
 
 
+def underlying_edges(pres: ArrowPresentation) -> dict[str, tuple[int, int]]:
+    """label -> (curve, curve) incidence map of the underlying multigraph."""
+    table = _slot_table(pres)
+    curve, mate = table.curve, table.mate
+    return {
+        label: (curve[s], curve[mate[s]]) for label, s in sorted(table.first.items())
+    }
+
+
 class CurveForest(NamedTuple):
     """A breadth-first spanning forest of the curve graph.
 
@@ -339,10 +338,6 @@ class CurveForest(NamedTuple):
     label: list[str | None]
     incident: list[list[tuple[str, int]]]
 
-    def components(self) -> list[list[int]]:
-        """Curve indices of each component, sorted, in root order."""
-        return _group_by_root(self.root)
-
 
 def _group_by_root(root: list[int]) -> list[list[int]]:
     """Curve indices sharing each root, sorted, in order of least curve."""
@@ -352,23 +347,14 @@ def _group_by_root(root: list[int]) -> list[list[int]]:
     return list(groups.values())
 
 
-def curve_forest(
-    pres: ArrowPresentation, slots: dict[str, list[tuple[int, int]]]
-) -> CurveForest:
-    """The breadth-first forest of ``pres``, given its ``arrow_slots``.
-
-    A label on other than two arrows can only come from a bug inside the
-    package, and raises ``InternalInvariantViolation``.
-    """
-    n = len(pres.curves)
+def curve_forest(table: _SlotTable) -> CurveForest:
+    """The breadth-first forest of the presentation whose slot table is given."""
+    curve, mate, label = table.curve, table.mate, table.label
+    n = len(table.start) - 1
     incident: list[list[tuple[str, int]]] = [[] for _ in range(n)]
-    for label, pair in slots.items():
-        if len(pair) != 2:
-            raise _miscounted(label, len(pair))
-        (a, _), (b, _) = pair
-        if a != b:
-            incident[a].append((label, b))
-            incident[b].append((label, a))
+    for s, t in enumerate(mate):
+        if curve[s] != curve[t]:
+            incident[curve[s]].append((label[s], curve[t]))
     for lst in incident:
         lst.sort()
     root = [-1] * n
@@ -384,20 +370,20 @@ def curve_forest(
         while i < len(order):
             v = order[i]
             i += 1
-            for label, w in incident[v]:
+            for lab, w in incident[v]:
                 if root[w] < 0:
-                    root[w], parent[w], tree_label[w] = r, v, label
+                    root[w], parent[w], tree_label[w] = r, v, lab
                     order.append(w)
     return CurveForest(order, root, parent, tree_label, incident)
 
 
 def component_vertex_sets(pres: ArrowPresentation) -> list[set[int]]:
     """Vertex sets of connected components, each sorted by smallest member."""
-    return [set(c) for c in curve_forest(pres, arrow_slots(pres)).components()]
+    return [set(c) for c in _group_by_root(_curve_roots(_slot_table(pres))[0])]
 
 
 def component_count(pres: ArrowPresentation) -> int:
-    return len(component_vertex_sets(pres))
+    return len(set(_curve_roots(_slot_table(pres))[0]))
 
 
 def components(pres: ArrowPresentation) -> list[ArrowPresentation]:
@@ -406,10 +392,10 @@ def components(pres: ArrowPresentation) -> list[ArrowPresentation]:
     The curves are already rotation-normalized and no label crosses
     components, so the parts are built without validating them again.
     """
-    forest = curve_forest(pres, arrow_slots(pres))
+    root, _ = _curve_roots(_slot_table(pres))
     return [
         ArrowPresentation(tuple(pres.curves[i] for i in comp))
-        for comp in forest.components()
+        for comp in _group_by_root(root)
     ]
 
 
@@ -454,7 +440,7 @@ def spanning_tree(pres: ArrowPresentation) -> tuple[str, ...]:
     """
     if not pres.curves:
         raise NotConnected("empty presentation has no spanning tree")
-    forest = curve_forest(pres, arrow_slots(pres))
+    forest = curve_forest(_slot_table(pres))
     if any(r != 0 for r in forest.root):
         raise NotConnected("presentation is not connected")
     return tuple(sorted(label for label in forest.label if label is not None))

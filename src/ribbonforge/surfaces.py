@@ -19,11 +19,12 @@ the work on curves:
   this contracts a single edge; when each free side carries a fresh arrow
   of its edge it is the partial dual at the whole set (see ``moves``).
 
-An edge is twisted when its two arrows point opposite ways.  The graph is
-orientable unless some cycle has an odd number of twisted edges.
-``surface_summary`` counts boundary components, connected components and
-orientability in one pass over one slot table; ``odd_twist_cycle`` finds
-such a cycle, for certificates, on the breadth-first curve forest.
+An edge is twisted when its two arrows point opposite ways.  The graph
+is orientable unless some cycle has an odd number of twisted edges.
+``surface_summary`` counts boundary components, and reads connected
+components and orientability from ``_curve_roots``, all over one slot
+table; ``odd_twist_cycle`` finds such a cycle, for certificates, on the
+breadth-first ``curve_forest`` of the same kind of table.
 
 Euler's formula for a ribbon graph with v vertices, e edges, f boundary
 components and k connected components reads  v − e + f = 2k − γ  where γ is
@@ -41,9 +42,9 @@ from .presentation import (
     Arrow,
     ArrowPresentation,
     _curve_roots,
+    _group_by_root,
     _slot_table,
     _SlotTable,
-    arrow_slots,
     curve_forest,
 )
 
@@ -201,17 +202,6 @@ def boundary_component_count(pres: ArrowPresentation) -> int:
     return _surface_pass(pres)[0]
 
 
-def _flips(
-    pres: ArrowPresentation, slots: dict[str, list[tuple[int, int]]]
-) -> dict[str, bool]:
-    """label -> whether the edge's two arrows point opposite ways."""
-    curves = pres.curves
-    return {
-        label: curves[c1][p1].along != curves[c2][p2].along
-        for label, ((c1, p1), (c2, p2)) in slots.items()
-    }
-
-
 def twists(pres: ArrowPresentation) -> dict[str, int]:
     """Edge twist signs: +1 if the two arrows agree in direction, else -1.
 
@@ -219,8 +209,12 @@ def twists(pres: ArrowPresentation) -> dict[str, int]:
     curve backwards toggles the sign of every non-loop edge at it, which is
     exactly the gauge freedom the orientability test quotients out.
     """
-    flips = _flips(pres, arrow_slots(pres))
-    return {label: -1 if flips[label] else 1 for label in sorted(flips)}
+    table = _slot_table(pres)
+    along, mate = table.along, table.mate
+    return {
+        label: 1 if along[s] == along[mate[s]] else -1
+        for label, s in sorted(table.first.items())
+    }
 
 
 def odd_twist_cycle(pres: ArrowPresentation) -> tuple[list[str], str] | None:
@@ -234,23 +228,22 @@ def odd_twist_cycle(pres: ArrowPresentation) -> tuple[list[str], str] | None:
     chain runs up the tree from v to where the root paths of v and w meet
     and down to w.
     """
-    slots = arrow_slots(pres)
-    flips = _flips(pres, slots)
-    loops = sorted(
-        label for label, ((c1, _), (c2, _)) in slots.items()
-        if c1 == c2 and flips[label]
-    )
+    table = _slot_table(pres)
+    curve, along, mate, label = table.curve, table.along, table.mate, table.label
+    twisted = {label[s] for s, t in enumerate(mate) if along[s] != along[t]}
+    loops = [label[s] for s, t in enumerate(mate) if curve[s] == curve[t]]
+    loops = twisted.intersection(loops)
     if loops:
-        return [], loops[0]
-    forest = curve_forest(pres, slots)
+        return [], min(loops)
+    forest = curve_forest(table)
     parity = [False] * len(pres.curves)
     for v in forest.order:
         if forest.label[v] is not None:
-            parity[v] = parity[forest.parent[v]] ^ flips[forest.label[v]]
-    for comp in forest.components():
+            parity[v] = parity[forest.parent[v]] ^ (forest.label[v] in twisted)
+    for comp in _group_by_root(forest.root):
         for v in comp:
-            for label, w in forest.incident[v]:
-                if w > v and parity[v] ^ parity[w] ^ flips[label]:
+            for lab, w in forest.incident[v]:
+                if w > v and parity[v] ^ parity[w] ^ (lab in twisted):
                     up, down = [v], [w]
                     for path in (up, down):
                         while forest.parent[path[-1]] != path[-1]:
@@ -260,7 +253,7 @@ def odd_twist_cycle(pres: ArrowPresentation) -> tuple[list[str], str] | None:
                         down.pop()
                     chain = [forest.label[x] for x in up[:-1]]
                     chain += [forest.label[x] for x in reversed(down[:-1])]
-                    return chain, label
+                    return chain, lab
     return None
 
 

@@ -17,13 +17,17 @@ from ribbonforge import (
     enumerate_presentations,
     equivalent,
     from_words,
+    is_separating_vertex,
     partial_dual,
     random_ribbon_graph,
     surface_summary,
+    twists,
+    underlying_edges,
 )
 from ribbonforge.enumeration import _children, _layer
 from ribbonforge.minors import build_B
 from ribbonforge.presentation import Arrow, ArrowPresentation, _slot_table, components
+from ribbonforge.surfaces import odd_twist_cycle
 
 
 def test_rotation_reversal_and_relabeling_are_invisible():
@@ -264,6 +268,10 @@ MISCOUNT_CALLS = (
     surface_summary,
     lambda g: partial_dual(g, {"a"}),
     lambda g: contract_edge(g, "a"),
+    underlying_edges,
+    twists,
+    odd_twist_cycle,
+    lambda g: is_separating_vertex(g, 0),
 )
 
 

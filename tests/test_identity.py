@@ -4,6 +4,9 @@ One digest covers the canonical key, the ``represents_link`` verdict with
 its certificate, and the excluded-minor scripts of every 4-edge class, in
 enumeration order.  A second covers boundary walks, surface summaries,
 contraction and partial-dual words and verdicts on a wider set of graphs.
+A third covers what is read from the curve graph: incidence, twists,
+odd-twist cycles, components and their spanning trees, separating
+vertices and plane-biseparations.
 """
 
 import hashlib
@@ -13,17 +16,26 @@ import random
 from ribbonforge import (
     build_B,
     canonical_key,
+    component_count,
+    components,
     contract_edge,
+    defines_plane_biseparation,
     disjoint_union,
     enumerate_presentations,
     excluded_minor_scan,
     from_words,
+    is_separating_vertex,
     partial_dual,
     random_ribbon_graph,
     represents_link,
+    spanning_tree,
     surface_summary,
     trace_boundary,
+    twists,
+    underlying_edges,
 )
+from ribbonforge.presentation import component_vertex_sets
+from ribbonforge.surfaces import odd_twist_cycle
 
 DIGEST = "93c8aa62d30cdb6eff063dfd2c18aacdefa174e1c96b40d6252de0d56b4b53cd"
 
@@ -78,3 +90,51 @@ def test_walks_summaries_and_splices_are_byte_identical():
         }
         h.update((json.dumps(record, sort_keys=True) + "\n").encode())
     assert h.hexdigest() == WALK_DIGEST
+
+
+# Covers the curve graph readers on small classes, random graphs (some
+# with bare vertices or in parts) and bouquets; each graph's biseparation
+# check runs on seeded subsets and their complements.
+FOREST_DIGEST = "bd134b43776506f8f2a66388ae548c3d0b95920fbd78da7b851fd08cdf539ea8"
+
+
+def _forest_graphs():
+    yield from enumerate_presentations(3)
+    rng = random.Random("forest-identity")
+    for i in range(500):
+        g = random_ribbon_graph(rng.randint(0, 12), f"fi-{i}")
+        if i % 4 == 1:
+            g = from_words(g.words() + [[]])
+        elif i % 4 == 2:
+            g = disjoint_union(g, random_ribbon_graph(rng.randint(1, 4), f"fj-{i}"))
+        elif i % 4 == 3:
+            g = disjoint_union(from_words([[]]), g, from_words([["x", "x'"]]))
+        yield g
+    for n in (3, 5, 21):
+        yield build_B(n)
+
+
+def test_curve_graph_readings_are_byte_identical():
+    rng = random.Random("forest-identity-sets")
+    h = hashlib.sha256()
+    for g in _forest_graphs():
+        labels = set(g.labels())
+        parts = components(g)
+        subsets = [{l for l in sorted(labels) if rng.random() < 0.5} for _ in range(3)]
+        record = {
+            "words": g.words(),
+            "edges": underlying_edges(g),
+            "twists": twists(g),
+            "odd": odd_twist_cycle(g),
+            "components": [part.words() for part in parts],
+            "vertex_sets": [sorted(c) for c in component_vertex_sets(g)],
+            "count": component_count(g),
+            "trees": [spanning_tree(part) for part in parts],
+            "separating": [is_separating_vertex(g, v) for v in range(g.vertex_count)],
+            "bisep": [
+                [defines_plane_biseparation(g, side) for side in (sub, labels - sub)]
+                for sub in subsets
+            ],
+        }
+        h.update((json.dumps(record, sort_keys=True) + "\n").encode())
+    assert h.hexdigest() == FOREST_DIGEST

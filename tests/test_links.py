@@ -45,15 +45,9 @@ from ribbonforge import (
     restriction,
     serialize_pd,
     spanning_tree,
-    underlying_edges,
 )
-from ribbonforge.links import (
-    IntersectionGraph,
-    _bouquet_reduction,
-    _spanning_piece_count,
-)
+from ribbonforge.links import IntersectionGraph, _bouquet_reduction, _spanning
 from ribbonforge.oddcycles import _shortest_odd_cycle, _two_colour
-from ribbonforge.presentation import arrow_slots, component_vertex_sets
 
 TORUS = from_words([["a", "b", "a", "b"]])
 PATTERN = {
@@ -263,25 +257,18 @@ def test_biseparation_matches_plane_partial_duals():
             assert defines_plane_biseparation(g, sub) == expected
 
 
-def _separating_by_deletion(pres, index):
-    """Oracle: blocks read off the components of the graph minus the vertex."""
-    edges = underlying_edges(pres)
-    loops = sum(1 for a, b in edges.values() if a == b == index)
-    far = sorted(
-        {a if b == index else b
-         for a, b in edges.values() if (a == index) != (b == index)}
-    )
-    blocks = loops
-    if far:
-        remainder = component_vertex_sets(delete_vertex(pres, index))
-        shifted = [w - 1 if w > index else w for w in far]
-        blocks += len({next(i for i, comp in enumerate(remainder) if w in comp)
-                       for w in shifted})
-    return blocks >= 2
+def _curve_ends(pres):
+    """label -> the curves of its two arrows, read from the words."""
+    ends = {}
+    for ci, curve in enumerate(pres.curves):
+        for arrow in curve:
+            ends.setdefault(arrow.label, []).append(ci)
+    return ends
 
 
-def _pieces_by_union_find(pres, side):
-    """Oracle: components of the spanning subgraph on ``side``, by union-find."""
+def _roots_by_union_find(pres, side):
+    """Oracle: a representative of each vertex's component in the spanning
+    subgraph on ``side``, by union-find over the words."""
     parent = list(range(len(pres.curves)))
 
     def find(x):
@@ -290,11 +277,29 @@ def _pieces_by_union_find(pres, side):
             x = parent[x]
         return x
 
-    edges = underlying_edges(pres)
+    ends = _curve_ends(pres)
     for label in side:
-        a, b = edges[label]
+        a, b = ends[label]
         parent[find(a)] = find(b)
-    return len({find(i) for i in range(len(parent))})
+    return [find(i) for i in range(len(parent))]
+
+
+def _partition(root):
+    """The vertex sets sharing a root, as a comparable set."""
+    return {frozenset(v for v, r in enumerate(root) if r == x) for x in root}
+
+
+def _separating_by_deletion(pres, index):
+    """Oracle: blocks read off the components of the graph minus the vertex."""
+    edges = _curve_ends(pres).values()
+    loops = sum(1 for a, b in edges if a == b == index)
+    far = {a if b == index else b for a, b in edges if (a == index) != (b == index)}
+    blocks = loops
+    if far:
+        rest = delete_vertex(pres, index)
+        root = _roots_by_union_find(rest, rest.labels())
+        blocks += len({root[w - 1 if w > index else w] for w in far})
+    return blocks >= 2
 
 
 def _oracle_graphs():
@@ -308,13 +313,12 @@ def test_forest_readings_match_the_deletion_and_union_find_oracles():
     for g in _oracle_graphs():
         for v in range(len(g.curves)):
             assert is_separating_vertex(g, v) == _separating_by_deletion(g, v)
-        slots = arrow_slots(g)
         labels = set(g.labels())
         for _ in range(3):
             sub = {l for l in sorted(labels) if rng.random() < 0.5}
             for side in (sub, labels - sub):
-                assert _spanning_piece_count(g, slots, side) == (
-                    _pieces_by_union_find(g, side)
+                assert _partition(_spanning(g, side)) == _partition(
+                    _roots_by_union_find(g, side)
                 )
 
 

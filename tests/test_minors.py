@@ -35,9 +35,9 @@ from ribbonforge import (
     partial_dual,
     random_ribbon_graph,
     replay,
+    underlying_edges,
     verified_script,
 )
-from ribbonforge.presentation import arrow_slots
 
 
 def test_pattern_builders():
@@ -591,8 +591,7 @@ def test_delete_only_search_cannot_reach_b3_from_b5():
     while frontier:
         nxt = []
         for g in frontier:
-            slots = arrow_slots(g).items()
-            loops = {label for label, ((c1, _), (c2, _)) in slots if c1 == c2}
+            loops = {label for label, (a, b) in underlying_edges(g).items() if a == b}
             for key, (step, child) in one_step_minors(g, 8).items():
                 if step[0] == "contract_edge" and step[1] in loops:
                     continue

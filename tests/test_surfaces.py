@@ -27,7 +27,7 @@ from ribbonforge import (
     trace_boundary,
     twists,
 )
-from ribbonforge.presentation import _slot_table, arrow_slots, curve_forest
+from ribbonforge.presentation import _slot_table
 from ribbonforge.surfaces import _node, odd_twist_cycle, walk_arcs
 
 # (words, vertices, edges, boundary, euler_genus, orientable) — hand-traced
@@ -135,10 +135,19 @@ def reference_walk_arcs(pres, curve_indices, opened, sides_labelled):
     return cycles
 
 
+def _slots(pres):
+    """label -> its two (curve, position) slots in reading order."""
+    slots = {}
+    for ci, curve in enumerate(pres.curves):
+        for pi, arrow in enumerate(curve):
+            slots.setdefault(arrow.label, []).append((ci, pi))
+    return slots
+
+
 def openings(pres, rng):
     """Every edge of every curve opened, then seeded subsets, walked on the
     curves carrying them and on every curve."""
-    slots = arrow_slots(pres)
+    slots = _slots(pres)
     yield range(len(pres.curves)), slots
     labels = sorted(slots)
     for _ in range(3 if labels else 0):
@@ -177,7 +186,7 @@ def test_walk_matches_the_arc_list_oracle():
 
 def test_walk_refuses_malformed_openings():
     g = from_words([["a", "a", "b"], ["b"], ["c", "c"]])
-    slots = arrow_slots(g)
+    slots = _slots(g)
     assert slots["b"] == [(0, 2), (1, 0)]
     with pytest.raises(InternalInvariantViolation):
         node_walk_arcs(g, [0], {"b": slots["b"]}, False)  # slot on curve 1
@@ -212,12 +221,22 @@ def _summary_graphs(draw):
 @settings(max_examples=150, deadline=None)
 @given(_summary_graphs())
 def test_one_pass_summary_matches_the_tuple_path(g):
-    # f from the arc-list walk, k from the spanning forest, orientability
-    # from the odd-twist cycle search: none of them reads the slot table
-    slots = arrow_slots(g)
+    # f from the arc-list walk, k by union-find over the words,
+    # orientability from the odd-twist cycle search, which reads the
+    # breadth-first forest rather than the curve-root pass
+    slots = _slots(g)
     cycles = reference_walk_arcs(g, range(g.vertex_count), slots, False)
     f = len(cycles) + g.curves.count(())
-    k = len(curve_forest(g, slots).components())
+    parent = list(range(g.vertex_count))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for (c1, _), (c2, _) in slots.values():
+        parent[find(c1)] = find(c2)
+    k = len({find(c) for c in range(g.vertex_count)})
     s = surface_summary(g)
     assert (s.boundary, s.components, s.orientable) == (
         f, k, odd_twist_cycle(g) is None
