@@ -29,7 +29,10 @@ direction that gives it flag 0, begins with the pair (m, 0), below the first
 pair of every other reading: those begin with a larger number, with a new
 label (numbered above every old one) or with (m, 1).  So each least first
 reading fixes one chain of readings, and the key is the least of at most 4E
-chains for E edges.
+chains for E edges.  Every first reading begins with code 1.  Its second
+code is 0 or 1 when the next arrow carries the same label and 3 otherwise,
+and a one-arrow curve reads (1,), below every longer reading.  So only the
+readings that reach the least second code over all of them are rendered.
 """
 
 from __future__ import annotations
@@ -45,10 +48,17 @@ from .presentation import (
 )
 
 
-def _curve_variants(curve, backward):
-    """All distinct readings of one curve: the rotations of it and of its
-    ``backward`` reading (reversed, every arrow flipped)."""
-    return {b[r:] + b[:r] for b in (curve, backward) for r in range(len(curve))}
+def _readings(curve, backward, second, b, least):
+    """The readings of a curve, its first slot ``b``, whose ``second`` code
+    is ``least``: forward from such a slot, backward from the one after it."""
+    k, found = len(curve), []
+    for p in range(k):
+        if second[b + p] == least:
+            if not found:
+                forth, back = curve + curve, backward + backward
+            q = (k - 2 - p) % k
+            found += forth[p:p + k], back[q:q + k]
+    return found
 
 
 def _render(variant, assign, pending, bound=None):
@@ -102,9 +112,13 @@ def _component_key(pres: ArrowPresentation) -> bytes:
                 ArrowPresentation(tuple(curves[i] for i in comp))
                 for comp in _group_by_root(root)
             ])
-    start, curve_of, mate = table.start, table.curve, table.mate
+    start, curve_of, along, nxt, _, mate = table[:6]
 
-    backward = [tuple((lab, not along) for lab, along in reversed(c)) for c in curves]
+    backward = [tuple((lab, not fwd) for lab, fwd in reversed(c)) for c in curves]
+    # the second code of the reading forward from each slot; -1 reads (1,)
+    second = [-1 if t == s else along[s] == along[t] if t == mate[s] else 3
+              for s, t in enumerate(nxt)]
+    least = min(second)
     # the least first readings, each with the relabelling it leaves
     first = None
     starts = []
@@ -113,7 +127,7 @@ def _component_key(pres: ArrowPresentation) -> bytes:
         if curve in tried:
             continue
         tried.add(curve)
-        for variant in _curve_variants(curve, backward[ci]):
+        for variant in _readings(curve, backward[ci], second, start[ci], least):
             assign, pending = {}, {}
             piece = _render(variant, assign, pending, first)
             if piece is None:
@@ -173,7 +187,10 @@ def canonical_key(pres: ArrowPresentation, max_edges: int | None = None) -> byte
 def equivalent(
     a: ArrowPresentation, b: ArrowPresentation, max_edges: int | None = None
 ) -> bool:
-    """Whether two presentations describe equivalent ribbon graphs."""
+    """Whether two presentations describe equivalent ribbon graphs.  A bad
+    bound raises first; other sizes are never equivalent, even above it."""
+    check_size(0, CANONICAL_MAX_EDGES, max_edges, "canonical-form")
     if a.edge_count != b.edge_count or a.vertex_count != b.vertex_count:
         return False
-    return canonical_key(a, max_edges) == canonical_key(b, max_edges)
+    check_size(a.edge_count, CANONICAL_MAX_EDGES, max_edges, "canonical-form")
+    return a == b or canonical_key(a, max_edges) == canonical_key(b, max_edges)

@@ -22,18 +22,18 @@ on a valid presentation build their results with ``_trusted``, which only
 rotates.
 
 Everything read from the positions of arrows reads the *slot table*
-(``_slot_table``), the one index of them, built in one pass and never
-cached: the arrows are numbered curve by curve as slots 0, 1, ..., and each
-slot records its curve, its direction, the next and previous slot on its
-curve, the *mate* slot carrying the same label, and its label.  An end of
-an arrow is the *dart* 2·slot + end (0 = tail, 1 = head), so sorting darts
-sorts the (curve, position, end) nodes they stand for.  Building the table
-is also where a label on other than two arrows, which only a bug inside the
-package can produce, is caught.  Two passes over the curve graph read the
-table: ``_curve_roots`` gives each curve's component root and the twist
-parity, behind components, their counts and orientability;
-``curve_forest`` gives the breadth-first trees, for spanning trees and the
-cycles of certificates.
+(``_slot_table``), the one index of them, built in one pass and kept for
+the last four presentations asked for; no reader mutates one.  The arrows
+are numbered curve by curve as slots 0, 1, ..., and each slot records its
+curve, its direction, the next and previous slot on its curve, the *mate*
+slot carrying the same label, and its label.  An end of an arrow is the
+*dart* 2·slot + end (0 = tail, 1 = head), so sorting darts sorts the
+(curve, position, end) nodes they stand for.  A label on other than two
+arrows, which only a bug inside the package can produce, is caught by every
+build.  Two passes over the curve graph read the table: ``_curve_roots``
+gives each curve's component root and the twist parity, behind components,
+their counts and orientability; ``curve_forest`` gives the breadth-first
+trees, for spanning trees and the cycles of certificates.
 """
 
 from __future__ import annotations
@@ -250,11 +250,21 @@ class _SlotTable(NamedTuple):
     first: dict[str, int]
 
 
+_RECENT: tuple[tuple[ArrowPresentation, _SlotTable], ...] = ()
+
+
 def _slot_table(pres: ArrowPresentation) -> _SlotTable:
-    """The slot table of ``pres``, in one pass over its arrows.
+    """The slot table of ``pres``, kept if ``pres`` itself was among the
+    last four asked for (``_RECENT``, latest first), else built in one pass.
 
     A label on other than two arrows raises ``InternalInvariantViolation``.
     """
+    global _RECENT
+    recent = _RECENT  # replaced whole, never mutated, so threads can share it
+    for i, entry in enumerate(recent):
+        if entry[0] is pres:
+            _RECENT = (entry,) + recent[:i] + recent[i + 1:]
+            return entry[1]
     curves = pres.curves
     start, curve = [0], []
     for ci, arrows in enumerate(curves):
@@ -278,7 +288,9 @@ def _slot_table(pres: ArrowPresentation) -> _SlotTable:
             mate[u], mate[t] = t, u
     else:
         if 2 * len(first) == n:
-            return _SlotTable(start, curve, along, nxt, prv, mate, label, arrow, first)
+            table = _SlotTable(start, curve, along, nxt, prv, mate, label, arrow, first)
+            _RECENT = ((pres, table),) + recent[:3]
+            return table
     # the first label, in order of first occurrence, on other than two arrows
     raise next(_miscounted(lab, k) for lab, k in Counter(label).items() if k != 2)
 

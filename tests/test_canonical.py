@@ -5,10 +5,13 @@ import random
 from importlib import import_module
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ribbonforge import (
     EMPTY,
     InternalInvariantViolation,
+    RibbonError,
     SizeBoundExceeded,
     canonical,
     canonical_key,
@@ -125,6 +128,35 @@ def test_size_bound_is_enforced_and_overridable():
     assert canonical_key(big, max_edges=9)  # explicit override succeeds
 
 
+NINE = from_words([[f"e{i}" for i in range(9)] * 2])
+
+
+def test_identical_graphs_keep_every_refusal(monkeypatch):
+    # an equal pair is decided without keys, but only once the bound admits it
+    with pytest.raises(SizeBoundExceeded):
+        equivalent(NINE, NINE)
+    assert equivalent(NINE, NINE, max_edges=9)
+    monkeypatch.setenv("RIBBONFORGE_MAX_EDGES", "nine")
+    with pytest.raises(RibbonError, match="RIBBONFORGE_MAX_EDGES"):
+        equivalent(NINE, NINE)
+
+
+@pytest.mark.parametrize("other", [NINE, from_words([["a", "a"]])])
+def test_a_bad_bound_is_refused_whatever_the_sizes(monkeypatch, other):
+    with pytest.raises(RibbonError, match="max_edges must be >= 0"):
+        equivalent(NINE, other, max_edges=-1)
+    monkeypatch.setenv("RIBBONFORGE_MAX_EDGES", "0")
+    with pytest.raises(RibbonError, match="RIBBONFORGE_MAX_EDGES"):
+        equivalent(NINE, other)
+
+
+def test_other_sizes_are_inequivalent_even_above_the_bound():
+    # a replayed script above its target's size is wrong, not refused
+    small = from_words([["a", "a"]])
+    assert not equivalent(NINE, small)
+    assert not equivalent(NINE, small, max_edges=1)
+
+
 # -- the level-by-level search, kept as the oracle ---------------------------
 
 
@@ -220,21 +252,74 @@ def test_keys_of_the_four_edge_classes_are_frozen():
 
 
 def test_only_the_first_curve_read_is_searched(monkeypatch):
-    # after the first curve every reading is forced, so each distinct curve
-    # is expanded into its readings once, at the first level only
+    # after the first curve every reading is forced, so the level-0 reading
+    # pass takes each distinct curve once and no chain calls it again
     calls = []
-    variants = canonical._curve_variants
+    readings = canonical._readings
 
     def counted(curve, *rest):
         calls.append(curve)
-        return variants(curve, *rest)
+        return readings(curve, *rest)
 
-    monkeypatch.setattr(canonical, "_curve_variants", counted)
+    monkeypatch.setattr(canonical, "_readings", counted)
     g = random_ribbon_graph(8, "w6")
     assert len(components(g)) == 1 and len(set(g.curves)) == len(g.curves) == 6
     canonical._component_key.cache_clear()
     canonical_key(g)
     assert sorted(calls) == sorted(g.curves)
+    # two equal curves are one distinct curve
+    twins = from_words([["a", "b"], ["a", "b"]])
+    canonical._component_key.cache_clear()
+    calls.clear()
+    canonical_key(twins)
+    assert calls == [twins.curves[0]]
+
+
+def _curve_word(draw, labels, period=1):
+    # the labels in a drawn order with drawn flips, as tokens, repeated
+    word = draw(st.permutations(labels))
+    flips = draw(st.lists(st.booleans(), min_size=len(word), max_size=len(word)))
+    return [t + "'" if f else t for t, f in zip(word, flips)] * period
+
+
+@st.composite
+def _key_graphs(draw):
+    kind = draw(st.sampled_from(["random", "periodic", "lone", "bouquet"]))
+    seed = draw(st.integers(0, 10**6))
+    if kind == "random":
+        return random_ribbon_graph(draw(st.integers(1, 8)), seed)
+    if kind == "periodic":
+        # a b a b, a b c a b c, ...: rotations that read the same
+        k = draw(st.integers(1, 4))
+        return from_words([_curve_word(draw, [f"p{i}" for i in range(k)], 2)])
+    if kind == "bouquet":
+        n = draw(st.integers(1, 6))
+        return from_words([_curve_word(draw, [f"e{i}" for i in range(n)] * 2)])
+    # one-arrow curves read both ways, hung on the curves of a random graph
+    words = random_ribbon_graph(draw(st.integers(1, 5)), seed).words()
+    for i in range(draw(st.integers(1, 3))):
+        host = draw(st.integers(0, len(words) - 1))
+        at = draw(st.integers(0, len(words[host])))
+        label, flip = f"x{i}", "'" if draw(st.booleans()) else ""
+        words[host] = words[host][:at] + [label] + words[host][at:]
+        words.append([label + flip])
+    return from_words(words)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_key_graphs())
+@example(from_words([["a", "b", "a", "b"]]))
+@example(from_words([["a", "b", "c", "a", "b", "c"]]))
+@example(from_words([["a", "b'", "a", "b'"], ["c"], ["c"]]))
+@example(from_words([["a", "b", "b"], ["a"]]))
+@example(from_words([["a", "b", "b"], ["a'"]]))
+@example(from_words([["x"], ["x'"]]))
+@example(from_words([["x"], ["x"], ["y", "y'"]]))
+@example(from_words([["a", "b", "c", "a", "c", "b"]]))
+def test_filtered_first_readings_match_the_branch_and_bound_oracle(g):
+    for part in components(g):
+        got = canonical._component_key.__wrapped__(part)
+        assert got == reference_component_key(part), part.words()
 
 
 @pytest.mark.parametrize(

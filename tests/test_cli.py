@@ -266,6 +266,20 @@ def test_negative_max_edges_exits_2(arp, capsys):
     assert code == 2 and payload["error"]["type"] == "SizeBoundExceeded"
 
 
+@pytest.mark.parametrize("other", [TORUS, B1], ids=["same-sizes", "other-sizes"])
+def test_equivalent_refuses_a_bad_bound_whatever_the_sizes(
+    arp, capsys, monkeypatch, other
+):
+    path, other = arp(TORUS), arp(other, "h.arp")
+    code, payload = run_json(capsys, "equivalent", path, other, "--max-edges", "-1")
+    assert code == 2 and payload["error"]["type"] == "RibbonError"
+    assert "-1" in payload["error"]["message"]
+    monkeypatch.setenv("RIBBONFORGE_MAX_EDGES", "twelve")
+    code, payload = run_json(capsys, "equivalent", path, other)
+    assert code == 2 and payload["error"]["type"] == "RibbonError"
+    assert "RIBBONFORGE_MAX_EDGES" in payload["error"]["message"]
+
+
 def test_negative_enumeration_size_names_the_flag(capsys):
     code, payload = run_json(capsys, "enumerate", "-n", "-1")
     assert code == 2 and payload["error"]["type"] == "ParseError"

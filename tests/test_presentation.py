@@ -2,13 +2,17 @@
 
 import random
 import sys
+import threading
+from importlib import import_module
 
 import pytest
 
 from ribbonforge import (
     EMPTY,
     Arrow,
+    ArrowPresentation,
     EmptyLabelError,
+    InternalInvariantViolation,
     LabelCountError,
     NotConnected,
     ParseError,
@@ -33,7 +37,10 @@ from ribbonforge import (
     spanning_tree,
     underlying_edges,
 )
-from ribbonforge.presentation import _min_rotation
+from ribbonforge.presentation import _min_rotation, _slot_table
+
+# the module, which the package's ``presentation`` function shadows
+PRESENTATION = import_module("ribbonforge.presentation")
 
 
 def test_presentation_normalizes_rotation():
@@ -207,3 +214,68 @@ def test_operations_on_valid_presentations_are_not_revalidated(monkeypatch):
             if getattr(module, "presentation", None) is presentation:
                 monkeypatch.setattr(module, "presentation", refuse)
     assert [op() for op in operations] == expected
+
+
+# -- the ring of recent slot tables -------------------------------------------
+
+
+def test_recent_tables_match_fresh_builds_and_stay_four():
+    pool = [random_ribbon_graph(n, f"ring-{n}") for n in range(1, 8)]
+    pool.append(from_words([["a"], ["a"], []]))
+    # an equal but distinct presentation is another object, so it misses
+    fresh = [_slot_table(ArrowPresentation(g.curves)) for g in pool]
+    rng = random.Random("ring")
+    hits = 0
+    for i in [rng.randrange(len(pool)) for _ in range(400)]:
+        before = [entry[1] for entry in PRESENTATION._RECENT]
+        table = _slot_table(pool[i])
+        hits += any(table is t for t in before)
+        assert table == fresh[i]
+        assert len(PRESENTATION._RECENT) <= 4
+        assert PRESENTATION._RECENT[0][0] is pool[i]
+    assert 0 < hits < 400
+    assert _slot_table(pool[0]) is _slot_table(pool[0])
+    copy = ArrowPresentation(pool[0].curves)
+    assert _slot_table(copy) is not _slot_table(pool[0])
+
+
+@pytest.mark.parametrize("curves", [[["a", "a", "a"]], [["a", "b"], ["a"]]])
+def test_a_miscounted_table_raises_on_every_call_and_is_never_kept(curves):
+    broken = ArrowPresentation(
+        tuple(tuple(Arrow(label, True) for label in curve) for curve in curves)
+    )
+    for _ in range(3):
+        with pytest.raises(InternalInvariantViolation, match="seen"):
+            _slot_table(broken)
+        assert all(entry[0] is not broken for entry in PRESENTATION._RECENT)
+
+
+def test_threads_share_the_ring_safely():
+    pool = [random_ribbon_graph(n, f"threads-{n}") for n in range(1, 13)]
+    fresh = [_slot_table(ArrowPresentation(g.curves)) for g in pool]
+    wrong = []
+
+    def work(seed):
+        rng = random.Random(seed)
+        for _ in range(10000):
+            i = rng.randrange(len(pool))
+            try:
+                if _slot_table(pool[i]) != fresh[i]:
+                    wrong.append(i)
+            except Exception as error:  # a ring mutated under a reader
+                wrong.append(error)
+            if len(PRESENTATION._RECENT) > 4:
+                wrong.append("more than four tables kept")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
