@@ -56,7 +56,3 @@ class InternalInvariantViolation(RibbonError):
 
 class OrientabilityViolation(InternalInvariantViolation):
     """A state graph built from a diagram came out non-orientable."""
-
-
-class ClaimViolation(InternalInvariantViolation):
-    """The genus-reduction step found no edge with the promised property."""

@@ -20,7 +20,6 @@ from typing import Callable, Iterable
 from .canonical import canonical_key, equivalent
 from .enumeration import enumerate_presentations
 from .errors import (
-    ClaimViolation,
     InternalInvariantViolation,
     RibbonError,
     SizeBoundExceeded,
@@ -28,21 +27,8 @@ from .errors import (
 )
 from .limits import MINOR_SEARCH_MAX_EDGES, MINOR_SEARCH_MEMO_LIMIT, check_size
 from .moves import _splice, contract_edge, delete_edge, partial_dual
-from .presentation import (
-    ArrowPresentation,
-    _slot_table,
-    _trusted,
-    components,
-    curve_forest,
-    delete_vertex,
-    from_words,
-)
-from .surfaces import (
-    is_orientable,
-    odd_twist_cycle,
-    surface_summary,
-    trace_boundary,
-)
+from .presentation import ArrowPresentation, _trusted, delete_vertex, from_words
+from .surfaces import is_orientable, odd_twist_cycle, surface_summary
 
 Step = tuple  # ("delete_edge", label) | ("contract_edge", label) | ("delete_vertex", i)
 
@@ -400,153 +386,6 @@ def excluded_minor_scan(
         if script is not None:
             found[name] = script
     return found
-
-
-# -- genus reduction --------------------------------------------------------
-
-
-def _delete_two_walk_edges(
-    pres: ArrowPresentation, steps: list[Step]
-) -> ArrowPresentation:
-    """Delete boundary-merging edges, then isolated vertices; genus is kept.
-
-    An edge whose two free sides lie on distinct boundary walks can be
-    deleted without changing the Euler genus (the two walks merge).  Repeats
-    until every component has one boundary walk, then drops bare vertices.
-    """
-    before = surface_summary(pres).euler_genus
-    while True:
-        _, edge_walks = trace_boundary(pres)
-        mergers = sorted(l for l, (w1, w2) in edge_walks.items() if w1 != w2)
-        if not mergers:
-            break
-        steps.append(("delete_edge", mergers[0]))
-        pres = delete_edge(pres, mergers[0])
-    for idx in sorted(pres.isolated_vertices(), reverse=True):
-        steps.append(("delete_vertex", idx))
-        pres = delete_vertex(pres, idx)
-    after = surface_summary(pres)
-    if after.euler_genus != before:
-        raise InternalInvariantViolation("boundary-merging deletion changed genus")
-    if after.boundary != after.components:
-        raise InternalInvariantViolation(
-            "component left with several boundary walks and no mergeable edge"
-        )
-    return pres
-
-
-def _lower_to_genus(
-    start: ArrowPresentation, target: int, key_bound: int
-) -> tuple[Step, ...]:
-    """Deletion steps taking a one-boundary bouquet union to an exact genus.
-
-    Depth-first search over normalized deletion minors.  Children are tried
-    in the greedy order (orientable-component edge for a drop of two, then
-    boundary-preserving edges of non-orientable components for a drop of
-    one, then the remaining deletions), so when greedy choices suffice the
-    script matches them, and the search backtracks only when an early
-    deletion would strand the target behind the orientable parity wall.
-    Every expanded state with a non-orientable component must offer a
-    boundary-preserving deletion in that component; a miss is reported as
-    ClaimViolation, never repaired silently.
-    """
-    seen: set[bytes] = set()
-
-    def visit(state: ArrowPresentation, genus: int) -> tuple[Step, ...] | None:
-        if genus == target:
-            return ()
-        if genus < target:
-            return None
-        if is_orientable(state) and (genus - target) % 2:
-            return None  # deletions move an all-orientable genus in twos
-        key = canonical_key(state, max_edges=key_bound)
-        if key in seen:
-            return None
-        seen.add(key)
-        deficit = genus - target
-        candidates = []
-        for comp in components(state):
-            orientable = is_orientable(comp)
-            drop_one_seen = False
-            for label in comp.labels():
-                extra: list[Step] = []
-                child = _delete_two_walk_edges(delete_edge(state, label), extra)
-                child_genus = surface_summary(child).euler_genus
-                drop = genus - child_genus
-                if orientable:
-                    if drop != 2:
-                        raise InternalInvariantViolation(
-                            "deleting an edge of an orientable one-boundary "
-                            f"bouquet changed the Euler genus by {drop}, not 2"
-                        )
-                    rank = 0 if deficit >= 2 else 3
-                elif drop == 1:
-                    drop_one_seen = True
-                    rank = 1
-                elif drop == 2:
-                    rank = 2
-                else:
-                    raise InternalInvariantViolation(
-                        f"an edge deletion changed the Euler genus by {drop}"
-                    )
-                steps_here = (("delete_edge", label), *extra)
-                candidates.append((rank, label, child, child_genus, steps_here))
-            if not orientable and not drop_one_seen:
-                raise ClaimViolation(
-                    "non-orientable one-boundary bouquet with no "
-                    "boundary-preserving edge deletion"
-                )
-        for _, _, child, child_genus, steps_here in sorted(
-            candidates, key=lambda c: (c[0], c[1])
-        ):
-            tail = visit(child, child_genus)
-            if tail is not None:
-                return steps_here + tail
-        return None
-
-    found = visit(start, surface_summary(start).euler_genus)
-    if found is None:
-        if is_orientable(start):
-            raise RibbonError(
-                "target genus unreachable: all components orientable, "
-                "so the Euler genus can only change in steps of two"
-            )
-        raise RibbonError(f"no deletion minor of Euler genus {target}")
-    return found
-
-
-def extract_genus_minor(pres: ArrowPresentation, target_genus: int) -> MinorScript:
-    """A minor of prescribed Euler genus, by the tree-contract-and-trim plan.
-
-    Contract a spanning tree in each component, delete boundary-merging
-    edges until every component is a one-boundary bouquet, then lower the
-    genus one deletion at a time: an edge of an orientable component drops
-    it by two, and a non-orientable component always contains an edge whose
-    deletion keeps the boundary connected, dropping it by one.  The latter
-    existence claim is checked by exhaustive search and its failure is
-    reported as ClaimViolation, never repaired silently.  When the greedy
-    choice of deletion would make the exact target unreachable (dropping
-    the last non-orientable component with an odd deficit left), the search
-    backtracks and picks a different edge.
-    """
-    if target_genus < 0:
-        raise RibbonError("target Euler genus must be >= 0")
-    start = surface_summary(pres).euler_genus
-    if start <= target_genus:
-        raise RibbonError(
-            f"graph has Euler genus {start}, already <= target {target_genus}"
-        )
-    steps: list[Step] = []
-    cur = pres
-    forest = curve_forest(_slot_table(pres))
-    for label in sorted(l for l in forest.label if l is not None):
-        steps.append(("contract_edge", label))
-        cur = contract_edge(cur, label)
-    if surface_summary(cur).euler_genus != start:
-        raise InternalInvariantViolation("spanning-tree contraction changed genus")
-    cur = _delete_two_walk_edges(cur, steps)
-    steps.extend(_lower_to_genus(cur, target_genus, max(pres.edge_count, 1)))
-    return MinorScript(tuple(steps))
 
 
 # -- one-boundary bouquet families ------------------------------------------

@@ -1,4 +1,4 @@
-"""Minor scripts, containment search, genus extraction, obstruction families."""
+"""Minor scripts, run replay, containment search, obstruction families."""
 
 import random
 
@@ -19,7 +19,6 @@ from ribbonforge import (
     build_Bbar1,
     build_theta_t,
     canonical_key,
-    components,
     contract_edge,
     delete_edge,
     disjoint_union,
@@ -27,7 +26,6 @@ from ribbonforge import (
     equivalent,
     euler_genus,
     excluded_minor_scan,
-    extract_genus_minor,
     from_words,
     has_minor,
     is_orientable,
@@ -118,7 +116,10 @@ def _scripted_graphs(draw):
 @settings(max_examples=200, deadline=None)
 @given(_scripted_graphs())
 def test_replay_by_runs_matches_step_by_step(case):
-    g, script = case
+    _assert_replays_as_step_by_step(*case)
+
+
+def _assert_replays_as_step_by_step(g, script):
     expected = _replay_step_by_step(g, script)
     result = replay(g, script)
     if _splices_several(script):
@@ -127,27 +128,27 @@ def test_replay_by_runs_matches_step_by_step(case):
         assert result == expected
 
 
-def test_extract_genus_minor_scripts_replay_as_step_by_step():
-    rng = random.Random("extract-runs")
-    spliced = whole = 0
-    for i in range(120):
-        g = random_ribbon_graph(rng.randint(1, 7), f"runs-{i}")
-        genus = euler_genus(g)
-        for t in range(genus):
-            if is_orientable(g) and (genus - t) % 2:
-                continue
-            script = extract_genus_minor(g, t)
-            expected = _replay_step_by_step(g, script)
-            if _splices_several(script):
-                spliced += 1
-                assert equivalent(replay(g, script), expected, 7)
-            else:
-                whole += 1
-                assert replay(g, script) == expected
-    assert spliced and whole
-
-
 _RUNS_GRAPH = from_words([["a", "b", "a", "b"], ["c", "d"], ["c", "d"], []])
+
+
+# Three trivial loops: splicing a and b at once leaves c on curve 0, while
+# contracting them one at a time leaves it on curve 1.
+_LOOPS = from_words([["a", "a", "b", "b", "c", "c"]])
+
+
+@pytest.mark.parametrize("steps, spliced", [
+    # one contraction run, spliced as a whole: equivalent, not equal
+    ([("contract_edge", "a"), ("contract_edge", "b")], True),
+    # a vertex deletion after the run names a curve of the edge-by-edge result
+    ([("contract_edge", "a"), ("contract_edge", "b"), ("delete_vertex", 0)], False),
+])
+def test_fixed_scripts_take_both_replay_branches(steps, spliced):
+    script = MinorScript(tuple(steps))
+    assert _splices_several(script) is spliced
+    _assert_replays_as_step_by_step(_LOOPS, script)
+    # the branch taken shows: only the splice moves loop c to another curve
+    same = replay(_LOOPS, script) == _replay_step_by_step(_LOOPS, script)
+    assert same is not spliced
 
 
 @pytest.mark.parametrize("steps", [
@@ -603,50 +604,6 @@ def test_delete_only_search_cannot_reach_b3_from_b5():
         frontier = nxt
     # while the unrestricted search does reach it
     assert has_minor(build_B(5), build_B(3), max_edges=8)[0]
-
-
-def test_extract_genus_minor_orientable():
-    torus = from_words([["a", "b", "a", "b"]])
-    script = extract_genus_minor(torus, 0)
-    end = replay(torus, script)
-    assert euler_genus(end) == 0
-    with pytest.raises(RibbonError):
-        extract_genus_minor(torus, 1)  # orientable graphs move in steps of two
-    with pytest.raises(RibbonError):
-        extract_genus_minor(torus, 2)  # already there
-    with pytest.raises(RibbonError):
-        extract_genus_minor(torus, -1)
-
-
-def test_extract_genus_minor_backtracks_past_parity_trap():
-    # the only boundary-preserving deletion kills the twisted loop, so the
-    # greedy step order alone would strand the odd target behind parity
-    g = from_words([["t", "t'", "a", "b", "a", "b"]])
-    script = extract_genus_minor(g, 1)
-    end = replay(g, script)
-    assert equivalent(end, build_Bbar1())
-
-
-def test_extract_genus_minor_across_components():
-    g = disjoint_union(build_Bbar1(), build_Bbar1())
-    end = replay(g, extract_genus_minor(g, 1))
-    assert equivalent(end, build_Bbar1())
-
-
-def test_extract_genus_minor_random_targets():
-    rng = random.Random("extract")
-    for i in range(150):
-        g = random_ribbon_graph(rng.randint(1, 6), f"ex-{i}")
-        genus = euler_genus(g)
-        if genus == 0:
-            continue
-        targets = [t for t in range(genus) if is_orientable(g) is False or (genus - t) % 2 == 0]
-        for t in targets:
-            end = replay(g, extract_genus_minor(g, t))
-            assert euler_genus(end) == t
-            assert all(
-                boundary_component_count(c) == 1 for c in components(end)
-            )
 
 
 def test_b_family_membership():
