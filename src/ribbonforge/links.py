@@ -12,6 +12,7 @@ witness or a replayable minor certificate.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import Iterable
@@ -60,11 +61,24 @@ class PDCode:
     """A link diagram: 4-tuples of strand labels, one per crossing.
 
     Labels are listed counterclockwise around the crossing starting at the
-    incoming understrand.  Every strand label appears exactly twice across
-    the whole diagram.
+    incoming understrand.  Construction checks that every crossing has 4
+    labels (else ``ParseError``) and every label is on exactly two slots
+    (else ``StrandCountError``), but not that the code is planar.
     """
 
     crossings: tuple[Crossing, ...]
+
+    def __post_init__(self) -> None:
+        for row in self.crossings:
+            if len(row) != 4:
+                raise ParseError(f"crossing needs 4 strand labels, got {row!r}")
+        counts = Counter(chain.from_iterable(self.crossings))
+        bad = sorted(s for s, k in counts.items() if k != 2)
+        if bad:
+            raise StrandCountError(
+                "strand labels must appear exactly twice; violated by: "
+                + ", ".join(map(str, bad))
+            )
 
     @property
     def strand_labels(self) -> tuple[str, ...]:
@@ -72,43 +86,32 @@ class PDCode:
 
 
 def pd_code(crossings: Iterable[Iterable[str]]) -> PDCode:
-    """Validated PDCode constructor."""
-    rows = []
-    counts: dict[str, int] = {}
-    for cr in crossings:
-        row = tuple(str(s) for s in cr)
-        if len(row) != 4:
-            raise ParseError(f"crossing needs 4 strand labels, got {row!r}")
-        rows.append(row)
-        for s in row:
-            counts[s] = counts.get(s, 0) + 1
-    bad = sorted(s for s, k in counts.items() if k != 2)
-    if bad:
-        raise StrandCountError(
-            f"strand labels must appear exactly twice; violated by: {', '.join(bad)}"
-        )
-    return PDCode(tuple(rows))
+    """A PDCode with every label converted to ``str``; ``PDCode`` validates."""
+    return PDCode(tuple(tuple(str(s) for s in cr) for cr in crossings))
+
+
+def _tokens(text: str) -> list[str]:
+    """The tokens of PD text, ``#`` comments dropped."""
+    lines = " ".join(line.split("#", 1)[0] for line in text.splitlines())
+    return lines.replace("(", " ").replace(")", " ").replace(",", " ").split()
 
 
 def parse_pd(text: str) -> PDCode:
     """Parse PD notation: ``X(a,b,c,d)`` or ``X a b c d``, ``#`` comments."""
-    tokens: list[str] = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0]
-        tokens.extend(line.replace("(", " ").replace(")", " ").replace(",", " ").split())
-    crossings = []
-    i = 0
-    while i < len(tokens):
+    tokens = _tokens(text)
+    for i in range(0, len(tokens), 5):
         if tokens[i] != "X":
             raise ParseError(f"expected 'X', found {tokens[i]!r}")
         if i + 4 >= len(tokens) or "X" in tokens[i + 1 : i + 5]:
             raise ParseError("crossing needs exactly 4 strand labels")
-        crossings.append(tokens[i + 1 : i + 5])
-        i += 5
-    return pd_code(crossings)
+    return pd_code(tokens[i + 1 : i + 5] for i in range(0, len(tokens), 5))
 
 
 def serialize_pd(code: PDCode) -> str:
+    """PD text that ``parse_pd`` reads back; other labels raise ``ParseError``."""
+    for label in code.strand_labels:
+        if label == "X" or _tokens(label) != [label]:
+            raise ParseError(f"label {label!r} not serializable")
     return " ".join("X({})".format(",".join(cr)) for cr in code.crossings)
 
 
@@ -122,50 +125,37 @@ _SMOOTHINGS = {"A": ((0, 1), (2, 3)), "B": ((1, 2), (3, 0))}
 def all_A_ribbon_graph(code: PDCode, convention: str = "A") -> ArrowPresentation:
     """The ribbon graph of the all-A (or all-B) smoothing state.
 
-    State circles become vertices; every crossing becomes one edge whose
-    two arrows mark where its smoothing arcs run along the circles.  The
-    result is always orientable; a violation means the arrow-direction
+    State circles become vertices; crossing c (from 0) becomes edge
+    ``str(c + 1)``, whose arrows mark where its smoothing arcs run along the
+    circles.  Slot 4c + k is position k of crossing c.  Each circle is read
+    from its least unseen slot, across an arc and along a strand in turn.
+    The result is always orientable; a violation means the arrow-direction
     convention is broken and is raised, never papered over.
     """
     if convention not in _SMOOTHINGS:
         raise RibbonError(f"smoothing convention must be 'A' or 'B', not {convention!r}")
-    pairs = _SMOOTHINGS[convention]
+    # per position: the step across its smoothing arc, and whether it is the tail
+    arc = [(0, False)] * 4
+    for p, q in _SMOOTHINGS[convention]:
+        arc[p], arc[q] = (q - p, True), (p - q, False)
 
-    slot_of: dict[str, list[tuple[int, int]]] = {}
-    for ci, crossing in enumerate(code.crossings):
-        for k, s in enumerate(crossing):
-            slot_of.setdefault(s, []).append((ci, k))
-    strand: dict[tuple[int, int], tuple[int, int]] = {}
-    for s, slots in slot_of.items():
-        if len(slots) != 2:
-            raise StrandCountError(f"strand {s!r} does not appear exactly twice")
-        strand[slots[0]] = slots[1]
-        strand[slots[1]] = slots[0]
+    strand = [0] * (4 * len(code.crossings))
+    first: dict[str, int] = {}
+    for s, label in enumerate(chain.from_iterable(code.crossings)):
+        t = first.setdefault(label, s)
+        strand[s], strand[t] = t, s
 
-    partner: dict[tuple[int, int], tuple[int, int]] = {}
-    tails: set[tuple[int, int]] = set()
-    for ci in range(len(code.crossings)):
-        for p, q in pairs:
-            partner[(ci, p)] = (ci, q)
-            partner[(ci, q)] = (ci, p)
-            tails.add((ci, p))
-
-    visited: set[tuple[int, int]] = set()
+    seen = bytearray(len(strand))
     curves: list[list[Arrow]] = []
-    for start in sorted(partner):
-        if start in visited:
-            continue
-        word: list[Arrow] = []
-        cur = start
-        while True:
-            nxt = partner[cur]
-            visited.add(cur)
-            visited.add(nxt)
-            word.append(Arrow(str(cur[0] + 1), cur in tails))
-            cur = strand[nxt]
-            if cur == start:
-                break
-        curves.append(word)
+    for start in range(len(strand)):
+        cur, word = start, []
+        while not seen[cur]:
+            step, tail = arc[cur & 3]
+            seen[cur] = seen[cur + step] = 1
+            word.append(Arrow(str((cur >> 2) + 1), tail))
+            cur = strand[cur + step]
+        if word:
+            curves.append(word)
     state = _trusted(curves)
     if not is_orientable(state):
         raise OrientabilityViolation(

@@ -6,14 +6,19 @@ enumeration order.  A second covers boundary walks, surface summaries,
 contraction and partial-dual words and verdicts on a wider set of graphs.
 A third covers what is read from the curve graph: incidence, twists,
 odd-twist cycles, components and their spanning trees, separating
-vertices and plane-biseparations.
+vertices and plane-biseparations.  A fourth covers the all-A and all-B
+state graphs built from PD codes.
 """
 
 import hashlib
 import json
 import random
+from importlib import resources
 
+from closures import braid_closure_pd
 from ribbonforge import (
+    RibbonError,
+    all_A_ribbon_graph,
     build_B,
     canonical_key,
     component_count,
@@ -25,7 +30,9 @@ from ribbonforge import (
     excluded_minor_scan,
     from_words,
     is_separating_vertex,
+    parse_pd,
     partial_dual,
+    pd_code,
     random_ribbon_graph,
     represents_link,
     spanning_tree,
@@ -138,3 +145,38 @@ def test_curve_graph_readings_are_byte_identical():
         }
         h.update((json.dumps(record, sort_keys=True) + "\n").encode())
     assert h.hexdigest() == FOREST_DIGEST
+
+
+# Covers the state walk on braid closures, the bundled diagrams and seeded
+# label-valid codes, under both smoothing conventions; a code that is not a
+# diagram records its error instead.  Refusing non-planar codes as bad input
+# (ROADMAP item 2) will change the OrientabilityViolation entries on purpose.
+PD_DIGEST = "3abec6743bb50f7260e5cd00e60e7b0fbbce61e2bf81859a5f951a81d7fe9420"
+
+
+def _pd_codes():
+    for crossings in (20, 100, 400):
+        for strands in (3, 6, 24):
+            seed = f"pd-identity-{crossings}-{strands}"
+            yield parse_pd(braid_closure_pd(crossings, strands, seed))
+    data = resources.files("ribbonforge").joinpath("data")
+    for name in ("trefoil.pd", "figure8.pd", "hopf.pd"):
+        yield parse_pd(data.joinpath(name).read_text())
+    rng = random.Random("pd-identity")
+    for _ in range(500):
+        n = rng.randint(1, 6)
+        strands = [str(s) for s in range(1, 2 * n + 1)] * 2
+        rng.shuffle(strands)
+        yield pd_code([strands[4 * k : 4 * k + 4] for k in range(n)])
+
+
+def test_state_graphs_of_pd_codes_are_byte_identical():
+    h = hashlib.sha256()
+    for code in _pd_codes():
+        for convention in ("A", "B"):
+            try:
+                record = all_A_ribbon_graph(code, convention).words()
+            except RibbonError as exc:
+                record = [type(exc).__name__, str(exc)]
+            h.update((json.dumps(record) + "\n").encode())
+    assert h.hexdigest() == PD_DIGEST

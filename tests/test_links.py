@@ -14,6 +14,7 @@ from ribbonforge import (
     NotABouquet,
     OrientabilityViolation,
     ParseError,
+    PDCode,
     RibbonError,
     StrandCountError,
     UnknownLabel,
@@ -80,6 +81,39 @@ def test_pd_validation_errors():
         parse_pd("Y(1,2,2,1)")
     with pytest.raises(ParseError):
         parse_pd("X(1,2,2)")
+    # a code built directly is checked as well, before any state walk
+    with pytest.raises(ParseError):
+        PDCode((("1", "2", "1"), ("2", "3", "3", "4", "4")))
+    with pytest.raises(ParseError):
+        PDCode((("1", "2", "1", "2", "3", "3"),))
+    with pytest.raises(StrandCountError):
+        PDCode((("1", "2", "2", "3"),))
+    with pytest.raises(StrandCountError):
+        PDCode(((1, 2, 2, 3),))
+
+
+@pytest.mark.parametrize("label", ["a,b", "a b", "X", "1#", "", "(", "a)", "a\nb"])
+def test_serialize_pd_refuses_labels_it_cannot_read_back(label):
+    code = pd_code([(label, label, "y", "y")])
+    with pytest.raises(ParseError):
+        serialize_pd(code)
+
+
+PD_LABELS = st.text("aX1_'ü#(),\t ", max_size=3)
+
+
+@given(st.lists(PD_LABELS, min_size=2, max_size=6, unique=True))
+def test_serialize_pd_reads_back_exactly_the_token_labels(labels):
+    code = pd_code(
+        [labels[i], labels[i], labels[i + 1], labels[i + 1]]
+        for i in range(0, len(labels) - 1, 2)
+    )
+    token = re.compile(r"[^\s(),#]+")
+    if all(token.fullmatch(l) and l != "X" for l in code.strand_labels):
+        assert parse_pd(serialize_pd(code)) == code
+    else:
+        with pytest.raises(ParseError):
+            serialize_pd(code)
 
 
 def test_curl_state_graphs():
