@@ -13,14 +13,15 @@ labels are numbered by first occurrence and each edge's first arrow is read
 Keys are computed per connected component and joined sorted, which is valid
 because equivalences map components to components.  Isolated vertices key as
 ``()`` with no lookup and sort first, since every other component key starts
-with a digit.  The rest of the graph is keyed whole: on a miss the cached
-component key builds one slot table (see ``presentation``), which serves
-both its connectivity check and its chains, and refuses a disconnected
-input, handing back the parts that the table's curve graph found.  So a
-connected graph is never split and a disconnected one has its curve graph
-walked once, then each part once more for its own table.  The minor
-search, which makes most calls, never builds the same set of operations
-twice, so it keys each of those sets once.
+with a digit.  The rest of the graph, its body, is keyed by one cached
+function: on a miss it builds one slot table (see ``presentation``), which
+serves both its connectivity check and its chains.  A disconnected body is
+split into the parts that the table's curve graph found, and its key joins
+the parts' own cached keys, sorted.  So a connected graph is never split, a
+disconnected one has its curve graph walked once and each part keyed once,
+and a repeated body of either kind is one cache hit.  The minor search,
+which makes most calls, never builds the same set of operations twice, so
+it keys each of those sets once.
 
 Within a component only the first curve read is a choice.  After it, some
 unread curve carries the second arrow of a label already numbered; let m be
@@ -88,30 +89,18 @@ def _render(variant, assign, pending, bound=None):
     return tuple(enc)
 
 
-class _Disconnected(Exception):
-    """``_component_key`` was given a disconnected graph; never cached.
-
-    ``parts`` holds its components, in the order ``components`` gives them.
-    """
-
-    def __init__(self, parts: list[ArrowPresentation]):
-        super().__init__()
-        self.parts = parts
-
-
 @lru_cache(maxsize=1 << 18)
 def _component_key(pres: ArrowPresentation) -> bytes:
+    """The key of a nonempty body with no bare curves."""
     curves = pres.curves
     table = _slot_table(pres)
-    if not table.label:
-        return b"()" * len(curves)
     if len(curves) > 1:
         root, _ = _curve_roots(table)
         if any(root):  # a curve not reached from curve 0
-            raise _Disconnected([
-                ArrowPresentation(tuple(curves[i] for i in comp))
+            return b";".join(sorted(
+                _component_key(ArrowPresentation(tuple(curves[i] for i in comp)))
                 for comp in _group_by_root(root)
-            ])
+            ))
     start, curve_of, along, nxt, _, mate = table[:6]
 
     backward = [tuple((lab, not fwd) for lab, fwd in reversed(c)) for c in curves]
@@ -177,10 +166,7 @@ def canonical_key(pres: ArrowPresentation, max_edges: int | None = None) -> byte
     keys = [b"()"] * bare
     if bare < len(pres.curves):
         body = ArrowPresentation(tuple(c for c in pres.curves if c)) if bare else pres
-        try:
-            keys.append(_component_key(body))
-        except _Disconnected as split:
-            keys += sorted(map(_component_key, split.parts))
+        keys.append(_component_key(body))
     return b";".join(keys)
 
 

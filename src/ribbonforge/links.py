@@ -273,10 +273,13 @@ def defines_plane_biseparation(
     """
     chosen = {str(l) for l in labels}
     rest = set(pres.labels()) - chosen
+    pieces = 0
     for side in (chosen, rest):
-        if surface_summary(restriction(pres, side)).euler_genus != 0:
+        summary = surface_summary(restriction(pres, side))
+        if summary.euler_genus != 0:
             return False
-    pieces = sum(len(set(_spanning(pres, side))) for side in (chosen, rest))
+        # a vertex the side does not touch is a piece of its own
+        pieces += summary.components + pres.vertex_count - summary.vertices
     return pieces == pres.vertex_count + component_count(pres)
 
 

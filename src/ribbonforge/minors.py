@@ -44,23 +44,22 @@ class MinorScript:
 
 
 def apply_step(pres: ArrowPresentation, step: Step) -> ArrowPresentation:
-    op, arg = step
+    op = _run_kind(step)
+    if op is None:
+        raise RibbonError(f"unknown script step {step!r}")
+    _, arg = step
     if op == "delete_edge":
         return delete_edge(pres, arg)
     if op == "contract_edge":
         return contract_edge(pres, arg)
-    if op == "delete_vertex":
-        if not (0 <= arg < len(pres.curves)) or pres.curves[arg]:
-            raise InternalInvariantViolation(
-                f"script deletes non-isolated vertex {arg}"
-            )
-        return delete_vertex(pres, arg)
-    raise RibbonError(f"unknown script step {op!r}")
+    if not (0 <= arg < len(pres.curves)) or pres.curves[arg]:
+        raise InternalInvariantViolation(f"script deletes non-isolated vertex {arg}")
+    return delete_vertex(pres, arg)
 
 
 def _run_kind(step) -> str | None:
     """The kind of run a step joins in ``replay``; None for a malformed step
-    or an unknown op, which ``apply_step`` alone raises for."""
+    or an unknown op, which ``apply_step`` refuses."""
     try:
         op, arg = step
     except (TypeError, ValueError):

@@ -83,7 +83,7 @@ def _min_rotation(curve: Curve) -> Curve:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArrowPresentation:
     """An immutable multiset of closed curves with labelled arrows.
 

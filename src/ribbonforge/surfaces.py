@@ -163,45 +163,6 @@ def trace_boundary(pres: ArrowPresentation):
     return walks, edge_walks
 
 
-def _surface_pass(pres: ArrowPresentation) -> tuple[int, int, bool]:
-    """Boundary components, connected components and orientability, from
-    one slot table.
-
-    The boundary is the arc complex with every edge opened, so no curve
-    crosses first and each cycle is counted without being recorded; every
-    bare curve adds one more component of both kinds.
-    """
-    table = _slot_table(pres)
-    along, nxt, prv, mate = table.along, table.nxt, table.prv, table.mate
-    root, orientable = _curve_roots(table)
-    boundary = pres.curves.count(())
-    seen = bytearray(2 * len(mate))
-    for first in range(2 * len(mate)):
-        if seen[first]:
-            continue
-        boundary += 1
-        d = first
-        while True:
-            seen[d] = 1
-            s = d >> 1
-            if (d & 1) == along[s]:
-                t = nxt[s]
-                d = 2 * t + 1 - along[t]
-            else:
-                t = prv[s]
-                d = 2 * t + along[t]
-            seen[d] = 1
-            # the free side to the mate slot, at the other end
-            d = 2 * mate[d >> 1] + 1 - (d & 1)
-            if d == first:
-                break
-    return boundary, len(set(root)), orientable
-
-
-def boundary_component_count(pres: ArrowPresentation) -> int:
-    return _surface_pass(pres)[0]
-
-
 def twists(pres: ArrowPresentation) -> dict[str, int]:
     """Edge twist signs: +1 if the two arrows agree in direction, else -1.
 
@@ -266,7 +227,7 @@ def is_orientable(pres: ArrowPresentation) -> bool:
     return _curve_roots(_slot_table(pres))[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SurfaceSummary:
     vertices: int
     edges: int
@@ -282,10 +243,40 @@ class SurfaceSummary:
 
 @lru_cache(maxsize=1 << 18)
 def surface_summary(pres: ArrowPresentation) -> SurfaceSummary:
-    """Vertex/edge/boundary counts and genus, with Euler-formula sanity checks."""
+    """Vertex/edge/boundary counts and genus, with Euler-formula sanity checks.
+
+    Boundary components, connected components and orientability come from
+    one slot table.  The boundary is the arc complex with every edge opened,
+    so no curve crosses first and each cycle is counted without being
+    recorded; every bare curve adds one more component of both kinds.
+    """
+    table = _slot_table(pres)
+    along, nxt, prv, mate = table.along, table.nxt, table.prv, table.mate
+    root, orientable = _curve_roots(table)
+    f = pres.curves.count(())
+    seen = bytearray(2 * len(mate))
+    for first in range(2 * len(mate)):
+        if seen[first]:
+            continue
+        f += 1
+        d = first
+        while True:
+            seen[d] = 1
+            s = d >> 1
+            if (d & 1) == along[s]:
+                t = nxt[s]
+                d = 2 * t + 1 - along[t]
+            else:
+                t = prv[s]
+                d = 2 * t + along[t]
+            seen[d] = 1
+            # the free side to the mate slot, at the other end
+            d = 2 * mate[d >> 1] + 1 - (d & 1)
+            if d == first:
+                break
     v = pres.vertex_count
     e = pres.edge_count
-    f, k, orientable = _surface_pass(pres)
+    k = len(set(root))
     euler_genus = 2 * k - v + e - f
     if euler_genus < 0:
         raise InternalInvariantViolation(
@@ -297,6 +288,10 @@ def surface_summary(pres: ArrowPresentation) -> SurfaceSummary:
         )
     genus = euler_genus // 2 if orientable else euler_genus
     return SurfaceSummary(v, e, f, k, euler_genus, genus, orientable)
+
+
+def boundary_component_count(pres: ArrowPresentation) -> int:
+    return surface_summary(pres).boundary
 
 
 def euler_genus(pres: ArrowPresentation) -> int:

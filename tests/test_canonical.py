@@ -394,8 +394,9 @@ def test_every_entry_point_refuses_a_label_on_one_arrow(curves):
         assert e.value.exit_code == 3
 
 
-def test_connected_graphs_are_keyed_without_splitting(monkeypatch):
-    # count slot tables built anywhere; each one walks the curve graph once
+def _count_tables(monkeypatch):
+    """The list of presentations that slot tables are asked for, anywhere;
+    each table built walks the curve graph once."""
     tables = []
 
     def counted(pres):
@@ -404,6 +405,11 @@ def test_connected_graphs_are_keyed_without_splitting(monkeypatch):
 
     for module in (canonical, import_module("ribbonforge.presentation")):
         monkeypatch.setattr(module, "_slot_table", counted)
+    return tables
+
+
+def test_connected_graphs_are_keyed_without_splitting(monkeypatch):
+    tables = _count_tables(monkeypatch)
     g = random_ribbon_graph(8, "w6")
     assert g.vertex_count > 1 and len(components(g)) == 1
     canonical._component_key.cache_clear()
@@ -423,3 +429,19 @@ def test_connected_graphs_are_keyed_without_splitting(monkeypatch):
     assert canonical_key(both, 16) == canonical_key(g) + b";" + canonical_key(g)
     assert tables.count(both) == 1
     assert len(tables) == 3 and all(t.vertex_count == 6 for t in tables[1:])
+
+
+def test_a_repeated_split_body_is_one_cache_hit(monkeypatch):
+    # a disconnected body's key is cached like a connected one's, so an
+    # equal copy built afresh builds no table and adds no miss
+    tables = _count_tables(monkeypatch)
+    g = random_ribbon_graph(8, "w6")
+    both = disjoint_union(g, g)
+    key = canonical_key(both, 16)
+    again = disjoint_union(g, g)
+    assert again == both and again is not both
+    misses = canonical._component_key.cache_info().misses
+    tables.clear()
+    assert canonical_key(again, 16) == key
+    assert tables == []
+    assert canonical._component_key.cache_info().misses == misses

@@ -170,12 +170,13 @@ def test_fixed_scripts_take_both_replay_branches(steps, spliced):
     [("delete_edge",)],
     [("delete_edge", ["a"])],
     [("delete_vertex", "0")],
+    [("delete_edge", "c"), None],
 ])
 def test_bad_scripts_raise_as_step_by_step(steps):
     script = MinorScript(tuple(steps))
-    with pytest.raises(Exception) as expected:
+    with pytest.raises(RibbonError) as expected:
         _replay_step_by_step(_RUNS_GRAPH, script)
-    with pytest.raises(Exception) as got:
+    with pytest.raises(RibbonError) as got:
         replay(_RUNS_GRAPH, script)
     assert type(got.value) is type(expected.value)
     assert str(got.value) == str(expected.value)
