@@ -21,7 +21,16 @@ the parts' own cached keys, sorted.  So a connected graph is never split, a
 disconnected one has its curve graph walked once and each part keyed once,
 and a repeated body of either kind is one cache hit.  The minor search,
 which makes most calls, never builds the same set of operations twice, so
-it keys each of those sets once.
+it keys each of those sets once.  ``canonical_key`` checks the size bound;
+a search that checked its own input, whose children are never larger, keys
+them through the unchecked ``_key``.
+
+A reading is a start slot and a direction: forward it walks the table's
+``nxt``, backward its ``prv`` with every arrow's direction flipped.  The
+relabelling is kept per slot, in a list of integers: when a label's first
+arrow is read, its number goes to its unread mate slot together with the
+direction that slot must match, and a list of those mate slots in number
+order gives the least label still waiting for its second arrow.
 
 Within a component only the first curve read is a choice.  After it, some
 unread curve carries the second arrow of a label already numbered; let m be
@@ -33,7 +42,9 @@ reading fixes one chain of readings, and the key is the least of at most 4E
 chains for E edges.  Every first reading begins with code 1.  Its second
 code is 0 or 1 when the next arrow carries the same label and 3 otherwise,
 and a one-arrow curve reads (1,), below every longer reading.  So only the
-readings that reach the least second code over all of them are rendered.
+readings that reach the least second code over all of them are rendered:
+forward from such a slot, and backward from the slot after it, whose
+second code is the same.
 """
 
 from __future__ import annotations
@@ -49,36 +60,42 @@ from .presentation import (
 )
 
 
-def _readings(curve, backward, second, b, least):
-    """The readings of a curve, its first slot ``b``, whose ``second`` code
-    is ``least``: forward from such a slot, backward from the one after it."""
-    k, found = len(curve), []
-    for p in range(k):
-        if second[b + p] == least:
-            if not found:
-                forth, back = curve + curve, backward + backward
-            q = (k - 2 - p) % k
-            found += forth[p:p + k], back[q:q + k]
-    return found
+def _first_starts(table, ci, second, least):
+    """The readings of curve ``ci`` whose second code is ``least``, as
+    (start slot, forward): forward from such a slot, backward from the one
+    after it."""
+    return [
+        (t, forward)
+        for s in range(table.start[ci], table.start[ci + 1])
+        if second[s] == least
+        for t, forward in ((s, True), (table.nxt[s], False))
+    ]
 
 
-def _render(variant, assign, pending, bound=None):
-    """Encode one curve reading, extending a partial relabelling in place.
+def _render(s, forward, table, tag, order, bound=None):
+    """Encode the reading of a curve from slot ``s``, extending a relabelling.
 
-    ``assign`` numbers labels by first occurrence and ``pending`` holds the
-    direction of each label seen once.  Each arrow becomes 2 * number + flag,
-    where every first occurrence gets the flag 1, so the second occurrence's
-    flag records the twist.  Returns the encoding, or None as soon as its
-    prefix is above ``bound``.
+    ``tag`` holds, at the unread slot of each label read once, 2 * its
+    number + the direction that slot must match, and -1 at every other slot;
+    ``order`` lists those slots in number order.  Both are extended in
+    place.  Each arrow becomes 2 * number + flag, where every first
+    occurrence gets the flag 1, so the second occurrence's flag records the
+    twist.  Returns the encoding, or None as soon as its prefix is above
+    ``bound``.
     """
+    along, mate = table.along, table.mate
+    step, back = (table.nxt, 0) if forward else (table.prv, 1)
     enc = []
-    for label, along in variant:
-        if label in pending:
-            code = 2 * assign[label] + (along == pending.pop(label))
+    t = s
+    while True:
+        a = along[t] ^ back
+        v = tag[t]
+        if v < 0:
+            code = 2 * len(order) + 1
+            tag[mate[t]] = code - 1 + a
+            order.append(mate[t])
         else:
-            code = 2 * len(assign) + 1
-            assign[label] = len(assign)
-            pending[label] = along
+            code = v ^ a ^ 1
         if bound is not None:
             k = len(enc)
             if k == len(bound) or code > bound[k]:
@@ -86,7 +103,9 @@ def _render(variant, assign, pending, bound=None):
             if code != bound[k]:
                 bound = None
         enc.append(code)
-    return tuple(enc)
+        t = step[t]
+        if t == s:
+            return tuple(enc)
 
 
 @lru_cache(maxsize=1 << 18)
@@ -101,9 +120,8 @@ def _component_key(pres: ArrowPresentation) -> bytes:
                 _component_key(ArrowPresentation(tuple(curves[i] for i in comp)))
                 for comp in _group_by_root(root)
             ))
-    start, curve_of, along, nxt, _, mate = table[:6]
+    _, curve_of, along, nxt, _, mate = table[:6]
 
-    backward = [tuple((lab, not fwd) for lab, fwd in reversed(c)) for c in curves]
     # the second code of the reading forward from each slot; -1 reads (1,)
     second = [-1 if t == s else along[s] == along[t] if t == mate[s] else 3
               for s, t in enumerate(nxt)]
@@ -116,42 +134,35 @@ def _component_key(pres: ArrowPresentation) -> bytes:
         if curve in tried:
             continue
         tried.add(curve)
-        for variant in _readings(curve, backward[ci], second, start[ci], least):
-            assign, pending = {}, {}
-            piece = _render(variant, assign, pending, first)
+        for s, forward in _first_starts(table, ci, second, least):
+            tag, order = [-1] * len(nxt), []
+            piece = _render(s, forward, table, tag, order, first)
             if piece is None:
                 continue
             if piece != first:
                 first, starts = piece, []
-            starts.append((ci, assign, pending))
+            starts.append((ci, tag, order))
 
     # each start forces one chain; keep the least, dropping a chain once above it
     encoding = None
-    for ci, assign, pending in starts:
-        used = {ci}
+    for ci, tag, order in starts:
+        used = [False] * len(curves)
+        used[ci] = True
         chain = [first]
         below = encoding is None
+        p = 0
         for level in range(1, len(curves)):
-            # read from the unread arrow of the least pending label, so it gets flag 0
-            least = min(pending, key=assign.__getitem__)
-            s = table.first[least]
-            if curve_of[s] in used:
-                s = mate[s]
-            ci = curve_of[s]
-            pos = s - start[ci]
-            curve = curves[ci]
-            if curve[pos].along != pending[least]:
-                variant = curve[pos:] + curve[:pos]
-            else:
-                back, j = backward[ci], len(curve) - 1 - pos
-                variant = back[j:] + back[:j]
+            # read from the unread slot of the least pending label, so it gets flag 0
+            while used[curve_of[order[p]]]:
+                p += 1
+            s = order[p]
             bound = None if below else encoding[level]
-            piece = _render(variant, assign, pending, bound)
+            piece = _render(s, along[s] != tag[s] & 1, table, tag, order, bound)
             if piece is None:
                 break
             below = below or piece != bound
             chain.append(piece)
-            used.add(ci)
+            used[curve_of[s]] = True
         else:
             encoding = chain
     return "|".join(
@@ -159,15 +170,20 @@ def _component_key(pres: ArrowPresentation) -> bytes:
     ).encode("ascii")
 
 
-def canonical_key(pres: ArrowPresentation, max_edges: int | None = None) -> bytes:
-    """A complete equivalence invariant, as a printable byte string."""
-    check_size(pres.edge_count, CANONICAL_MAX_EDGES, max_edges, "canonical-form")
+def _key(pres: ArrowPresentation) -> bytes:
+    """``canonical_key`` without its size check, for a search that made it."""
     bare = pres.curves.count(())
     keys = [b"()"] * bare
     if bare < len(pres.curves):
         body = ArrowPresentation(tuple(c for c in pres.curves if c)) if bare else pres
         keys.append(_component_key(body))
     return b";".join(keys)
+
+
+def canonical_key(pres: ArrowPresentation, max_edges: int | None = None) -> bytes:
+    """A complete equivalence invariant, as a printable byte string."""
+    check_size(pres.edge_count, CANONICAL_MAX_EDGES, max_edges, "canonical-form")
+    return _key(pres)
 
 
 def equivalent(
@@ -179,4 +195,4 @@ def equivalent(
     if a.edge_count != b.edge_count or a.vertex_count != b.vertex_count:
         return False
     check_size(a.edge_count, CANONICAL_MAX_EDGES, max_edges, "canonical-form")
-    return a == b or canonical_key(a, max_edges) == canonical_key(b, max_edges)
+    return a == b or _key(a) == _key(b)

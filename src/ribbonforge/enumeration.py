@@ -31,9 +31,9 @@ from functools import lru_cache
 from itertools import permutations, product
 from typing import Iterator
 
-from .canonical import canonical_key
+from .canonical import _key
 from .errors import RibbonError
-from .limits import ENUMERATION_MAX_EDGES, check_size
+from .limits import ENUMERATION_MAX_EDGES, SLOT_ENUMERATION_MAX_EDGES, check_size
 from .presentation import (
     EMPTY,
     Arrow,
@@ -76,7 +76,7 @@ def _layer(n: int) -> tuple[ArrowPresentation, ...]:
     seen: dict[bytes, ArrowPresentation] = {}
     for parent in _layer(n - 1):
         for child in _children(parent, f"e{n}"):
-            seen.setdefault(canonical_key(child, n), child)
+            seen.setdefault(_key(child), child)
     return tuple(seen[key] for key in sorted(seen))
 
 
@@ -117,10 +117,12 @@ def enumerate_by_slots(n: int) -> list[ArrowPresentation]:
     chooses the second arrow's direction per edge.  One pairing suffices:
     renaming the slots carries any other pairing onto it and the
     arrangement onto another permutation, which is enumerated too.
-    Exponential in n; meant for cross-checking at tiny sizes.
+    Walks (2n)! * 2^n configurations, so it is meant for cross-checking at
+    tiny sizes and refuses n above ``SLOT_ENUMERATION_MAX_EDGES``.
     """
     if n < 1:
         raise RibbonError("slot enumeration needs n >= 1")
+    check_size(n, SLOT_ENUMERATION_MAX_EDGES, None, "slot enumeration")
     slots = range(2 * n)
     seen: dict[bytes, ArrowPresentation] = {}
     for perm in permutations(slots):
@@ -139,7 +141,7 @@ def enumerate_by_slots(n: int) -> list[ArrowPresentation]:
                 [Arrow(f"e{s // 2 + 1}", s % 2 == 0 or flags[s // 2]) for s in cyc]
                 for cyc in cycles
             )
-            seen.setdefault(canonical_key(pres), pres)
+            seen.setdefault(_key(pres), pres)
     return [seen[key] for key in sorted(seen)]
 
 

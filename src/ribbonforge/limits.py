@@ -1,12 +1,15 @@
 """Size bounds for the exhaustive searches.
 
-All brute-force machinery (minor search, plane-dual sweeps, enumeration)
-refuses inputs above a configured edge count so that runaway searches fail
-fast instead of hanging; canonical forms are polynomial but keep a bound
-too.  The edge-count bounds can be raised globally through the
-``RIBBONFORGE_MAX_EDGES`` environment variable, which never lowers a
-default, and, except enumeration's, set per call via a ``max_edges=``
-argument (the ``--max-edges`` flag).
+All brute-force machinery (minor search, plane-dual sweeps, enumeration,
+and the slot-configuration cross-check ``enumerate_by_slots``, which walks
+(2n)! * 2^n configurations for n edges) refuses inputs above a configured
+edge count so that runaway searches fail fast instead of hanging; canonical
+forms are polynomial but keep a bound too.  A search checks its bound once,
+at its start: what it builds from its input never has more edges, so its
+own canonical keys are taken unchecked.  The edge-count bounds can be raised
+globally through the ``RIBBONFORGE_MAX_EDGES`` environment variable, which
+never lowers a default, and, except the two enumerations', set per call via
+a ``max_edges=`` argument (the ``--max-edges`` flag).
 ``MINOR_SEARCH_MEMO_LIMIT`` caps the equivalence classes one minor search
 remembers (B3 and theta_t share one in a scan); it has no override.  A
 search also remembers the operation set (edges deleted and contracted,
@@ -25,6 +28,7 @@ MINOR_SEARCH_MAX_EDGES = 8
 MINOR_SEARCH_MEMO_LIMIT = 1_000_000
 PLANE_DUAL_MAX_EDGES = 12
 ENUMERATION_MAX_EDGES = 5
+SLOT_ENUMERATION_MAX_EDGES = 4
 
 
 def env_override() -> int | None:
@@ -52,14 +56,14 @@ def check_size(size: int, default: int, max_edges: int | None, search: str) -> N
     The bound is ``max_edges`` if given, else the larger of ``default`` and
     the environment override.  A negative ``max_edges`` is bad input; 0 is a
     bound like any other.  The refusal names only what can raise the bound:
-    not the environment past an explicit ``max_edges``, and no flag for
-    enumeration, which takes no per-call bound.
+    not the environment past an explicit ``max_edges``, and no flag for the
+    two enumerations, which take no per-call bound.
     """
     if max_edges is not None and max_edges < 0:
         raise RibbonError(f"max_edges must be >= 0, not {max_edges}")
     bound = max_edges if max_edges is not None else max(default, env_override() or 0)
     if size > bound:
-        flag = [] if search == "enumeration" else ["--max-edges"]
+        flag = [] if search in ("enumeration", "slot enumeration") else ["--max-edges"]
         env = [] if max_edges is not None else ["RIBBONFORGE_MAX_EDGES"]
         raise SizeBoundExceeded(
             f"{size} edges exceeds {search} bound {bound}; "

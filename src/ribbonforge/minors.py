@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import groupby
 from typing import Callable, Iterable
 
-from .canonical import canonical_key, equivalent
+from .canonical import _key, canonical_key, equivalent
 from .enumeration import enumerate_presentations
 from .errors import (
     InternalInvariantViolation,
@@ -204,16 +204,17 @@ def one_step_minors(
     vertex gives the same class); the first step reaching each class is
     kept, and the classes are listed in the order reached.
     """
-    return _keyed_minors(pres, max_edges, edges=True)
+    return _keyed_minors(pres, lambda child: canonical_key(child, max_edges), True)
 
 
 def _keyed_minors(
     pres: ArrowPresentation,
-    max_edges: int | None,
+    key: Callable[[ArrowPresentation], bytes],
     edges: bool,
     skip: Callable[[Step], bool] | None = None,
 ):
-    """``one_step_minors``, or without ``edges`` its vertex deletions alone.
+    """``one_step_minors`` keyed by ``key``, or without ``edges`` its vertex
+    deletions alone.
 
     A step for which ``skip`` returns true is neither built nor keyed.
     """
@@ -226,7 +227,7 @@ def _keyed_minors(
         if skip is not None and skip(step):
             continue
         child = apply_step(pres, step)
-        out.setdefault(canonical_key(child, max_edges), (step, child))
+        out.setdefault(key(child), (step, child))
     return out
 
 
@@ -247,6 +248,9 @@ def _minor_search(
     operation set: the edge steps taken and how many vertices were deleted.
     A child whose operation set this search already built is skipped, as
     its class was streamed, and so visited, when that set was first built.
+
+    The start and the targets are keyed under the bound; a child never has
+    more edges than the start, so children are keyed without a check.
     """
     index = {canonical_key(t, max_edges): i for i, t in enumerate(targets)}
     min_edges = min(t.edge_count for t in targets)
@@ -307,7 +311,7 @@ def _minor_search(
             (key, steps + (step,), child)
             for state, steps in frontier
             for key, (step, child) in _keyed_minors(
-                state, max_edges, state.edge_count > min_edges, repeated(steps)
+                state, _key, state.edge_count > min_edges, repeated(steps)
             ).items()
         )
 

@@ -2,6 +2,9 @@
 
 import hashlib
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from importlib import import_module
 
 import pytest
@@ -255,13 +258,13 @@ def test_only_the_first_curve_read_is_searched(monkeypatch):
     # after the first curve every reading is forced, so the level-0 reading
     # pass takes each distinct curve once and no chain calls it again
     calls = []
-    readings = canonical._readings
+    readings = canonical._first_starts
 
-    def counted(curve, *rest):
-        calls.append(curve)
-        return readings(curve, *rest)
+    def counted(table, ci, *rest):
+        calls.append(table.arrow[table.start[ci]:table.start[ci + 1]])
+        return readings(table, ci, *rest)
 
-    monkeypatch.setattr(canonical, "_readings", counted)
+    monkeypatch.setattr(canonical, "_first_starts", counted)
     g = random_ribbon_graph(8, "w6")
     assert len(components(g)) == 1 and len(set(g.curves)) == len(g.curves) == 6
     canonical._component_key.cache_clear()
@@ -273,6 +276,34 @@ def test_only_the_first_curve_read_is_searched(monkeypatch):
     calls.clear()
     canonical_key(twins)
     assert calls == [twins.curves[0]]
+
+
+def test_threads_share_the_caches_and_get_the_serial_keys(monkeypatch):
+    # the threads run first, on cleared caches, so they fill them together
+    graphs = [random_ribbon_graph(1 + s % 10, f"thread-{s}") for s in range(300)]
+    start = threading.Barrier(4, timeout=60)
+
+    def keys(i):
+        # each thread starts a quarter further on, so all of them meet misses
+        start.wait()
+        turned = graphs[75 * i:] + graphs[:75 * i]
+        found = {g: canonical_key(g, 10) for g in turned}
+        return [found[g] for g in graphs]
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    results = []
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            for _ in range(3):
+                canonical._component_key.cache_clear()
+                monkeypatch.setattr(import_module("ribbonforge.presentation"), "_RECENT", ())
+                results += pool.map(keys, range(4))
+    finally:
+        sys.setswitchinterval(switch)
+    canonical._component_key.cache_clear()
+    serial = [canonical_key(g, 10) for g in graphs]
+    assert results == [serial] * 12
 
 
 def _curve_word(draw, labels, period=1):

@@ -8,6 +8,7 @@ import pytest
 from ribbonforge import (
     EMPTY,
     RibbonError,
+    SizeBoundExceeded,
     boundary_component_count,
     canonical_key,
     component_count,
@@ -112,6 +113,25 @@ def test_slot_generator_agrees_with_augmentation():
         assert len(by_slots) == COUNTS[n]
     with pytest.raises(RibbonError):
         enumerate_by_slots(0)
+
+
+def test_slot_generator_refuses_five_edges_before_walking(monkeypatch):
+    # (10)! * 2^5 configurations would run for hours; the refusal comes first
+    # and names only the environment variable, as enumeration takes no flag
+    from ribbonforge import enumeration
+
+    def walked(*args):
+        raise AssertionError("a slot configuration was walked")
+
+    monkeypatch.setattr(enumeration, "permutations", walked)
+    with pytest.raises(SizeBoundExceeded) as refusal:
+        enumerate_by_slots(5)
+    assert str(refusal.value) == (
+        "5 edges exceeds slot enumeration bound 4; raise it with RIBBONFORGE_MAX_EDGES"
+    )
+    monkeypatch.setenv("RIBBONFORGE_MAX_EDGES", "5")
+    with pytest.raises(AssertionError, match="walked"):
+        enumerate_by_slots(5)
 
 
 # sha256 of json.dumps([g.words() for g in enumerate_by_slots(n)]), taken

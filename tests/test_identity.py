@@ -7,7 +7,8 @@ contraction and partial-dual words and verdicts on a wider set of graphs.
 A third covers what is read from the curve graph: incidence, twists,
 odd-twist cycles, components and their spanning trees, separating
 vertices and plane-biseparations.  A fourth covers the all-A and all-B
-state graphs built from PD codes.
+state graphs built from PD codes.  A fifth covers keys and excluded-minor
+scripts of graphs at the minor search's size bound.
 """
 
 import hashlib
@@ -180,3 +181,19 @@ def test_state_graphs_of_pd_codes_are_byte_identical():
                 record = [type(exc).__name__, str(exc)]
             h.update((json.dumps(record) + "\n").encode())
     assert h.hexdigest() == PD_DIGEST
+
+
+# Covers the minor search at its bound: keys and excluded-minor scripts of
+# seeded 7- and 8-edge graphs, which key their children unchecked.
+BOUND_DIGEST = "9b93c656a50fdf034d9700bcdf6349e5d3fdccf0144abc21bbd3cb6c69c45d0b"
+
+
+def test_searches_at_the_size_bound_are_byte_identical():
+    h = hashlib.sha256()
+    for n in (7, 8):
+        for i in range(8):
+            g = random_ribbon_graph(n, f"bound-{i}")
+            scan = {k: v.as_json() for k, v in sorted(excluded_minor_scan(g).items())}
+            h.update(canonical_key(g) + b"\n")
+            h.update((json.dumps(scan, sort_keys=True) + "\n").encode())
+    assert h.hexdigest() == BOUND_DIGEST

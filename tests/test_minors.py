@@ -361,7 +361,9 @@ def reference_minor_search(pres, targets, max_edges=None):
             for key, (step, child) in (
                 one_step_minors(state, max_edges)
                 if state.edge_count > min_edges
-                else minors._keyed_minors(state, max_edges, edges=False)
+                else minors._keyed_minors(
+                    state, lambda child: canonical_key(child, max_edges), edges=False
+                )
             ).items()
         ]
 
