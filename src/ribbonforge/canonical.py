@@ -51,7 +51,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .limits import CANONICAL_MAX_EDGES, check_size
+from .limits import CANONICAL_MAX_EDGES, check_size, refuse_above, size_bound
 from .presentation import (
     ArrowPresentation,
     _curve_roots,
@@ -191,8 +191,8 @@ def equivalent(
 ) -> bool:
     """Whether two presentations describe equivalent ribbon graphs.  A bad
     bound raises first; other sizes are never equivalent, even above it."""
-    check_size(0, CANONICAL_MAX_EDGES, max_edges, "canonical-form")
+    bound = size_bound(CANONICAL_MAX_EDGES, max_edges)
     if a.edge_count != b.edge_count or a.vertex_count != b.vertex_count:
         return False
-    check_size(a.edge_count, CANONICAL_MAX_EDGES, max_edges, "canonical-form")
+    refuse_above(a.edge_count, bound, max_edges, "canonical-form")
     return a == b or _key(a) == _key(b)

@@ -5,9 +5,12 @@ Two independent generators produce every equivalence class up to a size cap:
 * ``enumerate_presentations`` grows graphs edge by edge — every class on
   n edges arises from some class on n - 1 edges by re-inserting a removed
   edge's two arrows (removing also any vertices that became bare), so
-  inserting one new edge in all positions of all smaller classes is
-  complete.  Each layer (the classes with n edges) is built once per
-  process, from the layer below, and every call filters the cached layers.
+  inserting one new edge in each cyclic gap of all smaller classes is
+  complete.  A curve is read up to rotation, so the gap after its last arrow
+  is its first gap; that gap is tried first, so skipping its repeat leaves
+  every representative as it was.  Each layer (the classes with n edges) is
+  built once per process, from the layer below, and every call filters the
+  cached layers.
 * ``enumerate_by_slots`` builds raw configurations directly: cyclic
   arrangements of 2n arrow slots (one permutation per arrangement, via its
   cycle decomposition), slots 2i and 2i+1 as the two arrows of edge e(i+1)
@@ -50,9 +53,9 @@ RawCurves = tuple[tuple[Arrow, ...], ...]
 
 
 def _insertions(curves: RawCurves, arrow: Arrow) -> Iterator[RawCurves]:
-    """The arrow placed in every gap of every curve, and on a new vertex."""
+    """The arrow placed in each cyclic gap of every curve, and on a new vertex."""
     for ci, curve in enumerate(curves):
-        for g in range(len(curve) + 1):
+        for g in range(max(1, len(curve))):
             patched = curve[:g] + (arrow,) + curve[g:]
             yield curves[:ci] + (patched,) + curves[ci + 1 :]
     yield curves + ((arrow,),)
@@ -124,6 +127,7 @@ def enumerate_by_slots(n: int) -> list[ArrowPresentation]:
         raise RibbonError("slot enumeration needs n >= 1")
     check_size(n, SLOT_ENUMERATION_MAX_EDGES, None, "slot enumeration")
     slots = range(2 * n)
+    arrows = {(s, d): Arrow(f"e{s // 2 + 1}", d) for s in slots for d in (True, False)}
     seen: dict[bytes, ArrowPresentation] = {}
     for perm in permutations(slots):
         cycles: list[list[int]] = []
@@ -138,7 +142,7 @@ def enumerate_by_slots(n: int) -> list[ArrowPresentation]:
                 cycles.append(cyc)
         for flags in product((True, False), repeat=n):
             pres = presentation(
-                [Arrow(f"e{s // 2 + 1}", s % 2 == 0 or flags[s // 2]) for s in cyc]
+                [arrows[s, s % 2 == 0 or flags[s // 2]] for s in cyc]
                 for cyc in cycles
             )
             seen.setdefault(_key(pres), pres)

@@ -50,18 +50,22 @@ def env_override() -> int | None:
     return value
 
 
-def check_size(size: int, default: int, max_edges: int | None, search: str) -> None:
-    """Refuse a ``size``-edge input to ``search`` above its bound.
-
-    The bound is ``max_edges`` if given, else the larger of ``default`` and
-    the environment override.  A negative ``max_edges`` is bad input; 0 is a
-    bound like any other.  The refusal names only what can raise the bound:
-    not the environment past an explicit ``max_edges``, and no flag for the
-    two enumerations, which take no per-call bound.
-    """
+def size_bound(default: int, max_edges: int | None) -> int:
+    """The bound of a search: ``max_edges`` if given, else the larger of
+    ``default`` and the environment override.  A negative ``max_edges`` is
+    bad input; 0 is a bound like any other."""
     if max_edges is not None and max_edges < 0:
         raise RibbonError(f"max_edges must be >= 0, not {max_edges}")
-    bound = max_edges if max_edges is not None else max(default, env_override() or 0)
+    return max_edges if max_edges is not None else max(default, env_override() or 0)
+
+
+def refuse_above(size: int, bound: int, max_edges: int | None, search: str) -> None:
+    """Refuse a ``size``-edge input to ``search`` above ``bound``.
+
+    The refusal names only what can raise the bound: not the environment
+    past an explicit ``max_edges``, and no flag for the two enumerations,
+    which take no per-call bound.
+    """
     if size > bound:
         flag = [] if search in ("enumeration", "slot enumeration") else ["--max-edges"]
         env = [] if max_edges is not None else ["RIBBONFORGE_MAX_EDGES"]
@@ -69,3 +73,8 @@ def check_size(size: int, default: int, max_edges: int | None, search: str) -> N
             f"{size} edges exceeds {search} bound {bound}; "
             f"raise it with {' or '.join(flag + env)}"
         )
+
+
+def check_size(size: int, default: int, max_edges: int | None, search: str) -> None:
+    """Refuse a ``size``-edge input to ``search`` above its ``size_bound``."""
+    refuse_above(size, size_bound(default, max_edges), max_edges, search)

@@ -435,8 +435,12 @@ def represents_link(
     # each component's breadth-first tree in the whole graph's forest is
     # its own ``spanning_tree``: the incidence is ordered by label first
     forest = curve_forest(_slot_table(pres))
-    for group in _group_by_root(forest.root):
-        comp = ArrowPresentation(tuple(pres.curves[i] for i in group))
+    groups = _group_by_root(forest.root)
+    for group in groups:
+        # a connected graph is its own component, and keeps its slot table
+        comp = pres if len(groups) == 1 else ArrowPresentation(
+            tuple(pres.curves[i] for i in group)
+        )
         tree = tuple(sorted(forest.label[i] for i in group[1:]))
         bouquet = partial_dual(comp, set(tree))
         if len(bouquet.curves) != 1:

@@ -8,6 +8,7 @@ strings are pinned, so a criterion that passes on different counts fails.
 
 import pytest
 
+import ribbonforge.moves as moves
 from ribbonforge import acceptance, criterion_numbers, run_criterion
 
 DETAILS = {
@@ -44,3 +45,35 @@ def test_genus_families_take_one_search_per_graph_and_bound(monkeypatch):
     monkeypatch.setattr(acceptance, "_minor_search", counted)
     assert acceptance._criterion_8()[0]
     assert len(searches) == 384
+
+
+def test_criterion_4_splices_each_subset_once_per_graph(monkeypatch):
+    splices = []
+    splice = moves._splice
+
+    def counted(pres, labels, dual):
+        splices.append(dual)
+        return splice(pres, labels, dual)
+
+    monkeypatch.setattr(moves, "_splice", counted)
+    assert run_criterion(4).passed
+    assert len(splices) <= 25_197  # 39,522 when each use spliced again
+
+
+def test_a_planted_dual_fault_fails_criterion_4_first_where_it_did(monkeypatch):
+    # a dual at two labels that opens only the lesser one: the reuse of each
+    # subset's dual within a graph must neither hide it nor move the first
+    # failure
+    splice = moves._splice
+
+    def faulty(pres, labels, dual):
+        if dual and len(labels) == 2:
+            labels = {min(labels)}
+        return splice(pres, labels, dual)
+
+    monkeypatch.setattr(moves, "_splice", faulty)
+    result = run_criterion(4)
+    assert not result.passed
+    assert result.details == (
+        "G='e1 e1 e2 e2': dual composition failed at ['e1'], ['e2']"
+    )

@@ -153,6 +153,24 @@ def test_a_bad_bound_is_refused_whatever_the_sizes(monkeypatch, other):
         equivalent(NINE, other)
 
 
+def test_equivalent_reads_the_environment_once_per_call(monkeypatch):
+    limits = import_module("ribbonforge.limits")
+    reads = []
+    override = limits.env_override
+
+    def counted():
+        reads.append(1)
+        return override()
+
+    monkeypatch.setattr(limits, "env_override", counted)
+    small = from_words([["a", "a"]])
+    assert equivalent(small, from_words([["b", "b"]]))
+    assert not equivalent(NINE, small)
+    assert len(reads) == 2
+    assert equivalent(small, small, max_edges=1)
+    assert len(reads) == 2
+
+
 def test_other_sizes_are_inequivalent_even_above_the_bound():
     # a replayed script above its target's size is wrong, not refused
     small = from_words([["a", "a"]])

@@ -101,6 +101,33 @@ def test_layers_are_built_once_per_process(monkeypatch):
     assert built == []
 
 
+def test_an_arrow_goes_in_each_cyclic_gap_once():
+    from ribbonforge import enumeration
+    from ribbonforge.presentation import Arrow
+
+    x, y, z, a = (Arrow(label, True) for label in "xyza")
+    # three gaps of a 3-arrow curve (the one after z is the one before x),
+    # then a new vertex
+    assert list(enumeration._insertions(((x, y, z),), a)) == [
+        ((a, x, y, z),),
+        ((x, a, y, z),),
+        ((x, y, a, z),),
+        ((x, y, z), (a,)),
+    ]
+    # a bare vertex has one gap
+    assert list(enumeration._insertions(((),), a)) == [((a,),), ((), (a,))]
+
+
+def test_layer_4_is_built_from_11872_children():
+    from ribbonforge import enumeration
+
+    children = sum(
+        len(list(enumeration._children(parent, "e4")))
+        for parent in enumeration._layer(3)
+    )
+    assert children == 11_872  # 20,980 with both ends of each curve tried
+
+
 def test_slot_generator_agrees_with_augmentation():
     for n in (1, 2, 3):
         by_slots = {canonical_key(g) for g in enumerate_by_slots(n)}

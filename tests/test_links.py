@@ -2,13 +2,14 @@
 
 import random
 import re
-from importlib import resources
+from importlib import import_module, resources
 from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from closures import braid_closure_pd
 from ribbonforge import (
     MinorScript,
     NotABouquet,
@@ -656,3 +657,22 @@ def test_certificate_target_is_the_trimmed_search_pick():
         assert verdict.certificate_target == _trimmed_search_target(g), g.words()
         assert equivalent(replay(g, verdict.certificate), _pattern_of(verdict))
     assert checked > 70
+
+
+def test_a_connected_graph_keeps_its_own_slot_table(monkeypatch):
+    # the spanning-tree dual of a connected graph reuses the table its curve
+    # forest was read from, instead of building one for a copy of it
+    g = all_A_ribbon_graph(parse_pd(braid_closure_pd(400, 6, "connected-400")))
+    assert len(components(g)) == 1
+    module = import_module("ribbonforge.presentation")
+    built = []
+    table = module._SlotTable
+
+    def counted(*fields):
+        built.append(fields)
+        return table(*fields)
+
+    monkeypatch.setattr(module, "_RECENT", ())
+    monkeypatch.setattr(module, "_SlotTable", counted)
+    assert represents_link(g).representable
+    assert len(built) == 2  # the graph's and its plane partial dual's
