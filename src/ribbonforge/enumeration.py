@@ -8,9 +8,15 @@ Two independent generators produce every equivalence class up to a size cap:
   inserting one new edge in each cyclic gap of all smaller classes is
   complete.  A curve is read up to rotation, so the gap after its last arrow
   is its first gap; that gap is tried first, so skipping its repeat leaves
-  every representative as it was.  Each layer (the classes with n edges) is
-  built once per process, from the layer below, and every call filters the
-  cached layers.
+  every representative as it was.  The new edge's first arrow always
+  points along and its second either way, so a placement can be reached
+  from either arrow placed first: as the same curves when both point
+  along, and otherwise as its twin, the same curves with both new arrows
+  reversed, which is the same ribbon graph.  A parent builds each
+  placement only the first time it reaches it or its twin, so a skipped
+  child's class was already reached and every representative stays.
+  Each layer (the classes with n edges) is built once per process, from
+  the layer below, and every call filters the cached layers.
 * ``enumerate_by_slots`` builds raw configurations directly: cyclic
   arrangements of 2n arrow slots (one permutation per arrangement, via its
   cycle decomposition), slots 2i and 2i+1 as the two arrows of edge e(i+1)
@@ -52,21 +58,49 @@ SINGLE_VERTEX = presentation([[]])
 RawCurves = tuple[tuple[Arrow, ...], ...]
 
 
-def _insertions(curves: RawCurves, arrow: Arrow) -> Iterator[RawCurves]:
-    """The arrow placed in each cyclic gap of every curve, and on a new vertex."""
+def _gaps(curves: RawCurves) -> Iterator[tuple[int, int]]:
+    """(curve index, gap) for each cyclic gap of every curve, then a new vertex."""
     for ci, curve in enumerate(curves):
         for g in range(max(1, len(curve))):
-            patched = curve[:g] + (arrow,) + curve[g:]
-            yield curves[:ci] + (patched,) + curves[ci + 1 :]
-    yield curves + ((arrow,),)
+            yield ci, g
+    yield len(curves), 0
+
+
+def _insert(curves: RawCurves, ci: int, g: int, arrow: Arrow) -> RawCurves:
+    """The arrow placed in gap g of curve ci, or on a new vertex past the last."""
+    if ci == len(curves):
+        return curves + ((arrow,),)
+    curve = curves[ci]
+    return curves[:ci] + (curve[:g] + (arrow,) + curve[g:],) + curves[ci + 1 :]
+
+
+def _insertions(curves: RawCurves, arrow: Arrow) -> Iterator[RawCurves]:
+    """The arrow placed in each cyclic gap of every curve, and on a new vertex."""
+    for ci, g in _gaps(curves):
+        yield _insert(curves, ci, g, arrow)
 
 
 def _children(parent: ArrowPresentation, label: str) -> Iterator[ArrowPresentation]:
-    """All ways to add one new edge to a parent class."""
-    for half in _insertions(parent.curves, Arrow(label, True)):
+    """All ways to add one new edge to a parent class, each placement once.
+
+    A placement is the pair of final slots of the new edge's two arrows and
+    whether the second points along; the first always does.  Either arrow
+    can be the one placed first, so a placement is built only the first
+    time it is reached (see the module docstring).
+    """
+    placed: set[tuple[tuple[int, int], tuple[int, int], bool]] = set()
+    for ci, g in _gaps(parent.curves):
+        half = _insert(parent.curves, ci, g, Arrow(label, True))
         for along in (True, False):
-            for full in _insertions(half, Arrow(label, along)):
-                child = _trusted(full)
+            second = Arrow(label, along)
+            for cj, h in _gaps(half):
+                # the first arrow moves up one if the second goes before it
+                first = (ci, g + 1) if cj == ci and h <= g else (ci, g)
+                placement = (min(first, (cj, h)), max(first, (cj, h)), along)
+                if placement in placed:
+                    continue
+                placed.add(placement)
+                child = _trusted(_insert(half, cj, h, second))
                 if not child.isolated_vertices():
                     yield child
 

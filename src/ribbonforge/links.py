@@ -30,9 +30,8 @@ from .limits import PLANE_DUAL_MAX_EDGES, check_size
 from .minors import (
     MinorScript,
     Step,
+    _b3_theta_t,
     bbar1_script,
-    build_B,
-    build_theta_t,
     trim_steps,
     verified_script,
 )
@@ -406,7 +405,8 @@ def _pattern_certificate(
     steps = trim_steps(pres, set(cycle) | in_tree)
     steps += [("contract_edge", label) for label in sorted(in_tree - set(cycle))]
     reduction, even = _bouquet_reduction(cycle, in_tree)
-    name, target = ("b3", build_B(3)) if even else ("theta_t", build_theta_t())
+    b3, theta_t = _b3_theta_t()
+    name, target = ("b3", b3) if even else ("theta_t", theta_t)
     return verified_script(pres, steps + reduction, target), name
 
 

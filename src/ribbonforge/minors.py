@@ -14,6 +14,7 @@ joined by three parallel edges with one boundary component).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import groupby
 from typing import Callable, Iterable
 
@@ -191,6 +192,12 @@ def build_theta_t() -> ArrowPresentation:
     return partial_dual(build_B(3), {"e1"})
 
 
+@lru_cache(maxsize=None)
+def _b3_theta_t() -> tuple[ArrowPresentation, ArrowPresentation]:
+    """B3 and theta_t, built once per process for the searches that target them."""
+    return build_B(3), build_theta_t()
+
+
 # -- one-step minors and search ---------------------------------------------
 
 
@@ -207,6 +214,16 @@ def one_step_minors(
     return _keyed_minors(pres, lambda child: canonical_key(child, max_edges), True)
 
 
+def _one_step_order(pres: ArrowPresentation, edges: bool = True) -> list[Step]:
+    """The steps of ``one_step_minors`` in its order, or without ``edges``
+    the vertex deletion alone."""
+    labels = pres.labels() if edges else []
+    steps: list[Step] = [("delete_edge", label) for label in labels]
+    steps += [("contract_edge", label) for label in labels]
+    steps += [("delete_vertex", idx) for idx in pres.isolated_vertices()[:1]]
+    return steps
+
+
 def _keyed_minors(
     pres: ArrowPresentation,
     key: Callable[[ArrowPresentation], bytes],
@@ -218,12 +235,8 @@ def _keyed_minors(
 
     A step for which ``skip`` returns true is neither built nor keyed.
     """
-    labels = pres.labels() if edges else []
-    steps: list[Step] = [("delete_edge", label) for label in labels]
-    steps += [("contract_edge", label) for label in labels]
-    steps += [("delete_vertex", idx) for idx in pres.isolated_vertices()[:1]]
     out: dict[bytes, tuple[Step, ArrowPresentation]] = {}
-    for step in steps:
+    for step in _one_step_order(pres, edges):
         if skip is not None and skip(step):
             continue
         child = apply_step(pres, step)
@@ -384,7 +397,7 @@ def excluded_minor_scan(
     found: dict[str, MinorScript] = {}
     if not is_orientable(pres):
         found["bbar1"] = bbar1_script(pres)
-    scripts = _minor_search(pres, [build_B(3), build_theta_t()], max_edges)
+    scripts = _minor_search(pres, list(_b3_theta_t()), max_edges)
     for name, script in zip(("b3", "theta_t"), scripts):
         if script is not None:
             found[name] = script

@@ -106,7 +106,7 @@ class ArrowPresentation:
 
     @property
     def edge_count(self) -> int:
-        return sum(len(c) for c in self.curves) // 2
+        return sum(map(len, self.curves)) // 2
 
     def arrow_positions(self, label: str) -> tuple[tuple[int, int], tuple[int, int]]:
         """The two (curve index, position) slots carrying ``label``."""

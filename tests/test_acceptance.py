@@ -9,7 +9,16 @@ strings are pinned, so a criterion that passes on different counts fails.
 import pytest
 
 import ribbonforge.moves as moves
-from ribbonforge import acceptance, criterion_numbers, run_criterion
+from ribbonforge import (
+    acceptance,
+    canonical_key,
+    contract_edge,
+    criterion_numbers,
+    enumerate_presentations,
+    one_step_minors,
+    random_ribbon_graph,
+    run_criterion,
+)
 
 DETAILS = {
     1: "8779 (graph, subset) pairs agree",
@@ -77,3 +86,19 @@ def test_a_planted_dual_fault_fails_criterion_4_first_where_it_did(monkeypatch):
     assert result.details == (
         "G='e1 e1 e2 e2': dual composition failed at ['e1'], ['e2']"
     )
+
+
+def test_the_genus_walk_reaches_each_class_at_its_keyed_first_step():
+    # criterion 4 walks every one-step minor unkeyed; its first step into
+    # each class must be the step one_step_minors keeps for that class
+    graphs = enumerate_presentations(3) + [
+        random_ribbon_graph(i % 7, f"identities-{i}") for i in range(200)
+    ]
+    for g in graphs:
+        contracted = {label: contract_edge(g, label) for label in g.labels()}
+        first: dict[bytes, tuple] = {}
+        for step, child in acceptance._genus_walk(g, contracted):
+            first.setdefault(canonical_key(child), step)
+        assert list(first.values()) == [
+            step for step, _ in one_step_minors(g).values()
+        ]

@@ -118,14 +118,45 @@ def test_an_arrow_goes_in_each_cyclic_gap_once():
     assert list(enumeration._insertions(((),), a)) == [((a,),), ((), (a,))]
 
 
-def test_layer_4_is_built_from_11872_children():
+def test_layer_4_is_built_from_6148_children():
     from ribbonforge import enumeration
 
     children = sum(
         len(list(enumeration._children(parent, "e4")))
         for parent in enumeration._layer(3)
     )
-    assert children == 11_872  # 20,980 with both ends of each curve tried
+    # 11,872 with each placement built from either arrow placed first, and
+    # 20,980 with both ends of each curve tried
+    assert children == 6_148
+
+
+def _every_ordered_placement(parent, label):
+    """A new edge's first arrow along in each gap, then its second arrow
+    either way in each gap: each placement from both of its arrows."""
+    from ribbonforge import enumeration
+    from ribbonforge.presentation import Arrow, _trusted
+
+    for half in enumeration._insertions(parent.curves, Arrow(label, True)):
+        for along in (True, False):
+            for full in enumeration._insertions(half, Arrow(label, along)):
+                child = _trusted(full)
+                if not child.isolated_vertices():
+                    yield child
+
+
+def test_each_placement_once_keeps_every_representative():
+    from ribbonforge import enumeration
+
+    layer = list(enumeration._layer(0))
+    for n in range(1, 5):
+        seen = {}
+        for parent in layer:
+            for child in _every_ordered_placement(parent, f"e{n}"):
+                seen.setdefault(canonical_key(child), child)
+        layer = [seen[key] for key in sorted(seen)]
+        assert [g.words() for g in layer] == [
+            g.words() for g in enumeration._layer(n)
+        ]
 
 
 def test_slot_generator_agrees_with_augmentation():
