@@ -11,10 +11,13 @@ globally through the ``RIBBONFORGE_MAX_EDGES`` environment variable, which
 never lowers a default, and, except the two enumerations', set per call via
 a ``max_edges=`` argument (the ``--max-edges`` flag).
 ``MINOR_SEARCH_MEMO_LIMIT`` caps the equivalence classes one minor search
-remembers (B3 and theta_t share one in a scan); it has no override.  A
-search also remembers the operation set (edges deleted and contracted,
-vertices deleted) of each child it builds, at most 2E + 1 per expanded state
-of E edges; the cap counts only classes.
+remembers (B3 and theta_t share one in a scan); it has no override.  It
+counts the classes of the children the search builds and keys, and a child
+whose Euler genus, read off its parent, is below every target's is never
+built, so such classes are not counted.  A search also remembers the
+operation set (edges deleted and contracted, vertices deleted) of each
+child it builds, at most 2E + 1 per expanded state of E edges; the cap
+counts only classes.
 """
 
 from __future__ import annotations

@@ -4,6 +4,8 @@ A minor is reached by deleting edges, contracting edges, and deleting isolated
 vertices.  Minor operations never raise the Euler genus and never make an
 orientable graph non-orientable, and only vertex deletions keep the edge
 count; the search prunes by all three, looking for several targets at once.
+Each child's Euler genus is read off its parent before the child is built,
+so a child below every target's genus is never built at all.
 
 The three patterns whose absence characterizes link-diagram representability
 are built here: ``BBAR1`` (the twisted loop), ``B3`` (the bouquet of three
@@ -29,7 +31,7 @@ from .errors import (
 from .limits import MINOR_SEARCH_MAX_EDGES, MINOR_SEARCH_MEMO_LIMIT, check_size
 from .moves import _splice, contract_edge, delete_edge, partial_dual
 from .presentation import ArrowPresentation, _trusted, delete_vertex, from_words
-from .surfaces import is_orientable, odd_twist_cycle, surface_summary
+from .surfaces import _step_genera, is_orientable, odd_twist_cycle, surface_summary
 
 Step = tuple  # ("delete_edge", label) | ("contract_edge", label) | ("delete_vertex", i)
 
@@ -262,6 +264,12 @@ def _minor_search(
     A child whose operation set this search already built is skipped, as
     its class was streamed, and so visited, when that set was first built.
 
+    Every child's Euler genus is read off its parent (``_step_genera``), and
+    a child below every target's genus is never built: no target lies below
+    it, and every class on the first path to a target has that target below
+    it, so no script changes.  A kept child carries the genus its parent
+    predicts, and the prune checks the child's surface summary against it.
+
     The start and the targets are keyed under the bound; a child never has
     more edges than the start, so children are keyed without a check.
     """
@@ -272,37 +280,56 @@ def _minor_search(
     scripts: list[MinorScript | None] = [None] * len(targets)
     built: set[tuple[frozenset[Step], int]] = set()
 
-    def repeated(steps: tuple[Step, ...]):
-        """The skip test for the children of the state that ``steps`` reach."""
+    def children(state: ArrowPresentation, steps: tuple[Step, ...]):
+        """(key, path, child, predicted genus) for the children of a state
+        that are neither below every target's genus nor built before."""
+        genus = surface_summary(state).euler_genus
+        edges = state.edge_count > min_edges
+        genera = _step_genera(state) if edges else {}
         done = frozenset(s for s in steps if s[0] != "delete_vertex")
         bare = len(steps) - len(done)
+
+        def predicted(step: Step) -> int:
+            if step[0] == "delete_vertex":
+                return genus
+            return genera[step[1]][step[0] == "contract_edge"]
 
         def skip(step: Step) -> bool:
             if step[0] == "delete_vertex":
                 ops = (done, bare + 1)
             else:
+                if predicted(step) < min_genus:
+                    return True
                 ops = (done | {step}, bare)
             if ops in built:
                 return True
             built.add(ops)
             return False
 
-        return skip
+        for key, (step, child) in _keyed_minors(state, _key, edges, skip).items():
+            yield key, steps + (step,), child, predicted(step)
 
-    def prunable(state: ArrowPresentation) -> bool:
+    def prunable(state: ArrowPresentation, genus: int) -> bool:
         edges = state.edge_count
         if edges < min_edges or edges == min_edges and not state.isolated_vertices():
             return True
         s = surface_summary(state)
+        if s.euler_genus != genus:
+            raise InternalInvariantViolation(
+                f"Euler genus {s.euler_genus} where its parent predicts {genus}"
+            )
         return s.euler_genus < min_genus or (s.orientable and not any_orientable)
 
-    # Each level streams (key, path, state) for the classes it reaches: the
-    # start, then the children of the previous level's unpruned new classes.
-    level: Iterable = [(canonical_key(pres, max_edges), (), pres)]
+    # Each level streams (key, path, state, predicted genus) for the classes
+    # it reaches: the start, then the children of the previous level's
+    # unpruned new classes.
+    level: Iterable = [
+        (canonical_key(pres, max_edges), (), pres, surface_summary(pres).euler_genus)
+    ]
     visited: set[bytes] = set()
     while True:
         frontier: list[tuple[ArrowPresentation, tuple[Step, ...]]] = []
-        for key, steps, state in level:
+        for key, steps, state, genus in level:
             if key in visited:
                 continue
             if len(visited) >= MINOR_SEARCH_MEMO_LIMIT:
@@ -315,18 +342,12 @@ def _minor_search(
                 scripts[i] = verified_script(pres, steps, targets[i])
                 if None not in scripts:
                     return scripts
-            if not prunable(state):
+            if not prunable(state, genus):
                 frontier.append((state, steps))
         if not frontier:
             return scripts
         # At the least target edge count only vertex deletions can help.
-        level = (
-            (key, steps + (step,), child)
-            for state, steps in frontier
-            for key, (step, child) in _keyed_minors(
-                state, _key, state.edge_count > min_edges, repeated(steps)
-            ).items()
-        )
+        level = (found for state, steps in frontier for found in children(state, steps))
 
 
 def has_minor(
@@ -340,8 +361,9 @@ def has_minor(
     with too few edges or too small an Euler genus, orientable states below
     a non-orientable target, and dead ends (the target's edge count and no
     isolated vertex to delete) are not expanded; other states at the
-    target's edge count only have their isolated vertices deleted.  No set
-    of operations is built twice.
+    target's edge count only have their isolated vertices deleted.  A child
+    of smaller Euler genus than the target's, read off its parent, is never
+    built, and no set of operations is built twice.
     """
     check_size(pres.edge_count, MINOR_SEARCH_MAX_EDGES, max_edges, "minor-search")
     (script,) = _minor_search(pres, [target], max_edges)

@@ -24,7 +24,9 @@ is orientable unless some cycle has an odd number of twisted edges.
 ``surface_summary`` counts boundary components, and reads connected
 components and orientability from ``_curve_roots``, all over one slot
 table; ``odd_twist_cycle`` finds such a cycle, for certificates, on the
-breadth-first ``curve_forest`` of the same kind of table.
+breadth-first ``curve_forest`` of the same kind of table.  The same
+boundary walk gives the Euler genus of every one-edge deletion and
+contraction at once (``_step_genera``), for the minor search.
 
 Euler's formula for a ribbon graph with v vertices, e edges, f boundary
 components and k connected components reads  v − e + f = 2k − γ  where γ is
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable
 
 from .errors import InternalInvariantViolation
@@ -241,27 +244,21 @@ class SurfaceSummary:
         return asdict(self)
 
 
-@lru_cache(maxsize=1 << 18)
-def surface_summary(pres: ArrowPresentation) -> SurfaceSummary:
-    """Vertex/edge/boundary counts and genus, with Euler-formula sanity checks.
-
-    Boundary components, connected components and orientability come from
-    one slot table.  The boundary is the arc complex with every edge opened,
-    so no curve crosses first and each cycle is counted without being
-    recorded; every bare curve adds one more component of both kinds.
-    """
-    table = _slot_table(pres)
+def _boundary_walks(table: _SlotTable) -> tuple[list[int], bytearray, int]:
+    """The boundary walks of the arc complex with every edge opened, so no
+    curve crosses first: each dart's walk, whether the walk leaves the dart
+    by its free side rather than its plain arc, and the number of walks.
+    Bare curves are not counted."""
     along, nxt, prv, mate = table.along, table.nxt, table.prv, table.mate
-    root, orientable = _curve_roots(table)
-    f = pres.curves.count(())
-    seen = bytearray(2 * len(mate))
-    for first in range(2 * len(mate)):
-        if seen[first]:
+    walk = [-1] * (2 * len(mate))
+    leaves = bytearray(len(walk))
+    w = 0
+    for first in range(len(walk)):
+        if walk[first] >= 0:
             continue
-        f += 1
         d = first
         while True:
-            seen[d] = 1
+            walk[d] = w
             s = d >> 1
             if (d & 1) == along[s]:
                 t = nxt[s]
@@ -269,11 +266,27 @@ def surface_summary(pres: ArrowPresentation) -> SurfaceSummary:
             else:
                 t = prv[s]
                 d = 2 * t + along[t]
-            seen[d] = 1
+            walk[d] = w
+            leaves[d] = 1
             # the free side to the mate slot, at the other end
             d = 2 * mate[d >> 1] + 1 - (d & 1)
             if d == first:
                 break
+        w += 1
+    return walk, leaves, w
+
+
+@lru_cache(maxsize=1 << 18)
+def surface_summary(pres: ArrowPresentation) -> SurfaceSummary:
+    """Vertex/edge/boundary counts and genus, with Euler-formula sanity checks.
+
+    Boundary components, connected components and orientability come from
+    one slot table: the boundary walks of ``_boundary_walks``, plus one
+    more component of both kinds for every bare curve.
+    """
+    table = _slot_table(pres)
+    root, orientable = _curve_roots(table)
+    f = pres.curves.count(()) + _boundary_walks(table)[2]
     v = pres.vertex_count
     e = pres.edge_count
     k = len(set(root))
@@ -288,6 +301,96 @@ def surface_summary(pres: ArrowPresentation) -> SurfaceSummary:
         )
     genus = euler_genus // 2 if orientable else euler_genus
     return SurfaceSummary(v, e, f, k, euler_genus, genus, orientable)
+
+
+def _step_genera(pres: ArrowPresentation) -> dict[str, tuple[int, int]]:
+    """Each label's (γ(G − e), γ(G/e)), read off one boundary walk of G.
+
+    Deleting e keeps the vertices and drops one edge, so γ moves with the
+    boundary and component counts alone, and those are set by e's two free
+    sides:
+
+    - on different boundary walks, which e's removal merges: γ;
+    - on the same walk, run the same way, which stays one walk: γ − 1;
+    - on the same walk, run opposite ways, which splits in two: γ − 2,
+      unless e is a bridge, whose removal also adds a component: γ.
+
+    Contraction is deletion in the dual: (G/e)* = G* − e, and duality keeps
+    γ and the component count and swaps vertices with boundary walks.  The
+    boundary walks of G* are the curves of G, on which e's two arrows play
+    the part of its free sides: on different curves (e is not a loop), γ;
+    on one curve pointing the same way as read along it (a twisted loop),
+    γ − 1; otherwise (an untwisted loop) γ − 2, unless contracting e cuts
+    its curve into two arcs that nothing else joins, which leaves γ.
+
+    ``_boundary_walks`` gives each dart's walk and whether the walk leaves
+    the dart by its free side.  Of e's first arrow, the side at the head
+    leads to the second arrow's tail and the side at the tail comes from
+    the second arrow's head, so the two sides run the same way exactly when
+    both ends of the first arrow are left by their free sides or neither
+    is.  A bridge or separating loop takes one connectivity pass (``_cut``).
+    """
+    table = _slot_table(pres)
+    curve, along, mate = table.curve, table.along, table.mate
+    gamma = surface_summary(pres).euler_genus
+    walk, leaves, _ = _boundary_walks(table)
+    out: dict = {}
+    for label, s in table.first.items():
+        t = mate[s]
+        if walk[2 * s + 1] != walk[2 * t + 1]:
+            deleted = gamma
+        elif leaves[2 * s + 1] == leaves[2 * s]:
+            deleted = gamma - 1
+        elif curve[s] == curve[t]:
+            deleted = gamma - 2  # a loop is never a bridge
+        else:
+            deleted = gamma if _cut(table, s, t) else gamma - 2
+        if curve[s] != curve[t]:
+            contracted = gamma
+        elif along[s] != along[t]:
+            contracted = gamma - 1
+        else:
+            contracted = gamma if _cut(table, s, t) else gamma - 2
+        out[label] = deleted, contracted
+    return out
+
+
+def _cut(table: _SlotTable, s: int, t: int) -> bool:
+    """Whether the edge on slots s < t is a bridge, or, for a loop, whether
+    contracting it leaves the two arcs of its curve unjoined.
+
+    One connectivity pass of the curve graph without the edge, in which a
+    loop's curve stands for its arc strictly between s and t, and a new
+    node, -1, for the rest of it.
+    """
+    start, curve, mate = table.start, table.curve, table.mate
+    c = curve[s]
+    loop = curve[t] == c
+
+    def node(slot: int) -> int:
+        return -1 if loop and curve[slot] == c and not s < slot < t else curve[slot]
+
+    def slots(v: int) -> Iterable[int]:
+        if v == -1:
+            return chain(range(start[c], s), range(t + 1, start[c + 1]))
+        if loop and v == c:
+            return range(s + 1, t)
+        return range(start[v], start[v + 1])
+
+    goal = -1 if loop else curve[t]
+    seen = {c}
+    stack = [c]
+    while stack:
+        for slot in slots(stack.pop()):
+            if slot == s or slot == t:
+                continue
+            v = node(mate[slot])
+            if v == goal:
+                return False
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return True
 
 
 def boundary_component_count(pres: ArrowPresentation) -> int:

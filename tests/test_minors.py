@@ -33,6 +33,7 @@ from ribbonforge import (
     partial_dual,
     random_ribbon_graph,
     replay,
+    twists,
     underlying_edges,
     verified_script,
 )
@@ -507,6 +508,80 @@ def test_search_builds_only_vertex_deletions_at_the_target_size(monkeypatch):
         True,
     ]
     assert wasted == []
+
+
+def test_search_builds_no_child_below_every_target_genus(monkeypatch):
+    # B3 and theta_t both have Euler genus 2, and a child's genus is known
+    # from its parent, so no child of genus 0 or 1 is built
+    from ribbonforge import minors
+
+    apply = minors.apply_step
+    genera = []
+
+    def counted(state, step):
+        child = apply(state, step)
+        genera.append(euler_genus(child))
+        return child
+
+    monkeypatch.setattr(minors, "apply_step", counted)
+    g = random_ribbon_graph(8, "w0")
+    assert has_minor(g, build_theta_t())[0]
+    assert set(excluded_minor_scan(g)) >= {"theta_t"}
+    assert genera and min(genera) >= 2
+
+
+def _planted(monkeypatch, fault):
+    """Plant ``fault`` in the child genera the minor search reads: it is
+    given the graph, its Euler genus and the true (deletion, contraction)
+    pair of one label, and returns the pair the search sees."""
+    from ribbonforge import minors
+
+    step_genera = minors._step_genera
+
+    def planted(pres):
+        gamma = euler_genus(pres)
+        return {
+            label: fault(pres, label, gamma, pair)
+            for label, pair in step_genera(pres).items()
+        }
+
+    monkeypatch.setattr(minors, "_step_genera", planted)
+
+
+def test_a_planted_genus_fault_trips_the_guard(monkeypatch):
+    # every deletion predicted one too high: the first kept deletion child
+    # disagrees with its own surface summary
+    def one_high(pres, label, gamma, pair):
+        deleted, contracted = pair
+        return deleted + 1, contracted
+
+    _planted(monkeypatch, one_high)
+    with pytest.raises(InternalInvariantViolation, match="parent predicts"):
+        has_minor(random_ribbon_graph(8, "w0"), build_theta_t())
+
+
+def test_a_planted_twisted_edge_fault_fails_the_oracle(monkeypatch):
+    # a twisted edge's deletion counted as γ − 2: where that falls below
+    # every target the child is dropped unseen, which only the oracle of
+    # scripts can catch; where it does not, the guard trips
+    def twisted_low(pres, label, gamma, pair):
+        return (gamma - 2 if twists(pres)[label] == -1 else pair[0]), pair[1]
+
+    _planted(monkeypatch, twisted_low)
+    targets = [build_Bbar1(), build_B(3), build_theta_t()]
+    graphs = list(enumerate_presentations(3))
+    graphs += [random_ribbon_graph(3 + s % 5, f"memo-{s}") for s in range(40)]
+    tripped = differ = 0
+    for g in graphs:
+        for target in targets:
+            (script,) = reference_minor_search(g, [target])
+            try:
+                found = has_minor(g, target)
+            except InternalInvariantViolation:
+                tripped += 1
+                continue
+            differ += found != (script is not None, script)
+    assert differ > 0 and tripped > 0
 
 
 def test_one_isolated_vertex_deletion_is_built(monkeypatch):

@@ -15,7 +15,11 @@ from ribbonforge import (
     build_B,
     build_Bbar1,
     build_theta_t,
+    component_count,
+    contract_edge,
+    delete_edge,
     disjoint_union,
+    enumerate_presentations,
     equivalent,
     euler_genus,
     from_words,
@@ -28,7 +32,7 @@ from ribbonforge import (
     twists,
 )
 from ribbonforge.presentation import _slot_table
-from ribbonforge.surfaces import _node, odd_twist_cycle, walk_arcs
+from ribbonforge.surfaces import _node, _step_genera, odd_twist_cycle, walk_arcs
 
 # (words, vertices, edges, boundary, euler_genus, orientable) — hand-traced
 FROZEN = [
@@ -327,3 +331,82 @@ def test_summary_as_dict_keys():
         "genus",
         "orientable",
     }
+
+
+def _step_kinds(g, label):
+    """The kinds of e's deletion and contraction, told apart by building
+    both children, as ``_step_genera`` does not."""
+    (c1, _), (c2, _) = g.arrow_positions(label)
+    k = component_count(g)
+    if c1 != c2:
+        deleted = "bridge" if component_count(delete_edge(g, label)) > k else "edge"
+        return deleted, "non-loop"
+    if twists(g)[label] == -1:
+        return "loop", "twisted loop"
+    cut = component_count(contract_edge(g, label)) > k
+    return "loop", "separating loop" if cut else "non-separating loop"
+
+
+def _check_step_genera(g):
+    """Both entries of every label against the real children."""
+    genera = _step_genera(g)
+    assert sorted(genera) == list(g.labels())
+    for label, pair in genera.items():
+        real = (euler_genus(delete_edge(g, label)), euler_genus(contract_edge(g, label)))
+        assert pair == real, (g.words(), label)
+
+
+# (name, words, label, γ(G − e), γ(G/e)): one edge of each kind the walk and
+# the connectivity pass tell apart
+STEP_CASES = [
+    ("free sides on two walks", [["a", "a"]], "a", 0, 0),
+    ("free sides run the same way", [["a", "a'"]], "a", 0, 0),
+    ("free sides run opposite ways", [["a", "b", "a", "b"]], "a", 0, 0),
+    ("bridge", [["a", "b", "a", "b", "x"], ["x", "c", "d", "c", "d"]], "x", 4, 4),
+    ("bridge to a bare end", [["a", "b", "a", "b", "x"], ["x"]], "x", 2, 2),
+    ("non-loop", [["a", "b", "x"], ["x", "a", "b"]], "x", 0, 2),
+    ("twisted loop", [["a", "b", "x", "a", "b", "x'"]], "x", 2, 2),
+    ("separating loop", [["a", "b", "a", "b", "x", "c", "d", "c", "d", "x"]], "x", 4, 4),
+    ("separating loop with a bare arc", [["a", "b", "a", "b", "x", "x"]], "x", 2, 2),
+    ("non-separating loop", [["a", "x", "b", "a", "x", "b"]], "x", 2, 0),
+]
+
+
+@pytest.mark.parametrize(
+    "words, label, deleted, contracted",
+    [case[1:] for case in STEP_CASES],
+    ids=[case[0] for case in STEP_CASES],
+)
+def test_step_genera_by_kind(words, label, deleted, contracted):
+    g = from_words(words)
+    assert _step_genera(g)[label] == (deleted, contracted)
+    _check_step_genera(g)
+
+
+def test_step_genera_on_every_class_up_to_four_edges():
+    kinds = set()
+    for g in enumerate_presentations(4):
+        _check_step_genera(g)
+        for label in g.labels():
+            kinds.update(_step_kinds(g, label))
+    assert kinds == {
+        "edge", "bridge", "loop", "non-loop", "twisted loop",
+        "separating loop", "non-separating loop",
+    }
+
+
+@st.composite
+def _step_graphs(draw):
+    seed = draw(st.integers(0, 10**6))
+    if draw(st.booleans()):
+        return random_ribbon_graph(draw(st.integers(0, 12)), seed)
+    sizes = draw(st.lists(st.integers(0, 6), min_size=1, max_size=3))
+    parts = [random_ribbon_graph(n, f"{seed}-{i}") for i, n in enumerate(sizes)]
+    parts += [from_words([[]])] * draw(st.integers(0, 2))
+    return disjoint_union(*parts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_step_graphs())
+def test_step_genera_match_the_built_children(g):
+    _check_step_genera(g)
