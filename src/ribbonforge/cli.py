@@ -222,11 +222,13 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "verify":
-        if args.criteria:
+        if args.criteria is not None:
             try:
                 numbers = [int(tok) for tok in args.criteria.split(",") if tok]
             except ValueError as exc:
                 raise ParseError(f"bad criteria list {args.criteria!r}") from exc
+            if not numbers:
+                raise ParseError(f"no criteria named in {args.criteria!r}")
             unknown = [n for n in numbers if n not in criterion_numbers()]
             if unknown:
                 raise ParseError(f"unknown criteria {unknown}")

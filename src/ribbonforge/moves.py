@@ -4,11 +4,11 @@ Contraction and partial duality are one splice: a walk of the arc complex
 (see ``surfaces``) of the curves carrying a set of edges, with every edge of
 the set opened.  Opening an edge e removes its two arrows α and β and joins
 the loose ends by its free sides, from the head of α to the tail of β and
-from the head of β to the tail of α.  For contraction the free sides are
-plain; for partial duality each carries a fresh e-labelled arrow pointing
-the way it was drawn.  The affected curves fall apart into the cycles of the
-walk, each read off as the arrows met along it; all other curves pass
-through unchanged.
+from the head of β to the tail of α.  The affected curves fall apart into
+the cycles of the walk, each read off as the arrows on the cross arcs it
+takes: for contraction the free sides are bare, and for partial duality
+each carries a fresh e-labelled arrow pointing the way it is walked.  All
+other curves pass through unchanged.
 
 Partial duality over a set opens all of its edges in the one walk, as in
 Chmutov's construction of G^A, so it costs one pass over the affected curves
@@ -23,13 +23,15 @@ from typing import Iterable
 
 from .errors import UnknownLabel
 from .presentation import ArrowPresentation, _min_rotation, _slot_table, _trusted
-from .surfaces import walk_arcs
+from .surfaces import _cross_arrows, _opened, walk_arcs
 
 
 def delete_edge(pres: ArrowPresentation, label: str) -> ArrowPresentation:
     """Remove both arrows of an edge; the vertices stay (possibly isolated)."""
-    pres.arrow_positions(label)  # validates presence
-    return _trusted([a for a in curve if a.label != label] for curve in pres.curves)
+    curves = [[a for a in curve if a.label != label] for curve in pres.curves]
+    if sum(map(len, curves)) == sum(map(len, pres.curves)):
+        raise UnknownLabel(f"label {label!r} not present exactly twice")
+    return _trusted(curves)
 
 
 def _splice(
@@ -49,11 +51,13 @@ def _splice(
             f"labels not present: {', '.join(missing)}" if dual
             else f"label {missing[0]!r} not present exactly twice"
         )
-    opened = [s for label in labels for s in (first[label], mate[first[label]])]
-    affected = sorted({table.curve[s] for s in opened})
+    slots = [s for label in labels for s in (first[label], mate[first[label]])]
+    affected = sorted({table.curve[s] for s in slots})
+    opened = _opened(table, affected, slots)
+    order, ends = walk_arcs(table, affected, opened)
     new_curves = [
-        _min_rotation(tuple(arrows))
-        for _, arrows in walk_arcs(table, affected, opened, dual)
+        _min_rotation(_cross_arrows(table, opened, dual, order[b + 1:e:2]))
+        for b, e in zip([0, *ends], ends)
     ]
     out: list = []
     hit = set(affected)

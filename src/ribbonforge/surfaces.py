@@ -7,26 +7,27 @@ by the *plain arc* from each arrow to the next along its curve and by each
 arrow itself, from tail to head, except that an *opened* edge replaces its
 two arrows α and β by its two *free sides*, which join {head α, tail β} and
 {head β, tail α}.  Each dart then lies on one plain arc and one *cross*
-arc, and ``walk_arcs`` walks the cycles in place.  Two walks of it do all
-the work on curves:
+arc, so the complex falls into cycles.  ``walk_arcs`` is the one walker of
+them; it leaves every other dart by its plain arc and the rest by their
+cross arcs.  What its cycles give:
 
-- opening every edge of every curve gives the boundary of the surface: its
-  cycles, plus one full circle for every curve with no arrows, are the
-  boundary components (``trace_boundary``, which turns darts back into
-  (curve, position, end) nodes for its output);
-- opening a set of edges on the curves carrying them splices the set: the
-  arrows met along each cycle form one new curve.  With bare free sides
-  this contracts a single edge; when each free side carries a fresh arrow
-  of its edge it is the partial dual at the whole set (see ``moves``).
+- with every edge opened, they are the boundary components, with one full
+  circle more for every curve with no arrows: ``surface_summary`` counts
+  them, ``trace_boundary`` turns them into (curve, position, end) nodes,
+  and ``_step_genera`` reads off them the Euler genus of every one-edge
+  deletion and contraction, for the minor search;
+- with a set of edges opened on the curves carrying them, the arrows met
+  along each cycle (``_cross_arrows``) form one new curve of the splice
+  that contracts the set or takes the partial dual at it (see ``moves``);
+- with a set A opened on every curve, they and the bare curves number
+  f(V, A), the boundary components of the spanning subgraph (V, A).
 
 An edge is twisted when its two arrows point opposite ways.  The graph
 is orientable unless some cycle has an odd number of twisted edges.
-``surface_summary`` counts boundary components, and reads connected
-components and orientability from ``_curve_roots``, all over one slot
-table; ``odd_twist_cycle`` finds such a cycle, for certificates, on the
-breadth-first ``curve_forest`` of the same kind of table.  The same
-boundary walk gives the Euler genus of every one-edge deletion and
-contraction at once (``_step_genera``), for the minor search.
+``surface_summary`` reads connected components and orientability from
+``_curve_roots`` over the slot table that it walks; ``odd_twist_cycle``
+finds such a cycle, for certificates, on the breadth-first
+``curve_forest`` of the same kind of table.
 
 Euler's formula for a ribbon graph with v vertices, e edges, f boundary
 components and k connected components reads  v − e + f = 2k − γ  where γ is
@@ -38,12 +39,13 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import chain
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import InternalInvariantViolation
 from .presentation import (
     Arrow,
     ArrowPresentation,
+    Curve,
     _curve_roots,
     _group_by_root,
     _slot_table,
@@ -65,80 +67,93 @@ def _node(table: _SlotTable, dart: int) -> Node:
 
 
 def walk_arcs(
-    table: _SlotTable,
-    curve_indices: Iterable[int],
-    opened: Iterable[int],
-    sides_labelled: bool,
-) -> list[tuple[list[int], list[Arrow]]]:
-    """The cycles of the arc complex of some curves with some edges opened.
+    table: _SlotTable, curves: Iterable[int], opened: Sequence[int]
+) -> tuple[list[int], list[int]]:
+    """The cycles of the arc complex of some curves, with ``opened`` set at
+    the slots of the opened edges: every dart of the curves in walking
+    order, and the index in that list just past each cycle's last dart.
 
-    ``opened`` lists the slots of the opened edges, both slots of each, on
-    the given curves; their free sides carry the label when
-    ``sides_labelled`` is set.  A dart's plain arc goes to the previous or
-    next arrow on its curve, and its cross arc to the other end of its own
-    arrow or, for an opened edge, along the free side to the mate slot;
-    each cycle alternates the two.  Cycles start at the least dart not yet
-    walked and leave it by the plain arc, except at the entry dart of a
-    curve's first arrow when the curve has more than one arrow and that
-    edge is not opened: there it crosses first.  Each cycle is returned as
-    the darts it passes and the arrows its labelled arcs carry, each
-    pointing the way the cycle runs along it.
+    Curves are taken in the order given.  A cycle starts at the least dart
+    of its curve not yet walked and leaves it by the plain arc, except at
+    the entry dart of a curve's first arrow when the curve has more than one
+    arrow and that edge is not opened: there it starts one dart on, at the
+    arrow's other end, so that it runs the way the curve is read.  The arcs
+    alternate from there, so a cycle's odd places hold the darts it leaves
+    by their cross arcs.
     """
-    start, curve, along, nxt, prv, mate, label, arrow, _ = table
-    given = set(curve_indices)
-    is_open = bytearray(len(curve))
-    opened = list(opened)
-    for s in opened:
-        if not 0 <= s < len(curve) or is_open[s] or curve[s] not in given:
-            raise InternalInvariantViolation(f"bad slot {s} for an opened edge")
-        is_open[s] = 1
-    for s in opened:
-        if not is_open[mate[s]]:
-            raise InternalInvariantViolation(f"slot {s} opened without its mate")
-
-    cycles: list[tuple[list[int], list[Arrow]]] = []
-    seen = bytearray(2 * len(curve))
-    for ci in sorted(given):
+    start, _, along, nxt, prv, mate, _, _, _ = table
+    order: list[int] = []
+    ends: list[int] = []
+    seen = [0] * (2 * len(mate))  # a list indexes faster than a bytearray
+    for ci in curves:
         b, e = start[ci], start[ci + 1]
-        entry = 2 * b + 1 - along[b] if e - b > 1 and not is_open[b] else -1
+        entry = 2 * b + 1 - along[b] if e - b > 1 and not opened[b] else -1
         for first in range(2 * b, 2 * e):
             if seen[first]:
                 continue
-            darts, arrows, d = [first], [], first
-            cross = first == entry
+            if first == entry:
+                first ^= 1
+            d = first
             while True:
                 seen[d] = 1
+                order.append(d)
                 s = d >> 1
-                if cross:
-                    end = d & 1
-                    if is_open[s]:
-                        labelled, forward = sides_labelled, end == 1
-                        d = 2 * mate[s] + 1 - end
-                    else:
-                        labelled, forward = True, end == 0
-                        d ^= 1
-                    if labelled:
-                        # an arrow of the label that already points this way
-                        # is reused rather than built again
-                        m = mate[s]
-                        arrows.append(
-                            arrow[s] if along[s] == forward
-                            else arrow[m] if along[m] == forward
-                            else Arrow(label[s], forward)
-                        )
-                elif d & 1 == along[s]:
-                    # an arrow along its curve is left at its head
+                if d & 1 == along[s]:
+                    # the plain arc: an arrow along its curve is left at its head
                     t = nxt[s]
                     d = 2 * t + 1 - along[t]
                 else:
                     t = prv[s]
                     d = 2 * t + along[t]
+                seen[d] = 1
+                order.append(d)
+                # the cross arc: a free side to the mate slot, or the arrow
+                s = d >> 1
+                d = 2 * mate[s] + 1 - (d & 1) if opened[s] else d ^ 1
                 if d == first:
                     break
-                darts.append(d)
-                cross = not cross
-            cycles.append((darts, arrows))
-    return cycles
+            ends.append(len(order))
+    return order, ends
+
+
+def _opened(table: _SlotTable, curves: Iterable[int], slots: list[int]) -> list[int]:
+    """The walker's per-slot flags for opening ``slots``, both slots of each
+    opened edge, all on ``curves``; anything else is refused."""
+    curve, mate = table.curve, table.mate
+    given = set(curves)
+    flags = [0] * len(curve)
+    for s in slots:
+        if not 0 <= s < len(curve) or flags[s] or curve[s] not in given:
+            raise InternalInvariantViolation(f"bad slot {s} for an opened edge")
+        flags[s] = 1
+    for s in slots:
+        if not flags[mate[s]]:
+            raise InternalInvariantViolation(f"slot {s} opened without its mate")
+    return flags
+
+
+def _cross_arrows(
+    table: _SlotTable, opened: Sequence[int], dual: bool, darts: Iterable[int]
+) -> Curve:
+    """The arrows on the cross arcs leaving ``darts``, each pointing the way
+    the walk runs: a closed edge's arrow runs forward from its tail, and an
+    opened edge's free side, which carries an arrow only when ``dual`` is
+    set, from the head it leaves.  An arrow of the label that already
+    points that way is reused rather than built again."""
+    along, mate, label, arrow = table.along, table.mate, table.label, table.arrow
+    out = []
+    for d in darts:
+        s = d >> 1
+        if opened[s] and not dual:
+            continue
+        forward = d & 1 == opened[s]
+        m = mate[s]
+        out.append(
+            arrow[s] if along[s] == forward
+            else arrow[m] if along[m] == forward
+            else Arrow(label[s], forward)
+        )
+    return tuple(out)
 
 
 def trace_boundary(pres: ArrowPresentation):
@@ -150,13 +165,13 @@ def trace_boundary(pres: ArrowPresentation):
     indices containing its two free sides.
     """
     table = _slot_table(pres)
-    slots = range(len(table.curve))
+    order, ends = walk_arcs(table, range(len(pres.curves)), [1] * len(table.mate))
     walks: list[Walk] = []
-    dart_walk = [0] * (2 * len(slots))
-    for darts, _ in walk_arcs(table, range(len(pres.curves)), slots, False):
-        for d in darts:
+    dart_walk = [0] * len(order)
+    for b, e in zip([0, *ends], ends):
+        for d in order[b:e]:
             dart_walk[d] = len(walks)
-        walks.append(tuple(_node(table, d) for d in darts))
+        walks.append(tuple(_node(table, d) for d in order[b:e]))
     walks.extend(("vertex", i) for i, curve in enumerate(pres.curves) if not curve)
     mate = table.mate
     edge_walks = {
@@ -244,49 +259,18 @@ class SurfaceSummary:
         return asdict(self)
 
 
-def _boundary_walks(table: _SlotTable) -> tuple[list[int], bytearray, int]:
-    """The boundary walks of the arc complex with every edge opened, so no
-    curve crosses first: each dart's walk, whether the walk leaves the dart
-    by its free side rather than its plain arc, and the number of walks.
-    Bare curves are not counted."""
-    along, nxt, prv, mate = table.along, table.nxt, table.prv, table.mate
-    walk = [-1] * (2 * len(mate))
-    leaves = bytearray(len(walk))
-    w = 0
-    for first in range(len(walk)):
-        if walk[first] >= 0:
-            continue
-        d = first
-        while True:
-            walk[d] = w
-            s = d >> 1
-            if (d & 1) == along[s]:
-                t = nxt[s]
-                d = 2 * t + 1 - along[t]
-            else:
-                t = prv[s]
-                d = 2 * t + along[t]
-            walk[d] = w
-            leaves[d] = 1
-            # the free side to the mate slot, at the other end
-            d = 2 * mate[d >> 1] + 1 - (d & 1)
-            if d == first:
-                break
-        w += 1
-    return walk, leaves, w
-
-
 @lru_cache(maxsize=1 << 18)
 def surface_summary(pres: ArrowPresentation) -> SurfaceSummary:
     """Vertex/edge/boundary counts and genus, with Euler-formula sanity checks.
 
     Boundary components, connected components and orientability come from
-    one slot table: the boundary walks of ``_boundary_walks``, plus one
-    more component of both kinds for every bare curve.
+    one slot table: the cycles of ``walk_arcs`` with every edge opened,
+    plus one more component of both kinds for every bare curve.
     """
     table = _slot_table(pres)
     root, orientable = _curve_roots(table)
-    f = pres.curves.count(()) + _boundary_walks(table)[2]
+    _, ends = walk_arcs(table, range(len(pres.curves)), [1] * len(table.mate))
+    f = pres.curves.count(()) + len(ends)
     v = pres.vertex_count
     e = pres.edge_count
     k = len(set(root))
@@ -323,23 +307,31 @@ def _step_genera(pres: ArrowPresentation) -> dict[str, tuple[int, int]]:
     γ − 1; otherwise (an untwisted loop) γ − 2, unless contracting e cuts
     its curve into two arcs that nothing else joins, which leaves γ.
 
-    ``_boundary_walks`` gives each dart's walk and whether the walk leaves
-    the dart by its free side.  Of e's first arrow, the side at the head
-    leads to the second arrow's tail and the side at the tail comes from
-    the second arrow's head, so the two sides run the same way exactly when
-    both ends of the first arrow are left by their free sides or neither
-    is.  A bridge or separating loop takes one connectivity pass (``_cut``).
+    With every edge opened, ``walk_arcs`` gives each dart's walk, and as
+    each walk has even length, the darts at odd places are those it leaves
+    by their free sides.  Of e's first arrow, the side at the head leads to
+    the second arrow's tail and the side at the tail comes from the second
+    arrow's head, so the two sides run the same way exactly when both ends
+    of the first arrow are left by their free sides or neither is.  A
+    bridge or separating loop takes one connectivity pass (``_cut``).
     """
     table = _slot_table(pres)
     curve, along, mate = table.curve, table.along, table.mate
     gamma = surface_summary(pres).euler_genus
-    walk, leaves, _ = _boundary_walks(table)
+    order, ends = walk_arcs(table, range(len(pres.curves)), [1] * len(mate))
+    walk = [0] * len(order)
+    for w, (b, e) in enumerate(zip([0, *ends], ends)):
+        for d in order[b:e]:
+            walk[d] = w
+    side = [0] * len(order)
+    for d in order[1::2]:
+        side[d] = 1
     out: dict = {}
     for label, s in table.first.items():
         t = mate[s]
         if walk[2 * s + 1] != walk[2 * t + 1]:
             deleted = gamma
-        elif leaves[2 * s + 1] == leaves[2 * s]:
+        elif side[2 * s + 1] == side[2 * s]:
             deleted = gamma - 1
         elif curve[s] == curve[t]:
             deleted = gamma - 2  # a loop is never a bridge

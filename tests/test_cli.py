@@ -191,6 +191,10 @@ def test_input_errors_exit_2(arp, capsys):
     assert code == 2
     code, payload = run_json(capsys, "verify", "--criteria", "1,99")
     assert code == 2 and "unknown criteria" in payload["error"]["message"]
+    for empty in (",", "", ",,"):
+        code, payload = run_json(capsys, "verify", "--criteria", empty)
+        assert code == 2 and payload["error"]["type"] == "ParseError", empty
+        assert "no criteria named" in payload["error"]["message"]
     code, payload = run_json(capsys, "verify", "--criteria", "zap")
     assert code == 2
 

@@ -75,6 +75,17 @@ def test_contract_edge_rejects_unknown_label_from_one_arrow_pass(monkeypatch):
     assert str(info.value) == "label 'zz' not present exactly twice"
 
 
+def test_delete_edge_rejects_unknown_label_from_one_arrow_pass(monkeypatch):
+    def forbidden(self, label):
+        raise AssertionError("second arrow pass")
+
+    monkeypatch.setattr(moves.ArrowPresentation, "arrow_positions", forbidden)
+    assert delete_edge(TORUS, "a") == from_words([["b", "b"]])
+    with pytest.raises(UnknownLabel) as info:
+        delete_edge(B1, "zz")
+    assert str(info.value) == "label 'zz' not present exactly twice"
+
+
 def test_partial_dual_over_a_set_is_one_walk(monkeypatch):
     calls = []
     walk = moves.walk_arcs
