@@ -74,12 +74,6 @@ def _insert(curves: RawCurves, ci: int, g: int, arrow: Arrow) -> RawCurves:
     return curves[:ci] + (curve[:g] + (arrow,) + curve[g:],) + curves[ci + 1 :]
 
 
-def _insertions(curves: RawCurves, arrow: Arrow) -> Iterator[RawCurves]:
-    """The arrow placed in each cyclic gap of every curve, and on a new vertex."""
-    for ci, g in _gaps(curves):
-        yield _insert(curves, ci, g, arrow)
-
-
 def _children(parent: ArrowPresentation, label: str) -> Iterator[ArrowPresentation]:
     """All ways to add one new edge to a parent class, each placement once.
 

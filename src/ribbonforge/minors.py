@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .canonical import _key, canonical_key, equivalent
 from .enumeration import enumerate_presentations
@@ -28,9 +28,16 @@ from .errors import (
     SizeBoundExceeded,
     UnknownLabel,
 )
-from .limits import MINOR_SEARCH_MAX_EDGES, MINOR_SEARCH_MEMO_LIMIT, check_size
+from .limits import (
+    CANONICAL_MAX_EDGES,
+    MINOR_SEARCH_MAX_EDGES,
+    MINOR_SEARCH_MEMO_LIMIT,
+    check_size,
+    refuse_above,
+    size_bound,
+)
 from .moves import _splice, contract_edge, delete_edge, partial_dual
-from .presentation import ArrowPresentation, _trusted, delete_vertex, from_words
+from .presentation import ArrowPresentation, _trusted, from_words
 from .surfaces import _step_genera, is_orientable, odd_twist_cycle, surface_summary
 
 Step = tuple  # ("delete_edge", label) | ("contract_edge", label) | ("delete_vertex", i)
@@ -55,9 +62,7 @@ def apply_step(pres: ArrowPresentation, step: Step) -> ArrowPresentation:
         return delete_edge(pres, arg)
     if op == "contract_edge":
         return contract_edge(pres, arg)
-    if not (0 <= arg < len(pres.curves)) or pres.curves[arg]:
-        raise InternalInvariantViolation(f"script deletes non-isolated vertex {arg}")
-    return delete_vertex(pres, arg)
+    return _delete_vertices(pres, [arg])
 
 
 def _run_kind(step) -> str | None:
@@ -69,7 +74,7 @@ def _run_kind(step) -> str | None:
         return None
     if op in ("delete_edge", "contract_edge") and isinstance(arg, str):
         return op
-    if op == "delete_vertex" and isinstance(arg, int):
+    if op == "delete_vertex" and isinstance(arg, int) and not isinstance(arg, bool):
         return op
     return None
 
@@ -103,7 +108,8 @@ def _delete_vertices(pres: ArrowPresentation, indices: list[int]) -> ArrowPresen
                 f"script deletes non-isolated vertex {index}"
             )
         del alive[index]
-    return _trusted(pres.curves[i] for i in alive)
+    # dropping bare curves leaves every other curve as it was
+    return ArrowPresentation(tuple(pres.curves[i] for i in alive))
 
 
 _RUNS = {
@@ -211,9 +217,18 @@ def one_step_minors(
     Operations are tried in a fixed order (edge deletions and contractions,
     each sorted, then deleting the first isolated vertex: any other isolated
     vertex gives the same class); the first step reaching each class is
-    kept, and the classes are listed in the order reached.
+    kept, and the classes are listed in the order reached.  The canonical
+    form's size bound is resolved once, on entry, so a bad bound raises even
+    for a graph with no child; each child is then checked against it, as
+    ``canonical_key`` would check it.
     """
-    return _keyed_minors(pres, lambda child: canonical_key(child, max_edges), True)
+    bound = size_bound(CANONICAL_MAX_EDGES, max_edges)
+    out: dict[bytes, tuple[Step, ArrowPresentation]] = {}
+    for step in _one_step_order(pres):
+        child = apply_step(pres, step)
+        refuse_above(child.edge_count, bound, max_edges, "canonical-form")
+        out.setdefault(_key(child), (step, child))
+    return out
 
 
 def _one_step_order(pres: ArrowPresentation, edges: bool = True) -> list[Step]:
@@ -224,26 +239,6 @@ def _one_step_order(pres: ArrowPresentation, edges: bool = True) -> list[Step]:
     steps += [("contract_edge", label) for label in labels]
     steps += [("delete_vertex", idx) for idx in pres.isolated_vertices()[:1]]
     return steps
-
-
-def _keyed_minors(
-    pres: ArrowPresentation,
-    key: Callable[[ArrowPresentation], bytes],
-    edges: bool,
-    skip: Callable[[Step], bool] | None = None,
-):
-    """``one_step_minors`` keyed by ``key``, or without ``edges`` its vertex
-    deletions alone.
-
-    A step for which ``skip`` returns true is neither built nor keyed.
-    """
-    out: dict[bytes, tuple[Step, ArrowPresentation]] = {}
-    for step in _one_step_order(pres, edges):
-        if skip is not None and skip(step):
-            continue
-        child = apply_step(pres, step)
-        out.setdefault(key(child), (step, child))
-    return out
 
 
 def _minor_search(
@@ -270,6 +265,12 @@ def _minor_search(
     it, so no script changes.  A kept child carries the genus its parent
     predicts, and the prune checks the child's surface summary against it.
 
+    One loop walks each unpruned state's steps in ``one_step_minors``'
+    order: it reads the step's predicted genus, skips the step as above,
+    and otherwise builds the child, keys it and streams it to the level
+    loop, which drops a class already visited.  So once the last target is
+    found, no further child is built.
+
     The start and the targets are keyed under the bound; a child never has
     more edges than the start, so children are keyed without a check.
     """
@@ -280,34 +281,28 @@ def _minor_search(
     scripts: list[MinorScript | None] = [None] * len(targets)
     built: set[tuple[frozenset[Step], int]] = set()
 
-    def children(state: ArrowPresentation, steps: tuple[Step, ...]):
+    def children(state: ArrowPresentation, steps: tuple[Step, ...], genus: int):
         """(key, path, child, predicted genus) for the children of a state
-        that are neither below every target's genus nor built before."""
-        genus = surface_summary(state).euler_genus
+        of Euler genus ``genus`` that are neither below every target's genus
+        nor built before."""
+        # At the least target edge count only vertex deletions can help.
         edges = state.edge_count > min_edges
         genera = _step_genera(state) if edges else {}
         done = frozenset(s for s in steps if s[0] != "delete_vertex")
         bare = len(steps) - len(done)
-
-        def predicted(step: Step) -> int:
+        for step in _one_step_order(state, edges):
             if step[0] == "delete_vertex":
-                return genus
-            return genera[step[1]][step[0] == "contract_edge"]
-
-        def skip(step: Step) -> bool:
-            if step[0] == "delete_vertex":
-                ops = (done, bare + 1)
+                predicted, ops = genus, (done, bare + 1)
             else:
-                if predicted(step) < min_genus:
-                    return True
+                predicted = genera[step[1]][step[0] == "contract_edge"]
+                if predicted < min_genus:
+                    continue
                 ops = (done | {step}, bare)
             if ops in built:
-                return True
+                continue
             built.add(ops)
-            return False
-
-        for key, (step, child) in _keyed_minors(state, _key, edges, skip).items():
-            yield key, steps + (step,), child, predicted(step)
+            child = apply_step(state, step)
+            yield _key(child), steps + (step,), child, predicted
 
     def prunable(state: ArrowPresentation, genus: int) -> bool:
         edges = state.edge_count
@@ -328,7 +323,7 @@ def _minor_search(
     ]
     visited: set[bytes] = set()
     while True:
-        frontier: list[tuple[ArrowPresentation, tuple[Step, ...]]] = []
+        frontier: list[tuple[ArrowPresentation, tuple[Step, ...], int]] = []
         for key, steps, state, genus in level:
             if key in visited:
                 continue
@@ -343,11 +338,10 @@ def _minor_search(
                 if None not in scripts:
                     return scripts
             if not prunable(state, genus):
-                frontier.append((state, steps))
+                frontier.append((state, steps, genus))
         if not frontier:
             return scripts
-        # At the least target edge count only vertex deletions can help.
-        level = (found for state, steps in frontier for found in children(state, steps))
+        level = (found for entry in frontier for found in children(*entry))
 
 
 def has_minor(

@@ -101,21 +101,28 @@ def test_layers_are_built_once_per_process(monkeypatch):
     assert built == []
 
 
+def _insertions(curves, arrow):
+    """The arrow placed in each cyclic gap of every curve, and on a new
+    vertex, as ``enumeration._children`` places each of its arrows."""
+    from ribbonforge.enumeration import _gaps, _insert
+
+    return [_insert(curves, ci, g, arrow) for ci, g in _gaps(curves)]
+
+
 def test_an_arrow_goes_in_each_cyclic_gap_once():
-    from ribbonforge import enumeration
     from ribbonforge.presentation import Arrow
 
     x, y, z, a = (Arrow(label, True) for label in "xyza")
     # three gaps of a 3-arrow curve (the one after z is the one before x),
     # then a new vertex
-    assert list(enumeration._insertions(((x, y, z),), a)) == [
+    assert _insertions(((x, y, z),), a) == [
         ((a, x, y, z),),
         ((x, a, y, z),),
         ((x, y, a, z),),
         ((x, y, z), (a,)),
     ]
     # a bare vertex has one gap
-    assert list(enumeration._insertions(((),), a)) == [((a,),), ((), (a,))]
+    assert _insertions(((),), a) == [((a,),), ((), (a,))]
 
 
 def test_layer_4_is_built_from_6148_children():
@@ -133,12 +140,11 @@ def test_layer_4_is_built_from_6148_children():
 def _every_ordered_placement(parent, label):
     """A new edge's first arrow along in each gap, then its second arrow
     either way in each gap: each placement from both of its arrows."""
-    from ribbonforge import enumeration
     from ribbonforge.presentation import Arrow, _trusted
 
-    for half in enumeration._insertions(parent.curves, Arrow(label, True)):
+    for half in _insertions(parent.curves, Arrow(label, True)):
         for along in (True, False):
-            for full in enumeration._insertions(half, Arrow(label, along)):
+            for full in _insertions(half, Arrow(label, along)):
                 child = _trusted(full)
                 if not child.isolated_vertices():
                     yield child

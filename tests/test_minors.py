@@ -172,6 +172,8 @@ def test_fixed_scripts_take_both_replay_branches(steps, spliced):
     [("delete_edge", ["a"])],
     [("delete_vertex", "0")],
     [("delete_edge", "c"), None],
+    [("delete_vertex", True)],
+    [("delete_edge", "c"), ("delete_edge", "d"), ("delete_vertex", True)],
 ])
 def test_bad_scripts_raise_as_step_by_step(steps):
     script = MinorScript(tuple(steps))
@@ -209,6 +211,27 @@ def test_one_step_minors_dedup_children_by_class():
         reached = {canonical_key(delete_edge(h, l), 8) for l in h.labels()}
         reached |= {canonical_key(contract_edge(h, l), 8) for l in h.labels()}
         assert reached <= set(children)
+
+
+def test_one_step_minors_resolve_their_bound_on_entry(monkeypatch):
+    from ribbonforge.errors import SizeBoundExceeded
+
+    # a bad bound raises whether or not the graph has a child
+    for g in (EMPTY, build_B(3)):
+        with pytest.raises(RibbonError, match="max_edges must be >= 0"):
+            one_step_minors(g, max_edges=-1)
+    # each child is checked against it: both edge steps leave no edge, so
+    # the vertex deletion, keeping one edge, is the first child refused
+    g = from_words([["a", "a"], []])
+    with pytest.raises(SizeBoundExceeded) as got:
+        one_step_minors(g, max_edges=0)
+    with pytest.raises(SizeBoundExceeded) as expected:
+        canonical_key(apply_step(g, ("delete_vertex", 1)), 0)
+    assert str(got.value) == str(expected.value)
+    monkeypatch.setenv("RIBBONFORGE_MAX_EDGES", "abc")
+    for g in (EMPTY, build_B(3)):
+        with pytest.raises(RibbonError, match="RIBBONFORGE_MAX_EDGES"):
+            one_step_minors(g)
 
 
 def test_one_step_minors_never_raise_genus():
@@ -339,6 +362,16 @@ def reference_minor_search(pres, targets, max_edges=None):
             is_orientable(state) and not any_orientable
         )
 
+    def children(state):
+        if state.edge_count > min_edges:
+            return one_step_minors(state, max_edges).items()
+        # at the least target edge count only vertex deletions can help
+        return [
+            (canonical_key(child, max_edges), (step, child))
+            for step in minors._one_step_order(state, edges=False)
+            for child in [apply_step(state, step)]
+        ]
+
     level = [(canonical_key(pres, max_edges), (), pres)]
     visited = set()
     while True:
@@ -359,13 +392,7 @@ def reference_minor_search(pres, targets, max_edges=None):
         level = [
             (key, steps + (step,), child)
             for state, steps in frontier
-            for key, (step, child) in (
-                one_step_minors(state, max_edges)
-                if state.edge_count > min_edges
-                else minors._keyed_minors(
-                    state, lambda child: canonical_key(child, max_edges), edges=False
-                )
-            ).items()
+            for key, (step, child) in children(state)
         ]
 
 
@@ -449,17 +476,18 @@ def test_distinct_edge_operations_commute():
 
 @pytest.fixture
 def expanded(monkeypatch):
-    """Every state the minor search expands, in order."""
+    """Every state the minor search expands, in order: each one whose steps
+    it lists."""
     from ribbonforge import minors
 
     states = []
-    keyed = minors._keyed_minors
+    order = minors._one_step_order
 
     def recording(state, *rest):
         states.append(state)
-        return keyed(state, *rest)
+        return order(state, *rest)
 
-    monkeypatch.setattr(minors, "_keyed_minors", recording)
+    monkeypatch.setattr(minors, "_one_step_order", recording)
     return states
 
 
@@ -528,6 +556,41 @@ def test_search_builds_no_child_below_every_target_genus(monkeypatch):
     assert has_minor(g, build_theta_t())[0]
     assert set(excluded_minor_scan(g)) >= {"theta_t"}
     assert genera and min(genera) >= 2
+
+
+@pytest.mark.parametrize("g, target", [
+    (random_ribbon_graph(8, "w0"), build_theta_t()),
+    (random_ribbon_graph(8, "w2"), None),  # a scan that finds both patterns
+])
+def test_search_builds_no_child_after_its_last_target(monkeypatch, g, target):
+    # children are streamed as they are built, so the child that completes
+    # the targets is the last one built
+    from ribbonforge import minors
+
+    apply, verify = minors.apply_step, minors.verified_script
+    built, replaying = [], []
+
+    def counted(state, step):
+        child = apply(state, step)
+        if not replaying:
+            built.append(child)
+        return child
+
+    def verified(*args):
+        replaying.append(True)  # a found script is replayed from the start
+        try:
+            return verify(*args)
+        finally:
+            replaying.pop()
+
+    monkeypatch.setattr(minors, "apply_step", counted)
+    monkeypatch.setattr(minors, "verified_script", verified)
+    if target is not None:
+        assert has_minor(g, target)[0]
+        assert equivalent(built[-1], target)
+    else:
+        assert set(excluded_minor_scan(g)) >= {"b3", "theta_t"}
+        assert any(equivalent(built[-1], t) for t in (build_B(3), build_theta_t()))
 
 
 def _planted(monkeypatch, fault):
