@@ -51,7 +51,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .limits import CANONICAL_MAX_EDGES, check_size, refuse_above, size_bound
+from .limits import CANONICAL_MAX_EDGES, check_size
 from .presentation import (
     ArrowPresentation,
     _curve_roots,
@@ -191,8 +191,7 @@ def equivalent(
 ) -> bool:
     """Whether two presentations describe equivalent ribbon graphs.  A bad
     bound raises first; other sizes are never equivalent, even above it."""
-    bound = size_bound(CANONICAL_MAX_EDGES, max_edges)
-    if a.edge_count != b.edge_count or a.vertex_count != b.vertex_count:
-        return False
-    refuse_above(a.edge_count, bound, max_edges, "canonical-form")
-    return a == b or _key(a) == _key(b)
+    same = a.edge_count == b.edge_count and a.vertex_count == b.vertex_count
+    size = a.edge_count if same else 0
+    check_size(size, CANONICAL_MAX_EDGES, max_edges, "canonical-form")
+    return same and (a == b or _key(a) == _key(b))

@@ -4,12 +4,13 @@ All brute-force machinery (minor search, plane-dual sweeps, enumeration,
 and the slot-configuration cross-check ``enumerate_by_slots``, which walks
 (2n)! * 2^n configurations for n edges) refuses inputs above a configured
 edge count so that runaway searches fail fast instead of hanging; canonical
-forms are polynomial but keep a bound too.  A search checks its bound once,
-at its start: what it builds from its input never has more edges, so its
-own canonical keys are taken unchecked.  The edge-count bounds can be raised
-globally through the ``RIBBONFORGE_MAX_EDGES`` environment variable, which
-never lowers a default, and, except the two enumerations', set per call via
-a ``max_edges=`` argument (the ``--max-edges`` flag).
+forms are polynomial but keep a bound too.  The one ``check_size`` makes
+every refusal.  A search checks its bound once, at its start: what it
+builds from its input never has more edges, so its own canonical keys are
+taken unchecked.  The edge-count bounds can be raised globally through the
+``RIBBONFORGE_MAX_EDGES`` environment variable, which never lowers a
+default, and, except the two enumerations', set per call via a
+``max_edges=`` argument (the ``--max-edges`` flag).
 ``MINOR_SEARCH_MEMO_LIMIT`` caps the equivalence classes one minor search
 remembers (B3 and theta_t share one in a scan); it has no override.  It
 counts the classes of the children the search builds and keys, and a child
@@ -53,22 +54,24 @@ def env_override() -> int | None:
     return value
 
 
-def size_bound(default: int, max_edges: int | None) -> int:
-    """The bound of a search: ``max_edges`` if given, else the larger of
-    ``default`` and the environment override.  A negative ``max_edges`` is
-    bad input; 0 is a bound like any other."""
-    if max_edges is not None and max_edges < 0:
-        raise RibbonError(f"max_edges must be >= 0, not {max_edges}")
-    return max_edges if max_edges is not None else max(default, env_override() or 0)
+def check_size(size: int, default: int, max_edges: int | None, search: str) -> None:
+    """Refuse a ``size``-edge input to ``search`` above its bound.
 
-
-def refuse_above(size: int, bound: int, max_edges: int | None, search: str) -> None:
-    """Refuse a ``size``-edge input to ``search`` above ``bound``.
-
-    The refusal names only what can raise the bound: not the environment
-    past an explicit ``max_edges``, and no flag for the two enumerations,
-    which take no per-call bound.
+    The bound is ``max_edges`` if given, else the larger of ``default`` and
+    the environment override.  A ``max_edges`` that is a bool, not an int,
+    or negative is bad input, whatever the size; 0 is a bound like any
+    other.  The refusal names only what can raise the bound: not the
+    environment past an explicit ``max_edges``, and no flag for the two
+    enumerations, which take no per-call bound.
     """
+    if max_edges is None:
+        bound = max(default, env_override() or 0)
+    elif type(max_edges) is not int:
+        raise RibbonError(f"max_edges must be an int, not {max_edges!r}")
+    elif max_edges < 0:
+        raise RibbonError(f"max_edges must be >= 0, not {max_edges}")
+    else:
+        bound = max_edges
     if size > bound:
         flag = [] if search in ("enumeration", "slot enumeration") else ["--max-edges"]
         env = [] if max_edges is not None else ["RIBBONFORGE_MAX_EDGES"]
@@ -76,8 +79,3 @@ def refuse_above(size: int, bound: int, max_edges: int | None, search: str) -> N
             f"{size} edges exceeds {search} bound {bound}; "
             f"raise it with {' or '.join(flag + env)}"
         )
-
-
-def check_size(size: int, default: int, max_edges: int | None, search: str) -> None:
-    """Refuse a ``size``-edge input to ``search`` above its ``size_bound``."""
-    refuse_above(size, size_bound(default, max_edges), max_edges, search)

@@ -24,7 +24,6 @@ from .errors import (
     ParseError,
     RibbonError,
     StrandCountError,
-    UnknownVertex,
 )
 from .limits import PLANE_DUAL_MAX_EDGES, check_size
 from .minors import (
@@ -39,6 +38,7 @@ from .moves import partial_dual
 from .presentation import (
     Arrow,
     ArrowPresentation,
+    _check_vertex,
     _curve_roots,
     _group_by_root,
     _slot_table,
@@ -241,8 +241,7 @@ def is_separating_vertex(pres: ArrowPresentation, index: int) -> bool:
     separates.  A label on other than two arrows, which only a bug inside
     the package can produce, raises ``InternalInvariantViolation``.
     """
-    if not 0 <= index < len(pres.curves):
-        raise UnknownVertex(f"no curve with index {index}")
+    _check_vertex(pres, index)
     table = _slot_table(pres)
     curve, mate, label = table.curve, table.mate, table.label
     at = range(table.start[index], table.start[index + 1])

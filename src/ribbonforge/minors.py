@@ -22,22 +22,15 @@ from typing import Iterable
 
 from .canonical import _key, canonical_key, equivalent
 from .enumeration import enumerate_presentations
-from .errors import (
-    InternalInvariantViolation,
-    RibbonError,
-    SizeBoundExceeded,
-    UnknownLabel,
-)
+from .errors import InternalInvariantViolation, RibbonError, SizeBoundExceeded
 from .limits import (
     CANONICAL_MAX_EDGES,
     MINOR_SEARCH_MAX_EDGES,
     MINOR_SEARCH_MEMO_LIMIT,
     check_size,
-    refuse_above,
-    size_bound,
 )
-from .moves import _splice, contract_edge, delete_edge, partial_dual
-from .presentation import ArrowPresentation, _trusted, from_words
+from .moves import _contract_edges, _delete_edges, partial_dual
+from .presentation import ArrowPresentation, from_words
 from .surfaces import _step_genera, is_orientable, odd_twist_cycle, surface_summary
 
 Step = tuple  # ("delete_edge", label) | ("contract_edge", label) | ("delete_vertex", i)
@@ -57,12 +50,7 @@ def apply_step(pres: ArrowPresentation, step: Step) -> ArrowPresentation:
     op = _run_kind(step)
     if op is None:
         raise RibbonError(f"unknown script step {step!r}")
-    _, arg = step
-    if op == "delete_edge":
-        return delete_edge(pres, arg)
-    if op == "contract_edge":
-        return contract_edge(pres, arg)
-    return _delete_vertices(pres, [arg])
+    return _RUNS[op](pres, [step[1]])
 
 
 def _run_kind(step) -> str | None:
@@ -77,27 +65,6 @@ def _run_kind(step) -> str | None:
     if op == "delete_vertex" and isinstance(arg, int) and not isinstance(arg, bool):
         return op
     return None
-
-
-def _check_run_labels(pres: ArrowPresentation, labels: list[str]) -> None:
-    """Raise as step-by-step replay would for the first label of a run of
-    edge steps that is absent or already used by the run."""
-    present = {arrow.label for curve in pres.curves for arrow in curve}
-    for label in labels:
-        if label not in present:
-            raise UnknownLabel(f"label {label!r} not present exactly twice")
-        present.discard(label)
-
-
-def _delete_edges(pres: ArrowPresentation, labels: list[str]) -> ArrowPresentation:
-    _check_run_labels(pres, labels)
-    doomed = set(labels)
-    return _trusted([a for a in curve if a.label not in doomed] for curve in pres.curves)
-
-
-def _contract_edges(pres: ArrowPresentation, labels: list[str]) -> ArrowPresentation:
-    _check_run_labels(pres, labels)
-    return _splice(pres, set(labels), dual=False)
 
 
 def _delete_vertices(pres: ArrowPresentation, indices: list[int]) -> ArrowPresentation:
@@ -123,8 +90,8 @@ def replay(pres: ArrowPresentation, script: MinorScript) -> ArrowPresentation:
     """Apply a script and return the resulting minor.
 
     Each maximal run of steps of one kind is applied in one pass: edge
-    deletions as one filter, vertex deletions as one pass over the curves,
-    and contractions as one splice of the whole run, since G/A = G^A - A.
+    deletions as one filter and contractions as one splice of the whole
+    run (``moves``), and vertex deletions as one pass over the curves.
     The spliced result can be presented differently from contracting edge
     by edge, though it is always ``equivalent``; vertex deletions name
     curves by their index in the edge-by-edge result, so a contraction run
@@ -218,15 +185,16 @@ def one_step_minors(
     each sorted, then deleting the first isolated vertex: any other isolated
     vertex gives the same class); the first step reaching each class is
     kept, and the classes are listed in the order reached.  The canonical
-    form's size bound is resolved once, on entry, so a bad bound raises even
-    for a graph with no child; each child is then checked against it, as
-    ``canonical_key`` would check it.
+    form's size bound is checked once, before any child is built, against
+    the largest child: E edges if the graph has an isolated vertex, else
+    E - 1.  So a bad bound raises even for a graph with no child.
     """
-    bound = size_bound(CANONICAL_MAX_EDGES, max_edges)
+    edges = pres.edge_count
+    largest = edges if pres.isolated_vertices() else max(edges - 1, 0)
+    check_size(largest, CANONICAL_MAX_EDGES, max_edges, "canonical-form")
     out: dict[bytes, tuple[Step, ArrowPresentation]] = {}
     for step in _one_step_order(pres):
         child = apply_step(pres, step)
-        refuse_above(child.edge_count, bound, max_edges, "canonical-form")
         out.setdefault(_key(child), (step, child))
     return out
 

@@ -1,5 +1,10 @@
 """Edit operations: edge deletion, contraction, and partial duality.
 
+Deletion and contraction take runs of edges (``_delete_edges``, one filter
+pass, and ``_contract_edges``, one splice), as ``minors.replay`` batches
+them; ``delete_edge`` and ``contract_edge`` are their one-label cases.  A
+run is refused at its first absent or repeated label, as step by step.
+
 Contraction and partial duality are one splice: a walk of the arc complex
 (see ``surfaces``) of the curves carrying a set of edges, with every edge of
 the set opened.  Opening an edge e removes its two arrows α and β and joins
@@ -26,12 +31,29 @@ from .presentation import ArrowPresentation, _min_rotation, _slot_table, _truste
 from .surfaces import _cross_arrows, _opened, walk_arcs
 
 
+def _unknown(pres: ArrowPresentation, labels: list[str]) -> UnknownLabel:
+    """The refusal of a run of edge steps with a bad label: at its first
+    label that is absent or already used by the run, as step by step."""
+    present = set(pres.labels())
+    for label in labels:
+        if label not in present:
+            break
+        present.remove(label)
+    return UnknownLabel(f"label {label!r} not present exactly twice")
+
+
+def _delete_edges(pres: ArrowPresentation, labels: list[str]) -> ArrowPresentation:
+    """Remove both arrows of each edge of a run; the vertices stay."""
+    doomed = set(labels)
+    curves = [[a for a in curve if a.label not in doomed] for curve in pres.curves]
+    if sum(map(len, curves)) != 2 * (pres.edge_count - len(labels)):
+        raise _unknown(pres, labels)
+    return _trusted(curves)
+
+
 def delete_edge(pres: ArrowPresentation, label: str) -> ArrowPresentation:
     """Remove both arrows of an edge; the vertices stay (possibly isolated)."""
-    curves = [[a for a in curve if a.label != label] for curve in pres.curves]
-    if sum(map(len, curves)) == sum(map(len, pres.curves)):
-        raise UnknownLabel(f"label {label!r} not present exactly twice")
-    return _trusted(curves)
+    return _delete_edges(pres, [label])
 
 
 def _splice(
@@ -47,10 +69,7 @@ def _splice(
     first, mate = table.first, table.mate
     missing = sorted(label for label in labels if label not in first)
     if missing:
-        raise UnknownLabel(
-            f"labels not present: {', '.join(missing)}" if dual
-            else f"label {missing[0]!r} not present exactly twice"
-        )
+        raise UnknownLabel(f"labels not present: {', '.join(missing)}")
     slots = [s for label in labels for s in (first[label], mate[first[label]])]
     affected = sorted({table.curve[s] for s in slots})
     opened = _opened(table, affected, slots)
@@ -69,9 +88,17 @@ def _splice(
     return ArrowPresentation(tuple(out))
 
 
+def _contract_edges(pres: ArrowPresentation, labels: list[str]) -> ArrowPresentation:
+    """Contract each edge of a run, all in one splice."""
+    run = set(labels)
+    if len(run) < len(labels) or not _slot_table(pres).first.keys() >= run:
+        raise _unknown(pres, labels)
+    return _splice(pres, run, dual=False)
+
+
 def contract_edge(pres: ArrowPresentation, label: str) -> ArrowPresentation:
     """Contract an edge.  Contracting a loop may split or keep its vertex."""
-    return _splice(pres, {label}, dual=False)
+    return _contract_edges(pres, [label])
 
 
 def partial_dual(pres: ArrowPresentation, labels: Iterable[str]) -> ArrowPresentation:

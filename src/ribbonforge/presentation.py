@@ -430,10 +430,15 @@ def restriction(pres: ArrowPresentation, labels: Iterable[str]) -> ArrowPresenta
     return _trusted(curves)
 
 
+def _check_vertex(pres: ArrowPresentation, index: int) -> None:
+    """Refuse an ``index`` that names no curve; a bool names none."""
+    if type(index) is not int or not 0 <= index < len(pres.curves):
+        raise UnknownVertex(f"no curve with index {index!r}")
+
+
 def delete_vertex(pres: ArrowPresentation, index: int) -> ArrowPresentation:
     """Remove one curve and every edge with an end on it."""
-    if not 0 <= index < len(pres.curves):
-        raise UnknownVertex(f"no curve with index {index}")
+    _check_vertex(pres, index)
     doomed = {a.label for a in pres.curves[index]}
     curves = [
         [a for a in curve if a.label not in doomed]

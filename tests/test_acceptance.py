@@ -8,6 +8,8 @@ strings are pinned, so a criterion that passes on different counts fails.
 
 import pytest
 
+import ribbonforge.links as links
+import ribbonforge.minors as minors
 import ribbonforge.moves as moves
 from ribbonforge import (
     acceptance,
@@ -85,6 +87,24 @@ def test_a_planted_dual_fault_fails_criterion_4_first_where_it_did(monkeypatch):
     assert not result.passed
     assert result.details == (
         "G='e1 e1 e2 e2': dual composition failed at ['e1'], ['e2']"
+    )
+
+
+def test_a_planted_trim_fault_fails_criterion_2(monkeypatch):
+    # trim_steps forgets the last bare vertex it deletes: the twisted-loop
+    # scripts of the minor scan no longer reach their target
+    trim = minors.trim_steps
+
+    def faulty(pres, keep):
+        steps = trim(pres, keep)
+        return steps[:-1] if steps and steps[-1][0] == "delete_vertex" else steps
+
+    monkeypatch.setattr(minors, "trim_steps", faulty)
+    monkeypatch.setattr(links, "trim_steps", faulty)
+    result = run_criterion(2)
+    assert not result.passed
+    assert result.details == (
+        "raised InternalInvariantViolation: minor script does not reach its target"
     )
 
 

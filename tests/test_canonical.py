@@ -24,6 +24,7 @@ from ribbonforge import (
     equivalent,
     from_words,
     is_separating_vertex,
+    one_step_minors,
     partial_dual,
     random_ribbon_graph,
     surface_summary,
@@ -151,6 +152,19 @@ def test_a_bad_bound_is_refused_whatever_the_sizes(monkeypatch, other):
     monkeypatch.setenv("RIBBONFORGE_MAX_EDGES", "0")
     with pytest.raises(RibbonError, match="RIBBONFORGE_MAX_EDGES"):
         equivalent(NINE, other)
+
+
+@pytest.mark.parametrize("bound", [True, False, 2.5, "9", 8.0])
+def test_a_bound_must_be_an_int(bound):
+    # unchecked, a bool bounds at 0 or 1, a float compares as a number and a
+    # str raises TypeError; each is bad input, as a negative bound is
+    g = from_words([["a", "a"]])
+    for call in (canonical_key, one_step_minors):
+        with pytest.raises(RibbonError) as got:
+            call(g, max_edges=bound)
+        assert str(got.value) == f"max_edges must be an int, not {bound!r}"
+    with pytest.raises(RibbonError, match="max_edges must be an int"):
+        equivalent(NINE, g, max_edges=bound)
 
 
 def test_equivalent_reads_the_environment_once_per_call(monkeypatch):

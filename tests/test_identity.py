@@ -8,7 +8,8 @@ A third covers what is read from the curve graph: incidence, twists,
 odd-twist cycles, components and their spanning trees, separating
 vertices and plane-biseparations.  A fourth covers the all-A and all-B
 state graphs built from PD codes.  A fifth covers keys and excluded-minor
-scripts of graphs at the minor search's size bound.
+scripts of graphs at the minor search's size bound.  A sixth covers the
+one-step minors and the replayed words of minor certificates.
 """
 
 import hashlib
@@ -31,10 +32,12 @@ from ribbonforge import (
     excluded_minor_scan,
     from_words,
     is_separating_vertex,
+    one_step_minors,
     parse_pd,
     partial_dual,
     pd_code,
     random_ribbon_graph,
+    replay,
     represents_link,
     spanning_tree,
     surface_summary,
@@ -197,3 +200,33 @@ def test_searches_at_the_size_bound_are_byte_identical():
             h.update(canonical_key(g) + b"\n")
             h.update((json.dumps(scan, sort_keys=True) + "\n").encode())
     assert h.hexdigest() == BOUND_DIGEST
+
+
+# Covers the two users of the edge steps: every class's one-step minors
+# (key, step and child words, in order) and the replayed words of each
+# excluded-minor and represents_link certificate, on every class up to 4
+# edges and seeded graphs of 5 to 8 edges, some with a bare vertex.
+STEPS_DIGEST = "638ff14a5816e14b75aaffc9c07609f59c5e72be76fab2065e7bbf18ee5be956"
+
+
+def _step_graphs():
+    yield from enumerate_presentations(4)
+    rng = random.Random("steps-identity")
+    for i in range(40):
+        g = random_ribbon_graph(rng.randint(5, 8), f"si-{i}")
+        yield from_words(g.words() + [[]]) if i % 3 == 1 else g
+
+
+def test_one_step_minors_and_replayed_certificates_are_byte_identical():
+    h = hashlib.sha256()
+    for g in _step_graphs():
+        minors = [
+            [key.decode(), list(step), child.words()]
+            for key, (step, child) in one_step_minors(g).items()
+        ]
+        scan = {k: replay(g, v).words() for k, v in sorted(excluded_minor_scan(g).items())}
+        verdict = represents_link(g)
+        cert = verdict.certificate and replay(g, verdict.certificate).words()
+        record = {"minors": minors, "scan": scan, "certificate": cert}
+        h.update((json.dumps(record, sort_keys=True) + "\n").encode())
+    assert h.hexdigest() == STEPS_DIGEST

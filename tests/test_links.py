@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from closures import braid_closure_pd
+from closures import B3_WORDS, braid_closure_pd, glue
 from ribbonforge import (
     MinorScript,
     NotABouquet,
@@ -28,6 +28,7 @@ from ribbonforge import (
     components,
     contract_edge,
     defines_plane_biseparation,
+    delete_edge,
     delete_vertex,
     disjoint_union,
     enumerate_presentations,
@@ -47,6 +48,7 @@ from ribbonforge import (
     restriction,
     serialize_pd,
     spanning_tree,
+    surface_summary,
 )
 from ribbonforge.links import IntersectionGraph, _bouquet_reduction, _spanning
 from ribbonforge.oddcycles import _shortest_odd_cycle, _two_colour
@@ -254,6 +256,20 @@ def test_is_separating_vertex():
     assert is_separating_vertex(barbell, 1)
     with pytest.raises(UnknownVertex):
         is_separating_vertex(TORUS, 5)
+
+
+@pytest.mark.parametrize("index", [False, True, "0", 0.0, None])
+def test_a_curve_index_must_be_an_int(index):
+    # unchecked, a bool names curve 0 or 1 and a str, float or None raises
+    # TypeError; each is bad input, as an index out of range is
+    g = from_words([["a"], ["a"]])
+    message = f"no curve with index {index!r}"
+    with pytest.raises(UnknownVertex) as got:
+        is_separating_vertex(g, index)
+    assert str(got.value) == message
+    with pytest.raises(UnknownVertex) as got:
+        delete_vertex(g, index)
+    assert str(got.value) == message
 
 
 def test_plane_biseparation_examples():
@@ -676,3 +692,45 @@ def test_a_connected_graph_keeps_its_own_slot_table(monkeypatch):
     monkeypatch.setattr(module, "_SlotTable", counted)
     assert represents_link(g).representable
     assert len(built) == 2  # the graph's and its plane partial dual's
+
+
+# -- metamorphic checks at scale ----------------------------------------------
+
+
+@st.composite
+def _state_graphs(draw):
+    """The all-A state graph of a seeded braid closure of 50 to 400 crossings."""
+    crossings = draw(st.integers(50, 400))
+    strands = draw(st.integers(2, 12))
+    seed = draw(st.integers(0, 10**6))
+    return all_A_ribbon_graph(parse_pd(braid_closure_pd(crossings, strands, seed)))
+
+
+def _some(labels, rng):
+    return {label for label in labels if rng.random() < 0.5}
+
+
+@settings(max_examples=30, deadline=None)
+@given(_state_graphs(), st.randoms(use_true_random=False))
+def test_state_graphs_stay_representable_under_duals_and_minors(g, rng):
+    # the family is closed under partial duality and under minors
+    labels = g.labels()
+    dual = partial_dual(g, _some(labels, rng))
+    verdict = represents_link(dual)
+    assert verdict.representable
+    plane = surface_summary(partial_dual(dual, set(verdict.witness)))
+    assert plane.orientable and plane.euler_genus == 0
+    assert represents_link(delete_edge(g, rng.choice(labels))).representable
+    assert represents_link(contract_edge(g, rng.choice(labels))).representable
+
+
+@settings(max_examples=10, deadline=None)
+@given(_state_graphs(), st.randoms(use_true_random=False))
+def test_a_glued_b3_stays_refused_under_partial_duals(g, rng):
+    # G^A represents a link exactly when G does, so no dual of the glued
+    # closure does; its certificate replays to the pattern it names
+    glued = from_words(glue(g.words(), B3_WORDS, rng.random()))
+    dual = partial_dual(glued, _some(glued.labels(), rng))
+    verdict = represents_link(dual)
+    assert not verdict.representable
+    assert equivalent(replay(dual, verdict.certificate), _pattern_of(verdict))

@@ -220,8 +220,8 @@ def test_one_step_minors_resolve_their_bound_on_entry(monkeypatch):
     for g in (EMPTY, build_B(3)):
         with pytest.raises(RibbonError, match="max_edges must be >= 0"):
             one_step_minors(g, max_edges=-1)
-    # each child is checked against it: both edge steps leave no edge, so
-    # the vertex deletion, keeping one edge, is the first child refused
+    # the one check is against the largest child: both edge steps leave no
+    # edge, so it is the vertex deletion, keeping one edge
     g = from_words([["a", "a"], []])
     with pytest.raises(SizeBoundExceeded) as got:
         one_step_minors(g, max_edges=0)
