@@ -29,7 +29,8 @@ class UnknownLabel(RibbonError):
 
 
 class UnknownVertex(RibbonError):
-    """An operation referenced a curve index that is not present."""
+    """An operation referenced a curve index that is not present, or a
+    vertex step named a curve that is not isolated."""
 
 
 class NotConnected(RibbonError):

@@ -2,10 +2,11 @@
 
 A minor is reached by deleting edges, contracting edges, and deleting isolated
 vertices.  Minor operations never raise the Euler genus and never make an
-orientable graph non-orientable, and only vertex deletions keep the edge
-count; the search prunes by all three, looking for several targets at once.
-Each child's Euler genus is read off its parent before the child is built,
-so a child below every target's genus is never built at all.
+orientable graph non-orientable, a step that makes a graph orientable lowers
+its Euler genus, and only vertex deletions keep the edge count; the search
+prunes by all of these, looking for several targets at once.  Each child's
+Euler genus is read off its parent before the child is built, so a child
+below every target's genus is never built at all.
 
 The three patterns whose absence characterizes link-diagram representability
 are built here: ``BBAR1`` (the twisted loop), ``B3`` (the bouquet of three
@@ -18,11 +19,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
+from math import inf
 from typing import Iterable
 
 from .canonical import _key, canonical_key, equivalent
 from .enumeration import enumerate_presentations
-from .errors import InternalInvariantViolation, RibbonError, SizeBoundExceeded
+from .errors import (
+    InternalInvariantViolation,
+    RibbonError,
+    SizeBoundExceeded,
+    UnknownVertex,
+)
 from .limits import (
     CANONICAL_MAX_EDGES,
     MINOR_SEARCH_MAX_EDGES,
@@ -31,7 +38,13 @@ from .limits import (
 )
 from .moves import _contract_edges, _delete_edges, partial_dual
 from .presentation import ArrowPresentation, from_words
-from .surfaces import _step_genera, is_orientable, odd_twist_cycle, surface_summary
+from .surfaces import (
+    _step_genera,
+    _surface_walk,
+    is_orientable,
+    odd_twist_cycle,
+    surface_summary,
+)
 
 Step = tuple  # ("delete_edge", label) | ("contract_edge", label) | ("delete_vertex", i)
 
@@ -70,10 +83,10 @@ def _run_kind(step) -> str | None:
 def _delete_vertices(pres: ArrowPresentation, indices: list[int]) -> ArrowPresentation:
     alive = list(range(len(pres.curves)))
     for index in indices:
-        if not (0 <= index < len(alive)) or pres.curves[alive[index]]:
-            raise InternalInvariantViolation(
-                f"script deletes non-isolated vertex {index}"
-            )
+        if not 0 <= index < len(alive):
+            raise UnknownVertex(f"no curve with index {index!r}")
+        if pres.curves[alive[index]]:
+            raise UnknownVertex(f"script deletes non-isolated vertex {index}")
         del alive[index]
     # dropping bare curves leaves every other curve as it was
     return ArrowPresentation(tuple(pres.curves[i] for i in alive))
@@ -209,6 +222,26 @@ def _one_step_order(pres: ArrowPresentation, edges: bool = True) -> list[Step]:
     return steps
 
 
+def _genus_floors(targets: list[ArrowPresentation]) -> tuple[float, float]:
+    """The least Euler genus of a state that some target can lie below, for
+    a non-orientable state and for an orientable one, in that order.
+
+    Minor steps never raise the Euler genus ε and never make an orientable
+    graph non-orientable, so an orientable state needs an orientable target
+    of at most its genus.  A step from a non-orientable graph G to an
+    orientable one lowers ε by at least 1.  For a deletion: ε(G − e) = ε(G)
+    only when e joins G − e within one of its faces, which keeps the
+    surface and so its non-orientability.  For a contraction, by duality:
+    (G/e)* = G* − e (Ellis-Monaghan and Moffatt, *Graphs on Surfaces*,
+    2013), and duality keeps ε and orientability.  Vertex deletions keep
+    both.  So a non-orientable state needs ε(t) + 1 for an orientable target
+    t and ε(t) for a non-orientable one.
+    """
+    summaries = [surface_summary(t) for t in targets]
+    orientable = min((s.euler_genus for s in summaries if s.orientable), default=inf)
+    return min(s.euler_genus + s.orientable for s in summaries), orientable
+
+
 def _minor_search(
     pres: ArrowPresentation,
     targets: list[ArrowPresentation],
@@ -230,14 +263,22 @@ def _minor_search(
     Every child's Euler genus is read off its parent (``_step_genera``), and
     a child below every target's genus is never built: no target lies below
     it, and every class on the first path to a target has that target below
-    it, so no script changes.  A kept child carries the genus its parent
-    predicts, and the prune checks the child's surface summary against it.
+    it, so no script changes.  By the same argument a state below its genus
+    floor is not expanded: an orientable state needs the least genus of the
+    orientable targets, and a non-orientable one the least ε(t) + 1 over
+    orientable targets t and ε(t) over the others, since a step that makes
+    a graph orientable lowers its genus (``_genus_floors``).  So with B3 and
+    theta_t the targets, no non-orientable state of Euler genus 2 or less
+    is expanded.
 
-    One loop walks each unpruned state's steps in ``one_step_minors``'
-    order: it reads the step's predicted genus, skips the step as above,
-    and otherwise builds the child, keys it and streams it to the level
-    loop, which drops a class already visited.  So once the last target is
-    found, no further child is built.
+    The level loop prunes by edge count alone.  A state is expanded by one
+    loop over its steps in ``one_step_minors``' order, after one slot table
+    and one boundary walk (``_surface_walk``): the walk's summary must
+    carry the genus the state's parent predicted, and reach the state's
+    floor, and the same walk gives every child's genus.  The loop skips a
+    step as above, and otherwise builds the child, keys it and streams it
+    to the level loop, which drops a class already visited.  So once the
+    last target is found, no further child is built.
 
     The start and the targets are keyed under the bound; a child never has
     more edges than the start, so children are keyed without a check.
@@ -245,22 +286,31 @@ def _minor_search(
     index = {canonical_key(t, max_edges): i for i, t in enumerate(targets)}
     min_edges = min(t.edge_count for t in targets)
     min_genus = min(surface_summary(t).euler_genus for t in targets)
-    any_orientable = any(surface_summary(t).orientable for t in targets)
+    floors = _genus_floors(targets)
     scripts: list[MinorScript | None] = [None] * len(targets)
     built: set[tuple[frozenset[Step], int]] = set()
 
-    def children(state: ArrowPresentation, steps: tuple[Step, ...], genus: int):
+    def children(state: ArrowPresentation, steps: tuple[Step, ...], genus: int | None):
         """(key, path, child, predicted genus) for the children of a state
-        of Euler genus ``genus`` that are neither below every target's genus
+        whose parent predicts Euler genus ``genus`` (None for the start),
+        if it reaches its floor: those neither below every target's genus
         nor built before."""
+        summary, table, walk = _surface_walk(state)
+        gamma = summary.euler_genus
+        if genus is not None and gamma != genus:
+            raise InternalInvariantViolation(
+                f"Euler genus {gamma} where its parent predicts {genus}"
+            )
+        if gamma < floors[summary.orientable]:
+            return
         # At the least target edge count only vertex deletions can help.
         edges = state.edge_count > min_edges
-        genera = _step_genera(state) if edges else {}
+        genera = _step_genera(table, walk, gamma) if edges else {}
         done = frozenset(s for s in steps if s[0] != "delete_vertex")
         bare = len(steps) - len(done)
         for step in _one_step_order(state, edges):
             if step[0] == "delete_vertex":
-                predicted, ops = genus, (done, bare + 1)
+                predicted, ops = gamma, (done, bare + 1)
             else:
                 predicted = genera[step[1]][step[0] == "contract_edge"]
                 if predicted < min_genus:
@@ -272,26 +322,13 @@ def _minor_search(
             child = apply_step(state, step)
             yield _key(child), steps + (step,), child, predicted
 
-    def prunable(state: ArrowPresentation, genus: int) -> bool:
-        edges = state.edge_count
-        if edges < min_edges or edges == min_edges and not state.isolated_vertices():
-            return True
-        s = surface_summary(state)
-        if s.euler_genus != genus:
-            raise InternalInvariantViolation(
-                f"Euler genus {s.euler_genus} where its parent predicts {genus}"
-            )
-        return s.euler_genus < min_genus or (s.orientable and not any_orientable)
-
     # Each level streams (key, path, state, predicted genus) for the classes
     # it reaches: the start, then the children of the previous level's
-    # unpruned new classes.
-    level: Iterable = [
-        (canonical_key(pres, max_edges), (), pres, surface_summary(pres).euler_genus)
-    ]
+    # expanded states.
+    level: Iterable = [(canonical_key(pres, max_edges), (), pres, None)]
     visited: set[bytes] = set()
     while True:
-        frontier: list[tuple[ArrowPresentation, tuple[Step, ...], int]] = []
+        frontier: list[tuple[ArrowPresentation, tuple[Step, ...], int | None]] = []
         for key, steps, state, genus in level:
             if key in visited:
                 continue
@@ -305,7 +342,9 @@ def _minor_search(
                 scripts[i] = verified_script(pres, steps, targets[i])
                 if None not in scripts:
                     return scripts
-            if not prunable(state, genus):
+            # at the least target edge count only a bare vertex keeps it alive
+            edges = state.edge_count
+            if edges > min_edges or edges == min_edges and state.isolated_vertices():
                 frontier.append((state, steps, genus))
         if not frontier:
             return scripts
@@ -320,11 +359,16 @@ def has_minor(
     """Search for a minor equivalent to ``target``; returns a verified script.
 
     Breadth-first over the canonically deduplicated minor space.  States
-    with too few edges or too small an Euler genus, orientable states below
-    a non-orientable target, and dead ends (the target's edge count and no
-    isolated vertex to delete) are not expanded; other states at the
-    target's edge count only have their isolated vertices deleted.  A child
-    of smaller Euler genus than the target's, read off its parent, is never
+    with too few edges, dead ends (the target's edge count and no isolated
+    vertex to delete) and states below their genus floor are not expanded;
+    other states at the target's edge count only have their isolated
+    vertices deleted.  The floor is the target's Euler genus, except that
+    an orientable state never reaches a non-orientable target, and a
+    non-orientable state needs one more than an orientable target's: a
+    step that makes a graph orientable lowers its Euler genus, as a
+    deletion that keeps the genus leaves the edge inside a face, and
+    contraction is deletion in the dual (``_genus_floors``).  A child of
+    smaller Euler genus than the target's, read off its parent, is never
     built, and no set of operations is built twice.
     """
     check_size(pres.edge_count, MINOR_SEARCH_MAX_EDGES, max_edges, "minor-search")

@@ -24,7 +24,7 @@ suite.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Collection, Iterable
 
 from .errors import UnknownLabel
 from .presentation import ArrowPresentation, _min_rotation, _slot_table, _trusted
@@ -57,20 +57,24 @@ def delete_edge(pres: ArrowPresentation, label: str) -> ArrowPresentation:
 
 
 def _splice(
-    pres: ArrowPresentation, labels: set[str], dual: bool
+    pres: ArrowPresentation, labels: Collection[str], dual: bool
 ) -> ArrowPresentation:
     """Open every edge of ``labels`` in one walk; the new curves take the
     place of the first affected curve.  The slot table finds the slots of
-    those labels.  Untouched curves are reused as they are, and only the new
-    ones are rotation-normalized."""
+    those labels, and refuses an absent label, or for a contraction run a
+    repeated one, as step by step.  Untouched curves are reused as they
+    are, and only the new ones are rotation-normalized."""
     if not labels:
         return pres
     table = _slot_table(pres)
     first, mate = table.first, table.mate
-    missing = sorted(label for label in labels if label not in first)
-    if missing:
+    run = set(labels)
+    if not first.keys() >= run or len(run) < len(labels):
+        if not dual:
+            raise _unknown(pres, labels)
+        missing = sorted(run - first.keys())
         raise UnknownLabel(f"labels not present: {', '.join(missing)}")
-    slots = [s for label in labels for s in (first[label], mate[first[label]])]
+    slots = [s for label in run for s in (first[label], mate[first[label]])]
     affected = sorted({table.curve[s] for s in slots})
     opened = _opened(table, affected, slots)
     order, ends = walk_arcs(table, affected, opened)
@@ -90,10 +94,7 @@ def _splice(
 
 def _contract_edges(pres: ArrowPresentation, labels: list[str]) -> ArrowPresentation:
     """Contract each edge of a run, all in one splice."""
-    run = set(labels)
-    if len(run) < len(labels) or not _slot_table(pres).first.keys() >= run:
-        raise _unknown(pres, labels)
-    return _splice(pres, run, dual=False)
+    return _splice(pres, labels, dual=False)
 
 
 def contract_edge(pres: ArrowPresentation, label: str) -> ArrowPresentation:

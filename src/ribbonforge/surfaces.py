@@ -14,8 +14,9 @@ cross arcs.  What its cycles give:
 - with every edge opened, they are the boundary components, with one full
   circle more for every curve with no arrows: ``surface_summary`` counts
   them, ``trace_boundary`` turns them into (curve, position, end) nodes,
-  and ``_step_genera`` reads off them the Euler genus of every one-edge
-  deletion and contraction, for the minor search;
+  and ``_step_genera`` reads off the same walk (``_surface_walk`` hands it
+  on) the Euler genus of every one-edge deletion and contraction, for the
+  minor search;
 - with a set of edges opened on the curves carrying them, the arrows met
   along each cycle (``_cross_arrows``) form one new curve of the splice
   that contracts the set or takes the partial dual at it (see ``moves``);
@@ -259,18 +260,21 @@ class SurfaceSummary:
         return asdict(self)
 
 
-@lru_cache(maxsize=1 << 18)
-def surface_summary(pres: ArrowPresentation) -> SurfaceSummary:
-    """Vertex/edge/boundary counts and genus, with Euler-formula sanity checks.
+def _surface_walk(
+    pres: ArrowPresentation,
+) -> tuple[SurfaceSummary, _SlotTable, tuple[list[int], list[int]]]:
+    """The surface summary of ``pres`` with the slot table and the all-open
+    ``walk_arcs`` cycles it was read from, for ``_step_genera`` to reuse.
 
     Boundary components, connected components and orientability come from
-    one slot table: the cycles of ``walk_arcs`` with every edge opened,
-    plus one more component of both kinds for every bare curve.
+    one slot table: the cycles of the walk with every edge opened, plus one
+    more component of both kinds for every bare curve.  Euler-formula sanity
+    checks raise ``InternalInvariantViolation``.
     """
     table = _slot_table(pres)
     root, orientable = _curve_roots(table)
-    _, ends = walk_arcs(table, range(len(pres.curves)), [1] * len(table.mate))
-    f = pres.curves.count(()) + len(ends)
+    walk = walk_arcs(table, range(len(pres.curves)), [1] * len(table.mate))
+    f = pres.curves.count(()) + len(walk[1])
     v = pres.vertex_count
     e = pres.edge_count
     k = len(set(root))
@@ -284,11 +288,22 @@ def surface_summary(pres: ArrowPresentation) -> SurfaceSummary:
             f"odd Euler genus {euler_genus} on an orientable surface"
         )
     genus = euler_genus // 2 if orientable else euler_genus
-    return SurfaceSummary(v, e, f, k, euler_genus, genus, orientable)
+    return SurfaceSummary(v, e, f, k, euler_genus, genus, orientable), table, walk
 
 
-def _step_genera(pres: ArrowPresentation) -> dict[str, tuple[int, int]]:
-    """Each label's (γ(G − e), γ(G/e)), read off one boundary walk of G.
+@lru_cache(maxsize=1 << 18)
+def surface_summary(pres: ArrowPresentation) -> SurfaceSummary:
+    """Vertex/edge/boundary counts and genus, with Euler-formula sanity
+    checks (``_surface_walk``), cached per presentation."""
+    return _surface_walk(pres)[0]
+
+
+def _step_genera(
+    table: _SlotTable, walk: tuple[list[int], list[int]], gamma: int
+) -> dict[str, tuple[int, int]]:
+    """Each label's (γ(G − e), γ(G/e)), read off G's slot table, its
+    all-open ``walk_arcs`` cycles and its Euler genus γ, as ``_surface_walk``
+    gives them.
 
     Deleting e keeps the vertices and drops one edge, so γ moves with the
     boundary and component counts alone, and those are set by e's two free
@@ -315,21 +330,19 @@ def _step_genera(pres: ArrowPresentation) -> dict[str, tuple[int, int]]:
     of the first arrow are left by their free sides or neither is.  A
     bridge or separating loop takes one connectivity pass (``_cut``).
     """
-    table = _slot_table(pres)
     curve, along, mate = table.curve, table.along, table.mate
-    gamma = surface_summary(pres).euler_genus
-    order, ends = walk_arcs(table, range(len(pres.curves)), [1] * len(mate))
-    walk = [0] * len(order)
+    order, ends = walk
+    walk_of = [0] * len(order)
     for w, (b, e) in enumerate(zip([0, *ends], ends)):
         for d in order[b:e]:
-            walk[d] = w
+            walk_of[d] = w
     side = [0] * len(order)
     for d in order[1::2]:
         side[d] = 1
     out: dict = {}
     for label, s in table.first.items():
         t = mate[s]
-        if walk[2 * s + 1] != walk[2 * t + 1]:
+        if walk_of[2 * s + 1] != walk_of[2 * t + 1]:
             deleted = gamma
         elif side[2 * s + 1] == side[2 * s]:
             deleted = gamma - 1

@@ -11,6 +11,8 @@ from ribbonforge import (
     InternalInvariantViolation,
     MinorScript,
     RibbonError,
+    UnknownLabel,
+    UnknownVertex,
     apply_step,
     b_family_members,
     bbar1_script,
@@ -33,7 +35,7 @@ from ribbonforge import (
     partial_dual,
     random_ribbon_graph,
     replay,
-    twists,
+    surface_summary,
     underlying_edges,
     verified_script,
 )
@@ -54,7 +56,7 @@ def test_pattern_builders():
 def test_apply_step_guards_vertex_deletion():
     g = from_words([["a", "a"], []])
     assert apply_step(g, ("delete_vertex", 1)).vertex_count == 1
-    with pytest.raises(InternalInvariantViolation):
+    with pytest.raises(UnknownVertex):
         apply_step(g, ("delete_vertex", 0))  # not isolated
     with pytest.raises(RibbonError):
         apply_step(g, ("frobnicate", "a"))
@@ -152,36 +154,47 @@ def test_fixed_scripts_take_both_replay_branches(steps, spliced):
     assert same is not spliced
 
 
-@pytest.mark.parametrize("steps", [
-    [("frobnicate", "a")],
-    [("delete_edge", "a"), ("frobnicate", "b")],
-    [("delete_edge", "zz")],
-    [("delete_edge", "a"), ("delete_edge", "b"), ("delete_edge", "a")],
-    [("contract_edge", "c"), ("contract_edge", "zz"), ("contract_edge", "yy")],
-    [("contract_edge", "a"), ("contract_edge", "a")],
-    [("delete_edge", "a"), ("contract_edge", "a")],
-    [("delete_vertex", 0)],
-    [("delete_vertex", 4)],
-    [("delete_vertex", -1)],
-    [("delete_vertex", 3), ("delete_vertex", 3)],
-    [("delete_edge", "c"), ("delete_edge", "d"),
-     ("delete_vertex", 2), ("delete_vertex", 1), ("delete_vertex", 1),
-     ("delete_vertex", 1)],
-    [("contract_edge", "c"), ("contract_edge", "d"), ("delete_vertex", 0)],
-    [("delete_edge",)],
-    [("delete_edge", ["a"])],
-    [("delete_vertex", "0")],
-    [("delete_edge", "c"), None],
-    [("delete_vertex", True)],
-    [("delete_edge", "c"), ("delete_edge", "d"), ("delete_vertex", True)],
-])
-def test_bad_scripts_raise_as_step_by_step(steps):
+# each bad script with the class its first bad step raises: every one is bad
+# input (exit 2), and a bad vertex step is an unknown vertex
+BAD_SCRIPTS = [
+    ([("frobnicate", "a")], RibbonError),
+    ([("delete_edge", "a"), ("frobnicate", "b")], RibbonError),
+    ([("delete_edge", "zz")], UnknownLabel),
+    ([("delete_edge", "a"), ("delete_edge", "b"), ("delete_edge", "a")], UnknownLabel),
+    ([("contract_edge", "c"), ("contract_edge", "zz"), ("contract_edge", "yy")],
+     UnknownLabel),
+    ([("contract_edge", "a"), ("contract_edge", "a")], UnknownLabel),
+    ([("delete_edge", "a"), ("contract_edge", "a")], UnknownLabel),
+    ([("delete_vertex", 0)], UnknownVertex),
+    ([("delete_vertex", 4)], UnknownVertex),
+    ([("delete_vertex", -1)], UnknownVertex),
+    ([("delete_vertex", 3), ("delete_vertex", 3)], UnknownVertex),
+    ([("delete_edge", "c"), ("delete_edge", "d"),
+      ("delete_vertex", 2), ("delete_vertex", 1), ("delete_vertex", 1),
+      ("delete_vertex", 1)], UnknownVertex),
+    ([("contract_edge", "c"), ("contract_edge", "d"), ("delete_vertex", 0)],
+     UnknownVertex),
+    ([("delete_edge",)], RibbonError),
+    ([("delete_edge", ["a"])], RibbonError),
+    ([("delete_vertex", "0")], RibbonError),
+    ([("delete_edge", "c"), None], RibbonError),
+    ([("delete_vertex", True)], RibbonError),
+    ([("delete_edge", "c"), ("delete_edge", "d"), ("delete_vertex", True)],
+     RibbonError),
+]
+
+
+@pytest.mark.parametrize(
+    "steps, error", BAD_SCRIPTS, ids=[f"steps{i}" for i in range(len(BAD_SCRIPTS))]
+)
+def test_bad_scripts_raise_as_step_by_step(steps, error):
     script = MinorScript(tuple(steps))
     with pytest.raises(RibbonError) as expected:
         _replay_step_by_step(_RUNS_GRAPH, script)
     with pytest.raises(RibbonError) as got:
         replay(_RUNS_GRAPH, script)
-    assert type(got.value) is type(expected.value)
+    assert type(expected.value) is error
+    assert type(got.value) is error
     assert str(got.value) == str(expected.value)
 
 
@@ -595,17 +608,16 @@ def test_search_builds_no_child_after_its_last_target(monkeypatch, g, target):
 
 def _planted(monkeypatch, fault):
     """Plant ``fault`` in the child genera the minor search reads: it is
-    given the graph, its Euler genus and the true (deletion, contraction)
-    pair of one label, and returns the pair the search sees."""
+    given the graph's slot table, its Euler genus and the true (deletion,
+    contraction) pair of one label, and returns the pair the search sees."""
     from ribbonforge import minors
 
     step_genera = minors._step_genera
 
-    def planted(pres):
-        gamma = euler_genus(pres)
+    def planted(table, walk, gamma):
         return {
-            label: fault(pres, label, gamma, pair)
-            for label, pair in step_genera(pres).items()
+            label: fault(table, label, gamma, pair)
+            for label, pair in step_genera(table, walk, gamma).items()
         }
 
     monkeypatch.setattr(minors, "_step_genera", planted)
@@ -613,8 +625,8 @@ def _planted(monkeypatch, fault):
 
 def test_a_planted_genus_fault_trips_the_guard(monkeypatch):
     # every deletion predicted one too high: the first kept deletion child
-    # disagrees with its own surface summary
-    def one_high(pres, label, gamma, pair):
+    # that is expanded disagrees with its own surface summary
+    def one_high(table, label, gamma, pair):
         deleted, contracted = pair
         return deleted + 1, contracted
 
@@ -627,8 +639,10 @@ def test_a_planted_twisted_edge_fault_fails_the_oracle(monkeypatch):
     # a twisted edge's deletion counted as γ − 2: where that falls below
     # every target the child is dropped unseen, which only the oracle of
     # scripts can catch; where it does not, the guard trips
-    def twisted_low(pres, label, gamma, pair):
-        return (gamma - 2 if twists(pres)[label] == -1 else pair[0]), pair[1]
+    def twisted_low(table, label, gamma, pair):
+        s = table.first[label]
+        twisted = table.along[s] != table.along[table.mate[s]]
+        return (gamma - 2 if twisted else pair[0]), pair[1]
 
     _planted(monkeypatch, twisted_low)
     targets = [build_Bbar1(), build_B(3), build_theta_t()]
@@ -645,6 +659,96 @@ def test_a_planted_twisted_edge_fault_fails_the_oracle(monkeypatch):
                 continue
             differ += found != (script is not None, script)
     assert differ > 0 and tripped > 0
+
+
+def test_a_step_that_makes_a_graph_orientable_lowers_its_genus():
+    # the lemma behind the search's genus floor for non-orientable states:
+    # (ε(G), ε(G')) for every non-orientable class G of up to 4 edges and
+    # every orientable one-step minor G' of it
+    steps = [
+        (euler_genus(g), euler_genus(child))
+        for g in enumerate_presentations(4) if not is_orientable(g)
+        for _, child in one_step_minors(g).values() if is_orientable(child)
+    ]
+    assert len(steps) == 511
+    assert all(child <= parent - 1 for parent, child in steps)
+
+
+def test_genus_floors_of_the_standard_targets():
+    from ribbonforge import minors
+
+    b3, theta, bbar1 = build_B(3), build_theta_t(), build_Bbar1()
+    assert minors._genus_floors([b3, theta]) == (3, 2)
+    assert minors._genus_floors([bbar1]) == (1, float("inf"))
+    assert minors._genus_floors([bbar1, b3]) == (1, 2)
+
+
+@pytest.mark.parametrize("g", [random_ribbon_graph(8, f"w{i}") for i in range(4)])
+def test_search_expands_no_non_orientable_state_below_its_floor(expanded, g):
+    # B3 and theta_t are orientable of Euler genus 2, and a step that makes
+    # a graph orientable lowers its genus, so no non-orientable state of
+    # genus 2 or less has them below it
+    excluded_minor_scan(g)
+    assert expanded
+    assert not [
+        s.words() for s in expanded if not is_orientable(s) and euler_genus(s) <= 2
+    ]
+
+
+def test_mixed_target_search_matches_the_memo_free_oracle():
+    from ribbonforge import minors
+
+    targets = [build_Bbar1(), build_B(3)]
+    graphs = list(enumerate_presentations(3))
+    graphs += [random_ribbon_graph(3 + s % 5, f"mixed-{s}") for s in range(40)]
+    found = 0
+    for g in graphs:
+        scripts = minors._minor_search(g, targets, None)
+        assert scripts == reference_minor_search(g, targets), g.words()
+        found += None not in scripts
+    assert found
+
+
+def _planted_floor(monkeypatch, fault):
+    """Plant ``fault`` in the genus floors of the minor search: it is given
+    the targets and the true (non-orientable, orientable) floors."""
+    from ribbonforge import minors
+
+    floors = minors._genus_floors
+    monkeypatch.setattr(minors, "_genus_floors", lambda ts: fault(ts, floors(ts)))
+
+
+def _fails_both_oracles():
+    """Whether some script differs from the one-target oracle's and some
+    from the memo-free oracle's, on the graphs of the two oracle tests."""
+    targets = [build_Bbar1(), build_B(3), build_theta_t()]
+    graphs = list(enumerate_presentations(3))
+    graphs += [random_ribbon_graph(4 + s % 3, f"oracle-{s}") for s in range(60)]
+    graphs += [random_ribbon_graph(3 + s % 5, f"memo-{s}") for s in range(40)]
+    one_target = memo_free = False
+    for g in graphs:
+        for target in targets:
+            got = has_minor(g, target)
+            one_target = one_target or got != reference_has_minor(g, target)
+            memo_free = memo_free or got[1] != reference_minor_search(g, [target])[0]
+            if one_target and memo_free:
+                return True
+    return False
+
+
+def test_a_planted_floor_one_too_high_fails_the_oracles(monkeypatch):
+    _planted_floor(monkeypatch, lambda ts, floors: (floors[0] + 1, floors[1]))
+    assert _fails_both_oracles()
+
+
+def test_a_planted_crosscap_counted_twice_fails_the_oracles(monkeypatch):
+    # an orientable target's genus plus 2, not 1, for non-orientable states
+    def twice(targets, floors):
+        summaries = [surface_summary(t) for t in targets]
+        return min(s.euler_genus + 2 * s.orientable for s in summaries), floors[1]
+
+    _planted_floor(monkeypatch, twice)
+    assert _fails_both_oracles()
 
 
 def test_one_isolated_vertex_deletion_is_built(monkeypatch):
