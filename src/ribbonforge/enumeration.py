@@ -41,8 +41,12 @@ from itertools import permutations, product
 from typing import Iterator
 
 from .canonical import _key
-from .errors import RibbonError
-from .limits import ENUMERATION_MAX_EDGES, SLOT_ENUMERATION_MAX_EDGES, check_size
+from .limits import (
+    ENUMERATION_MAX_EDGES,
+    SLOT_ENUMERATION_MAX_EDGES,
+    check_count,
+    check_size,
+)
 from .presentation import (
     EMPTY,
     Arrow,
@@ -123,8 +127,7 @@ def enumerate_presentations(
     flags keep only connected graphs, orientable graphs, or bouquets (one
     vertex).
     """
-    if max_edges < 0:
-        raise RibbonError("max_edges must be >= 0")
+    check_count(max_edges, "max_edges", 0)
     check_size(max_edges, ENUMERATION_MAX_EDGES, None, "enumeration")
     return [
         pres
@@ -151,8 +154,7 @@ def enumerate_by_slots(n: int) -> list[ArrowPresentation]:
     Walks (2n)! * 2^n configurations, so it is meant for cross-checking at
     tiny sizes and refuses n above ``SLOT_ENUMERATION_MAX_EDGES``.
     """
-    if n < 1:
-        raise RibbonError("slot enumeration needs n >= 1")
+    check_count(n, "n", 1)
     check_size(n, SLOT_ENUMERATION_MAX_EDGES, None, "slot enumeration")
     slots = range(2 * n)
     arrows = {(s, d): Arrow(f"e{s // 2 + 1}", d) for s in slots for d in (True, False)}
@@ -187,8 +189,7 @@ def random_ribbon_graph(n: int, seed) -> ArrowPresentation:
     directions, and a random split into between 1 and n vertices.  Not
     uniform over equivalence classes.
     """
-    if not 0 <= n <= 32:
-        raise RibbonError("edge count must be between 0 and 32")
+    check_count(n, "edge count", 0, 32)
     if n == 0:
         return EMPTY
     rng = random.Random(f"{n}|{seed}")

@@ -18,7 +18,8 @@ whose Euler genus, read off its parent, is below every target's is never
 built, so such classes are not counted.  A search also remembers the
 operation set (edges deleted and contracted, vertices deleted) of each
 child it builds, at most 2E + 1 per expanded state of E edges; the cap
-counts only classes.
+counts only classes.  ``check_count`` refuses a count, such as a family
+index or a size to generate, that is not an int in range; a bool is not.
 """
 
 from __future__ import annotations
@@ -52,6 +53,14 @@ def env_override() -> int | None:
             f"RIBBONFORGE_MAX_EDGES must be a positive integer, not {raw!r}"
         )
     return value
+
+
+def check_count(value, name: str, least: int, most: int | None = None) -> None:
+    """Refuse a count that is not an int from ``least`` to ``most``: a bool
+    or a float is bad input even where it equals an int."""
+    if type(value) is not int or value < least or most is not None and value > most:
+        span = f">= {least}" if most is None else f"from {least} to {most}"
+        raise RibbonError(f"{name} must be an int {span}, not {value!r}")
 
 
 def check_size(size: int, default: int, max_edges: int | None, search: str) -> None:

@@ -38,8 +38,8 @@ from .moves import partial_dual
 from .presentation import (
     Arrow,
     ArrowPresentation,
+    _blocks,
     _check_vertex,
-    _curve_roots,
     _group_by_root,
     _slot_table,
     _trusted,
@@ -224,32 +224,22 @@ def intersection_graph(pres: ArrowPresentation) -> IntersectionGraph:
 # -- plane-biseparations ------------------------------------------------------
 
 
-def _spanning(pres: ArrowPresentation, side: set[str]) -> list[int]:
-    """The component root of every vertex in the spanning subgraph on an
-    edge side, every vertex kept."""
-    kept = _trusted([a for a in curve if a.label in side] for curve in pres.curves)
-    return _curve_roots(_slot_table(kept))[0]
-
-
 def is_separating_vertex(pres: ArrowPresentation, index: int) -> bool:
     """Whether the edges at a vertex split into two or more blocks.
 
-    Each loop at the vertex is its own block; non-loop edges fall in the
-    same block exactly when their far endpoints are connected after the
-    vertex is removed, that is, share a root in the spanning subgraph on
-    the edges not at the vertex.  Two or more blocks means the vertex
-    separates.  A label on other than two arrows, which only a bug inside
-    the package can produce, raises ``InternalInvariantViolation``.
+    Each loop at the vertex is its own block, and its other edges fall into
+    the biconnected blocks of the curve graph (``_blocks``).  Two or more
+    blocks means the vertex separates.  A label on other than two arrows,
+    which only a bug inside the package can produce, raises
+    ``InternalInvariantViolation``.
     """
     _check_vertex(pres, index)
     table = _slot_table(pres)
-    curve, mate, label = table.curve, table.mate, table.label
-    at = range(table.start[index], table.start[index + 1])
-    far = [curve[mate[s]] for s in at]
-    loops = far.count(index) // 2
-    others = set(table.first) - {label[s] for s in at}
-    root = _spanning(pres, others)
-    return loops + len({root[w] for w in far if w != index}) >= 2
+    curve, mate = table.curve, table.mate
+    ends = [(curve[s], curve[mate[s]]) for s in table.first.values()]
+    blocks = _blocks(len(pres.curves), ends)
+    at = sum(any(index in ends[i] for i in block) for block in blocks)
+    return ends.count((index, index)) + at >= 2
 
 
 def defines_plane_biseparation(

@@ -34,6 +34,7 @@ from .limits import (
     CANONICAL_MAX_EDGES,
     MINOR_SEARCH_MAX_EDGES,
     MINOR_SEARCH_MEMO_LIMIT,
+    check_count,
     check_size,
 )
 from .moves import _contract_edges, _delete_edges, partial_dual
@@ -161,8 +162,7 @@ def build_B(n: int) -> ArrowPresentation:
     Euler genus n - 1; for even n, three boundary components and Euler genus
     n - 2.
     """
-    if n < 1:
-        raise RibbonError("n must be >= 1")
+    check_count(n, "n", 1)
     word = []
     for i in range(2, n + 1):
         word += [f"e{i}", f"e{i - 1}"]
@@ -285,8 +285,9 @@ def _minor_search(
     """
     index = {canonical_key(t, max_edges): i for i, t in enumerate(targets)}
     min_edges = min(t.edge_count for t in targets)
-    min_genus = min(surface_summary(t).euler_genus for t in targets)
     floors = _genus_floors(targets)
+    # min ε(t): a least-genus target's own floor, and no floor is lower
+    min_genus = min(floors)
     scripts: list[MinorScript | None] = [None] * len(targets)
     built: set[tuple[frozenset[Step], int]] = set()
 
@@ -445,8 +446,7 @@ def b_family_members(n: int, max_edges: int) -> list[ArrowPresentation]:
     equal to its edge count, so members with at most ``max_edges`` edges
     are found by filtering exhaustive enumeration.
     """
-    if n < 0:
-        raise RibbonError("family index must be >= 0")
+    check_count(n, "family index", 0)
     out: list[ArrowPresentation] = []
     for pres in enumerate_presentations(max_edges):
         s = surface_summary(pres)

@@ -3,8 +3,9 @@
 A ribbon graph represents a link exactly when, component by component, the
 interlacement graph of its spanning-tree partial dual is bipartite (see
 ``links``).  When it is not, the certificate is built from a shortest odd
-cycle, which lies inside one biconnected block; this module finds the
-blocks and searches only those that hold an odd cycle.
+cycle, which lies inside one biconnected block; this module takes the
+blocks from the package's one block decomposition (``presentation._blocks``)
+and searches only those that hold an odd cycle.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .errors import InternalInvariantViolation
+from .presentation import _blocks
 
 if TYPE_CHECKING:
     from .links import IntersectionGraph
@@ -25,18 +27,19 @@ def _two_colour(
     Colours each interlacement component from its smallest label (colour 0).
     On success returns (colouring, None); otherwise (None, cycle) with the
     shortest odd cycle, ties broken lexicographically.  Every cycle lies in
-    one biconnected block, and a block holds an odd cycle exactly when one
-    of its edges joins two vertices of one colour, so only those blocks are
-    searched, and the least (length, cycle) over them is the answer.  A
-    block with as many edges as vertices is a chordless cycle, read off
-    directly from its least vertex towards its smaller neighbour.
+    one biconnected block (``_blocks``, on the vertices numbered in sorted
+    order), and a block holds an odd cycle exactly when one of its edges
+    joins two vertices of one colour, so only those blocks are searched,
+    and the least (length, cycle) over them is the answer.  A block with as
+    many edges as vertices is a chordless cycle, read off directly from its
+    least vertex towards its smaller neighbour.
     """
+    # each pair is sorted, so listing the pairs in order sorts every list
+    pairs = sorted(graph.edges)
     adj: dict[str, list[str]] = {v: [] for v in graph.vertices}
-    for a, b in graph.edges:
+    for a, b in pairs:
         adj[a].append(b)
         adj[b].append(a)
-    for lst in adj.values():
-        lst.sort()
     colour: dict[str, int] = {}
     clashes: set[tuple[str, str]] = set()
     for root in graph.vertices:
@@ -56,12 +59,14 @@ def _two_colour(
             frontier = nxt
     if not clashes:
         return colour, None
+    number = {v: i for i, v in enumerate(sorted(graph.vertices))}
     best: tuple[str, ...] | None = None
-    for block in _blocks(adj):
-        if clashes.isdisjoint((a, b) if a < b else (b, a) for a, b in block):
+    for block in _blocks(len(number), [(number[a], number[b]) for a, b in pairs]):
+        if clashes.isdisjoint(pairs[i] for i in block):
             continue
         sub: dict[str, list[str]] = {}
-        for a, b in block:
+        for i in block:
+            a, b = pairs[i]
             sub.setdefault(a, []).append(b)
             sub.setdefault(b, []).append(a)
         if len(block) == len(sub):
@@ -80,46 +85,6 @@ def _two_colour(
         if best is None or (len(found), found) < (len(best), best):
             best = found
     return None, best
-
-
-def _blocks(adj: dict[str, list[str]]) -> list[list[tuple[str, str]]]:
-    """The biconnected blocks of a simple graph, each as a list of its edges.
-
-    Hopcroft and Tarjan's depth-first search, with an explicit stack since
-    interlacement graphs can have thousands of vertices: each edge is
-    pushed when first met, and when a child w of v reaches no vertex above
-    v, the edges pushed since the tree edge (v, w) form one block.
-    """
-    disc: dict[str, int] = {}
-    low: dict[str, int] = {}
-    blocks: list[list[tuple[str, str]]] = []
-    for root in adj:
-        if root in disc:
-            continue
-        disc[root] = low[root] = len(disc)
-        edges: list[tuple[str, str]] = []
-        stack = [(root, None, iter(adj[root]))]
-        while stack:
-            v, parent, todo = stack[-1]
-            for w in todo:
-                if w not in disc:
-                    disc[w] = low[w] = len(disc)
-                    edges.append((v, w))
-                    stack.append((w, v, iter(adj[w])))
-                    break
-                if w != parent and disc[w] < disc[v]:
-                    edges.append((v, w))
-                    low[v] = min(low[v], disc[w])
-            else:
-                stack.pop()
-                if parent is not None:
-                    low[parent] = min(low[parent], low[v])
-                    if low[v] >= disc[parent]:
-                        block = []
-                        while not block or block[-1] != (parent, v):
-                            block.append(edges.pop())
-                        blocks.append(block)
-    return blocks
 
 
 def _parity_distances(

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import InternalInvariantViolation
@@ -47,6 +46,7 @@ from .presentation import (
     Arrow,
     ArrowPresentation,
     Curve,
+    _blocks,
     _curve_roots,
     _group_by_root,
     _slot_table,
@@ -305,30 +305,32 @@ def _step_genera(
     all-open ``walk_arcs`` cycles and its Euler genus γ, as ``_surface_walk``
     gives them.
 
-    Deleting e keeps the vertices and drops one edge, so γ moves with the
-    boundary and component counts alone, and those are set by e's two free
-    sides:
+    One rule gives both.  Deleting e keeps the vertices and drops one edge,
+    so γ moves with the boundary and component counts alone, and those are
+    set by e's two free sides:
 
     - on different boundary walks, which e's removal merges: γ;
     - on the same walk, run the same way, which stays one walk: γ − 1;
     - on the same walk, run opposite ways, which splits in two: γ − 2,
       unless e is a bridge, whose removal also adds a component: γ.
 
-    Contraction is deletion in the dual: (G/e)* = G* − e, and duality keeps
-    γ and the component count and swaps vertices with boundary walks.  The
-    boundary walks of G* are the curves of G, on which e's two arrows play
-    the part of its free sides: on different curves (e is not a loop), γ;
-    on one curve pointing the same way as read along it (a twisted loop),
-    γ − 1; otherwise (an untwisted loop) γ − 2, unless contracting e cuts
-    its curve into two arcs that nothing else joins, which leaves γ.
+    Contraction is deletion in the dual: (G/e)* = G* − e (Chmutov, JCTB
+    2009), and duality keeps γ and the component count.  The vertices of G*
+    are the boundary walks of G, its boundary walks are the curves of G, and
+    e's two arrows play the part of its free sides.  So the rule on G* reads:
+    on different curves (e is not a loop), γ; on one curve pointing the same
+    way as read along it (a twisted loop), γ − 1; otherwise γ − 2, unless e
+    is a bridge of G*, which leaves γ.
 
     With every edge opened, ``walk_arcs`` gives each dart's walk, and as
     each walk has even length, the darts at odd places are those it leaves
     by their free sides.  Of e's first arrow, the side at the head leads to
     the second arrow's tail and the side at the tail comes from the second
     arrow's head, so the two sides run the same way exactly when both ends
-    of the first arrow are left by their free sides or neither is.  A
-    bridge or separating loop takes one connectivity pass (``_cut``).
+    of the first arrow are left by their free sides or neither is.  The
+    bridges of G are the one-edge blocks (``_blocks``) of its curve graph,
+    where e joins the curves of its arrows, and those of G* the one-edge
+    blocks of the graph of walks, where e joins the walks of its free sides.
     """
     curve, along, mate = table.curve, table.along, table.mate
     order, ends = walk
@@ -339,63 +341,33 @@ def _step_genera(
     side = [0] * len(order)
     for d in order[1::2]:
         side[d] = 1
+    slots = table.first.values()
+    bridges = _bridges(len(table.start) - 1, [(curve[s], curve[mate[s]]) for s in slots])
+    dual_bridges = _bridges(
+        len(ends), [(walk_of[2 * s + 1], walk_of[2 * mate[s] + 1]) for s in slots]
+    )
     out: dict = {}
-    for label, s in table.first.items():
+    for i, (label, s) in enumerate(table.first.items()):
         t = mate[s]
         if walk_of[2 * s + 1] != walk_of[2 * t + 1]:
             deleted = gamma
         elif side[2 * s + 1] == side[2 * s]:
             deleted = gamma - 1
-        elif curve[s] == curve[t]:
-            deleted = gamma - 2  # a loop is never a bridge
         else:
-            deleted = gamma if _cut(table, s, t) else gamma - 2
+            deleted = gamma if i in bridges else gamma - 2
         if curve[s] != curve[t]:
             contracted = gamma
         elif along[s] != along[t]:
             contracted = gamma - 1
         else:
-            contracted = gamma if _cut(table, s, t) else gamma - 2
+            contracted = gamma if i in dual_bridges else gamma - 2
         out[label] = deleted, contracted
     return out
 
 
-def _cut(table: _SlotTable, s: int, t: int) -> bool:
-    """Whether the edge on slots s < t is a bridge, or, for a loop, whether
-    contracting it leaves the two arcs of its curve unjoined.
-
-    One connectivity pass of the curve graph without the edge, in which a
-    loop's curve stands for its arc strictly between s and t, and a new
-    node, -1, for the rest of it.
-    """
-    start, curve, mate = table.start, table.curve, table.mate
-    c = curve[s]
-    loop = curve[t] == c
-
-    def node(slot: int) -> int:
-        return -1 if loop and curve[slot] == c and not s < slot < t else curve[slot]
-
-    def slots(v: int) -> Iterable[int]:
-        if v == -1:
-            return chain(range(start[c], s), range(t + 1, start[c + 1]))
-        if loop and v == c:
-            return range(s + 1, t)
-        return range(start[v], start[v + 1])
-
-    goal = -1 if loop else curve[t]
-    seen = {c}
-    stack = [c]
-    while stack:
-        for slot in slots(stack.pop()):
-            if slot == s or slot == t:
-                continue
-            v = node(mate[slot])
-            if v == goal:
-                return False
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return True
+def _bridges(n: int, ends: list[tuple[int, int]]) -> set[int]:
+    """The edges of a multigraph whose removal disconnects their ends."""
+    return {block[0] for block in _blocks(n, ends) if len(block) == 1}
 
 
 def boundary_component_count(pres: ArrowPresentation) -> int:

@@ -108,6 +108,24 @@ def test_a_planted_trim_fault_fails_criterion_2(monkeypatch):
     )
 
 
+def test_a_planted_interlacement_fault_fails_criterion_2(monkeypatch):
+    # the two-colouring ignores the least interlacement edge: a graph whose
+    # interlacement graph is bipartite only without it gets a witness whose
+    # partial dual is not plane
+    two_colour = links._two_colour
+
+    def faulty(graph):
+        edges = graph.edges - {min(graph.edges)} if graph.edges else graph.edges
+        return two_colour(links.IntersectionGraph(graph.vertices, edges))
+
+    monkeypatch.setattr(links, "_two_colour", faulty)
+    result = run_criterion(2)
+    assert not result.passed
+    assert result.details == (
+        "raised InternalInvariantViolation: bipartite witness is not plane"
+    )
+
+
 def test_the_genus_walk_reaches_each_class_at_its_keyed_first_step():
     # criterion 4 walks every one-step minor unkeyed; its first step into
     # each class must be the step one_step_minors keeps for that class

@@ -9,7 +9,9 @@ from ribbonforge import (
     EMPTY,
     RibbonError,
     SizeBoundExceeded,
+    b_family_members,
     boundary_component_count,
+    build_B,
     canonical_key,
     component_count,
     enumerate_by_slots,
@@ -244,3 +246,21 @@ def test_random_ribbon_graph_contract():
         random_ribbon_graph(-1, "x")
     seen = {canonical_key(random_ribbon_graph(3, f"s{i}")) for i in range(40)}
     assert len(seen) > 5  # spread across classes, not stuck on one
+
+
+COUNTED = {
+    "build_B": build_B,
+    "enumerate_presentations": enumerate_presentations,
+    "enumerate_by_slots": enumerate_by_slots,
+    "random_ribbon_graph": lambda n: random_ribbon_graph(n, "x"),
+    "b_family_members index": lambda n: b_family_members(n, 2),
+    "b_family_members size": lambda n: b_family_members(0, n),
+}
+
+
+@pytest.mark.parametrize("count", [True, False, 3.0, "3", None])
+@pytest.mark.parametrize("call", COUNTED.values(), ids=COUNTED.keys())
+def test_a_count_that_is_not_an_int_is_bad_input(call, count):
+    # a bool once counted as 0 or 1, and a float raised TypeError
+    with pytest.raises(RibbonError, match="must be an int"):
+        call(count)

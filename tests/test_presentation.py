@@ -3,9 +3,13 @@
 import random
 import sys
 import threading
+from collections import Counter
 from importlib import import_module
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ribbonforge import (
     EMPTY,
@@ -279,3 +283,66 @@ def test_threads_share_the_ring_safely():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
+
+
+# -- the block decomposition ----------------------------------------------------
+
+
+def _component_count(n, ends, skip=None):
+    """Oracle: the components of the multigraph without edge ``skip``, by
+    union-find."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i, (a, b) in enumerate(ends):
+        if i != skip:
+            parent[find(a)] = find(b)
+    return len({find(v) for v in range(n)})
+
+
+def _simple_cycles(ends):
+    """Oracle: the edge sets of the simple cycles other than loops, by brute
+    force: the connected sets of two or more edges in which every node they
+    meet meets exactly two of them."""
+    proper = [i for i, (a, b) in enumerate(ends) if a != b]
+    for r in range(2, len(proper) + 1):
+        for subset in combinations(proper, r):
+            degree = Counter(v for i in subset for v in ends[i])
+            if set(degree.values()) != {2}:
+                continue
+            nodes = sorted(degree)
+            number = {v: k for k, v in enumerate(nodes)}
+            within = [(number[a], number[b]) for a, b in (ends[i] for i in subset)]
+            if _component_count(len(nodes), within) == 1:
+                yield set(subset)
+
+
+@st.composite
+def _multigraphs(draw):
+    n = draw(st.integers(1, 6))
+    node = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(node, node), max_size=9))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_multigraphs())
+def test_blocks_match_the_bridge_and_cycle_oracles(graph):
+    # loops and parallel edges included: a bridge is an edge whose deletion
+    # adds a component, and two edges share a block exactly when they lie
+    # on a common simple cycle
+    n, ends = graph
+    blocks = PRESENTATION._blocks(n, ends)
+    block_of = {i: b for b, block in enumerate(blocks) for i in block}
+    assert sum(map(len, blocks)) == len(block_of)
+    assert sorted(block_of) == [i for i, (a, b) in enumerate(ends) if a != b]
+    whole = _component_count(n, ends)
+    for i, b in block_of.items():
+        assert (len(blocks[b]) == 1) == (_component_count(n, ends, i) > whole)
+    cycles = list(_simple_cycles(ends))
+    for i, j in combinations(sorted(block_of), 2):
+        on_one = any(i in cycle and j in cycle for cycle in cycles)
+        assert (block_of[i] == block_of[j]) == on_one, (ends, i, j)

@@ -1,6 +1,8 @@
 """Boundary tracing, genus, orientability: frozen small oracles + identities."""
 
+import inspect
 import random
+from importlib import import_module
 from itertools import product
 
 import pytest
@@ -41,6 +43,10 @@ from ribbonforge.surfaces import (
     odd_twist_cycle,
     walk_arcs,
 )
+
+# the modules, which the package's ``presentation`` function shadows
+PRESENTATION = import_module("ribbonforge.presentation")
+SURFACES = import_module("ribbonforge.surfaces")
 
 # (words, vertices, edges, boundary, euler_genus, orientable) — hand-traced
 FROZEN = [
@@ -434,6 +440,21 @@ def test_step_genera_on_every_class_up_to_four_edges():
         "edge", "bridge", "loop", "non-loop", "twisted loop",
         "separating loop", "non-separating loop",
     }
+
+
+def test_a_planted_parent_node_fault_fails_the_step_genera_oracle(monkeypatch):
+    # _blocks skipping the parent node rather than the edge it came in by:
+    # the three parallel edges of the "non-loop" case then read as a bridge
+    # and two edges in no block, and a deletion's genus comes out wrong
+    source = inspect.getsource(PRESENTATION._blocks)
+    assert source.count("if i == via:") == 1
+    source = source.replace("if i == via:", "if len(stack) > 1 and w == stack[-2][0]:")
+    namespace = dict(vars(PRESENTATION))
+    exec(source, namespace)
+    monkeypatch.setattr(SURFACES, "_blocks", namespace["_blocks"])
+    (words,) = [case[1] for case in STEP_CASES if case[0] == "non-loop"]
+    with pytest.raises(AssertionError):
+        _check_step_genera(from_words(words))
 
 
 @st.composite
