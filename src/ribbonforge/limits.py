@@ -13,12 +13,14 @@ default, and, except the two enumerations', set per call via a
 ``max_edges=`` argument (the ``--max-edges`` flag).
 ``MINOR_SEARCH_MEMO_LIMIT`` caps the equivalence classes one minor search
 remembers (B3 and theta_t share one in a scan); it has no override.  It
-counts the classes of the children the search builds and keys, and a child
+counts the classes of the children the search builds and keys.  A child
 whose Euler genus, read off its parent, is below every target's is never
-built, so such classes are not counted.  A search also remembers the
-operation set (edges deleted and contracted, vertices deleted) of each
-child it builds, at most 2E + 1 per expanded state of E edges; the cap
-counts only classes.  ``check_count`` refuses a count, such as a family
+built, nor is a non-orientable child of a non-orientable state below that
+state's genus floor (its orientability is read off its parent too), so
+such classes are not counted.  A search also remembers the operation set
+(edges deleted and contracted, vertices deleted) of each child it builds,
+at most 2E + 1 per expanded state of E edges, and of no child it skips;
+the cap counts only classes.  ``check_count`` refuses a count, such as a family
 index or a size to generate, that is not an int in range; a bool is not.
 """
 

@@ -5,8 +5,10 @@ vertices.  Minor operations never raise the Euler genus and never make an
 orientable graph non-orientable, a step that makes a graph orientable lowers
 its Euler genus, and only vertex deletions keep the edge count; the search
 prunes by all of these, looking for several targets at once.  Each child's
-Euler genus is read off its parent before the child is built, so a child
-below every target's genus is never built at all.
+Euler genus, and where it matters whether it is orientable, is read off its
+parent before the child is built, so a child below every target's genus,
+or a non-orientable child below the floor of non-orientable states, is
+never built at all.
 
 The three patterns whose absence characterizes link-diagram representability
 are built here: ``BBAR1`` (the twisted loop), ``B3`` (the bouquet of three
@@ -41,6 +43,7 @@ from .moves import _contract_edges, _delete_edges, partial_dual
 from .presentation import ArrowPresentation, from_words
 from .surfaces import (
     _step_genera,
+    _step_orientability,
     _surface_walk,
     is_orientable,
     odd_twist_cycle,
@@ -252,7 +255,9 @@ def _minor_search(
     A state is pruned only when no target can lie below it.  Each script is
     the first path to its target's class, and a found target stays in the
     search like any other class, so it is the script a search for that
-    target alone finds.  ``MINOR_SEARCH_MEMO_LIMIT`` caps remembered classes.
+    target alone finds.  ``MINOR_SEARCH_MEMO_LIMIT`` caps remembered classes;
+    a child skipped unbuilt, as below, is neither counted against it nor
+    remembered by its operation set.
 
     Deletions and contractions of distinct edges commute and isolated
     vertices are interchangeable, so the class of a minor is fixed by its
@@ -269,16 +274,23 @@ def _minor_search(
     orientable targets t and ε(t) over the others, since a step that makes
     a graph orientable lowers its genus (``_genus_floors``).  So with B3 and
     theta_t the targets, no non-orientable state of Euler genus 2 or less
-    is expanded.
+    is expanded.  Nor is such a child built: a child of a non-orientable
+    state whose genus lies below that floor is first tested for
+    orientability off its parent (``_step_orientability``), and skipped if
+    it is not orientable.  Its class would have been visited and never
+    expanded; orientability and genus are class invariants, so every other
+    path to that class skips it too, and no target is non-orientable below
+    the floor, so again no script changes.
 
     The level loop prunes by edge count alone.  A state is expanded by one
     loop over its steps in ``one_step_minors``' order, after one slot table
     and one boundary walk (``_surface_walk``): the walk's summary must
     carry the genus the state's parent predicted, and reach the state's
-    floor, and the same walk gives every child's genus.  The loop skips a
-    step as above, and otherwise builds the child, keys it and streams it
-    to the level loop, which drops a class already visited.  So once the
-    last target is found, no further child is built.
+    floor, and the same walk gives every child's genus and, for the few
+    children that need it, their orientability.  The loop skips a step as
+    above, and otherwise builds the child, keys it and streams it to the
+    level loop, which drops a class already visited.  So once the last
+    target is found, no further child is built.
 
     The start and the targets are keyed under the bound; a child never has
     more edges than the start, so children are keyed without a check.
@@ -307,18 +319,28 @@ def _minor_search(
         # At the least target edge count only vertex deletions can help.
         edges = state.edge_count > min_edges
         genera = _step_genera(table, walk, gamma) if edges else {}
+        # below this a child counts only if orientable, which a child of an
+        # orientable state always is
+        floor = min_genus if summary.orientable else floors[0]
+        orientable = None  # the test of that, made when first needed
         done = frozenset(s for s in steps if s[0] != "delete_vertex")
         bare = len(steps) - len(done)
         for step in _one_step_order(state, edges):
-            if step[0] == "delete_vertex":
+            op, arg = step
+            if op == "delete_vertex":
                 predicted, ops = gamma, (done, bare + 1)
             else:
-                predicted = genera[step[1]][step[0] == "contract_edge"]
+                predicted = genera[arg][op == "contract_edge"]
                 if predicted < min_genus:
                     continue
                 ops = (done | {step}, bare)
             if ops in built:
                 continue
+            if predicted < floor:
+                if orientable is None:
+                    orientable = _step_orientability(table, walk)
+                if not orientable(arg, op == "contract_edge"):
+                    continue
             built.add(ops)
             child = apply_step(state, step)
             yield _key(child), steps + (step,), child, predicted
@@ -370,7 +392,10 @@ def has_minor(
     deletion that keeps the genus leaves the edge inside a face, and
     contraction is deletion in the dual (``_genus_floors``).  A child of
     smaller Euler genus than the target's, read off its parent, is never
-    built, and no set of operations is built twice.
+    built, nor is a non-orientable child below a non-orientable state's
+    floor, whose orientability is read off its parent too; neither counts
+    against ``MINOR_SEARCH_MEMO_LIMIT``.  No set of operations is built
+    twice.
     """
     check_size(pres.edge_count, MINOR_SEARCH_MAX_EDGES, max_edges, "minor-search")
     (script,) = _minor_search(pres, [target], max_edges)

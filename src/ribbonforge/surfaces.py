@@ -16,7 +16,8 @@ cross arcs.  What its cycles give:
   them, ``trace_boundary`` turns them into (curve, position, end) nodes,
   and ``_step_genera`` reads off the same walk (``_surface_walk`` hands it
   on) the Euler genus of every one-edge deletion and contraction, for the
-  minor search;
+  minor search, and ``_step_orientability`` whether such a child of a
+  non-orientable graph is orientable;
 - with a set of edges opened on the curves carrying them, the arrows met
   along each cycle (``_cross_arrows``) form one new curve of the splice
   that contracts the set or takes the partial dual at it (see ``moves``);
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import InternalInvariantViolation
 from .presentation import (
@@ -333,18 +334,11 @@ def _step_genera(
     blocks of the graph of walks, where e joins the walks of its free sides.
     """
     curve, along, mate = table.curve, table.along, table.mate
-    order, ends = walk
-    walk_of = [0] * len(order)
-    for w, (b, e) in enumerate(zip([0, *ends], ends)):
-        for d in order[b:e]:
-            walk_of[d] = w
-    side = [0] * len(order)
-    for d in order[1::2]:
-        side[d] = 1
+    walk_of, side = _walk_sides(walk)
     slots = table.first.values()
     bridges = _bridges(len(table.start) - 1, [(curve[s], curve[mate[s]]) for s in slots])
     dual_bridges = _bridges(
-        len(ends), [(walk_of[2 * s + 1], walk_of[2 * mate[s] + 1]) for s in slots]
+        len(walk[1]), [(walk_of[2 * s + 1], walk_of[2 * mate[s] + 1]) for s in slots]
     )
     out: dict = {}
     for i, (label, s) in enumerate(table.first.items()):
@@ -363,6 +357,82 @@ def _step_genera(
             contracted = gamma if i in dual_bridges else gamma - 2
         out[label] = deleted, contracted
     return out
+
+
+def _walk_sides(walk: tuple[list[int], list[int]]) -> tuple[list[int], list[int]]:
+    """Each dart's walk among the all-open ``walk_arcs`` cycles, and 1 where
+    its walk leaves it by its free side (the odd places), else 0."""
+    order, ends = walk
+    walk_of = [0] * len(order)
+    for w, (b, e) in enumerate(zip([0, *ends], ends)):
+        for d in order[b:e]:
+            walk_of[d] = w
+    side = [0] * len(order)
+    for d in order[1::2]:
+        side[d] = 1
+    return walk_of, side
+
+
+def _step_orientability(
+    table: _SlotTable, walk: tuple[list[int], list[int]]
+) -> Callable[[str, bool], bool]:
+    """A test of whether deleting (False) or contracting (True) a label of
+    a non-orientable G leaves an orientable graph, read off G's slot table
+    and its all-open ``walk_arcs`` cycles, as ``_step_genera`` reads them.
+
+    A ribbon graph is orientable exactly when its curve graph, each edge
+    signed by its twist, is balanced: no cycle has an odd number of twisted
+    edges (Zaslavsky, *Signed graphs*, Discrete Appl. Math. 1982).  So G − e
+    is orientable iff G's signed curve graph without e is balanced.
+    Contracting a non-loop keeps the surface, so G/e stays non-orientable.
+    For a loop, (G/e)* = G* − e (Chmutov, JCTB 2009) and duality keeps
+    orientability, so G/e is orientable iff G* − e is balanced, where G* is
+    the graph of boundary walks of ``_step_genera``: e joins the walks of
+    its two free sides, and is twisted when they run the same way.  Each
+    answer is one parity pass over one of the two edge lists.
+    """
+    curve, along, mate = table.curve, table.along, table.mate
+    walk_of, side = _walk_sides(walk)
+    index: dict[str, tuple[int, bool]] = {}
+    graph, dual = [], []
+    for i, (label, s) in enumerate(table.first.items()):
+        t = mate[s]
+        index[label] = i, curve[s] == curve[t]
+        graph.append((curve[s], curve[t], along[s] != along[t]))
+        twisted = side[2 * s + 1] == side[2 * s]  # its free sides run one way
+        dual.append((walk_of[2 * s + 1], walk_of[2 * t + 1], twisted))
+    curves, walks = len(table.start) - 1, len(walk[1])
+
+    def orientable(label: str, contracted: bool) -> bool:
+        i, loop = index[label]
+        if not contracted:
+            return _balanced(curves, graph, i)
+        return loop and _balanced(walks, dual, i)
+
+    return orientable
+
+
+def _balanced(n: int, signed: list[tuple[int, int, bool]], skip: int) -> bool:
+    """Whether a signed multigraph on nodes 0, ..., n − 1, edge i joining
+    ``signed[i][:2]`` with twist ``signed[i][2]``, has no cycle of odd twist
+    once edge ``skip`` is left out: a union-find that keeps each node's
+    twist parity to its root."""
+    root = list(range(n))
+    odd = [False] * n
+    for i, (a, b, twisted) in enumerate(signed):
+        if i == skip:
+            continue
+        while root[a] != a:
+            twisted ^= odd[a]
+            a = root[a]
+        while root[b] != b:
+            twisted ^= odd[b]
+            b = root[b]
+        if a != b:
+            root[a], odd[a] = b, twisted
+        elif twisted:
+            return False
+    return True
 
 
 def _bridges(n: int, ends: list[tuple[int, int]]) -> set[int]:

@@ -695,6 +695,37 @@ def test_search_expands_no_non_orientable_state_below_its_floor(expanded, g):
     ]
 
 
+@pytest.mark.parametrize("g", [random_ribbon_graph(8, f"w{i}") for i in range(4)])
+def test_search_builds_no_non_orientable_child_below_its_floor(monkeypatch, g):
+    # such a child would not be expanded, as above, and whether a child is
+    # orientable is known from its parent, so it is not built either
+    from ribbonforge import minors
+
+    apply, verify = minors.apply_step, minors.verified_script
+    built, replaying = [], []
+
+    def counted(state, step):
+        child = apply(state, step)
+        if not replaying:
+            built.append(child)
+        return child
+
+    def verified(*args):
+        replaying.append(True)  # a found script is replayed from the start
+        try:
+            return verify(*args)
+        finally:
+            replaying.pop()
+
+    monkeypatch.setattr(minors, "apply_step", counted)
+    monkeypatch.setattr(minors, "verified_script", verified)
+    excluded_minor_scan(g)
+    assert built
+    assert not [
+        c.words() for c in built if not is_orientable(c) and euler_genus(c) <= 2
+    ]
+
+
 def test_mixed_target_search_matches_the_memo_free_oracle():
     from ribbonforge import minors
 
@@ -748,6 +779,22 @@ def test_a_planted_crosscap_counted_twice_fails_the_oracles(monkeypatch):
         return min(s.euler_genus + 2 * s.orientable for s in summaries), floors[1]
 
     _planted_floor(monkeypatch, twice)
+    assert _fails_both_oracles()
+
+
+def test_a_planted_loop_contraction_fault_fails_the_oracles(monkeypatch):
+    # every loop contraction of a non-orientable graph taken for a
+    # non-orientable child, as without the pass over the dual: an orientable
+    # child of the target's genus is then dropped unbuilt
+    from ribbonforge import minors
+
+    step_orientability = minors._step_orientability
+
+    def planted(table, walk):
+        orientable = step_orientability(table, walk)
+        return lambda label, contracted: not contracted and orientable(label, False)
+
+    monkeypatch.setattr(minors, "_step_orientability", planted)
     assert _fails_both_oracles()
 
 

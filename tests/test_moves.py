@@ -1,6 +1,7 @@
 """Deletion, contraction, partial duality: frozen oracles and identities."""
 
 import random
+from importlib import import_module
 
 import pytest
 
@@ -62,6 +63,23 @@ def test_single_label_dual_words_are_pinned():
         ["e1", "e3'", "e5", "e4", "e1", "e5", "e2"],
         ["e2", "e4", "e3'"],
     ]
+
+
+def test_a_planted_second_least_rotation_fails_the_splice_word_pins(monkeypatch):
+    # each curve written from its second-least rotation, both where a
+    # presentation is built and where a splice writes its new curves: the
+    # graphs stay valid and equivalent, and no acceptance criterion fails,
+    # but the pinned words do
+    def second_least(curve):
+        rotations = sorted({curve[i:] + curve[:i] for i in range(len(curve))})
+        return rotations[1] if len(rotations) > 1 else curve
+
+    monkeypatch.setattr(import_module("ribbonforge.presentation"), "_min_rotation",
+                        second_least)
+    monkeypatch.setattr(moves, "_min_rotation", second_least)
+    for pinned in (test_splice_curve_words_are_pinned, test_single_label_dual_words_are_pinned):
+        with pytest.raises(AssertionError):
+            pinned()
 
 
 def test_contract_edge_rejects_unknown_label_from_one_arrow_pass(monkeypatch):

@@ -6,7 +6,7 @@ from importlib import import_module
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ribbonforge import (
@@ -32,6 +32,7 @@ from ribbonforge import (
     surface_summary,
     trace_boundary,
     twists,
+    underlying_edges,
 )
 from ribbonforge.presentation import _slot_table, _trusted
 from ribbonforge.surfaces import (
@@ -39,6 +40,7 @@ from ribbonforge.surfaces import (
     _node,
     _opened,
     _step_genera,
+    _step_orientability,
     _surface_walk,
     odd_twist_cycle,
     walk_arcs,
@@ -472,6 +474,59 @@ def _step_graphs(draw):
 @given(_step_graphs())
 def test_step_genera_match_the_built_children(g):
     _check_step_genera(g)
+
+
+def _check_step_orientability(g):
+    """Both answers of ``_step_orientability`` for every label of a
+    non-orientable g against the real children; (contracted, loop,
+    orientable) for each."""
+    summary, table, walk = _surface_walk(g)
+    assert not summary.orientable
+    orientable = _step_orientability(table, walk)
+    edges = underlying_edges(g)
+    kinds = []
+    for label in g.labels():
+        for contracted, step in ((False, delete_edge), (True, contract_edge)):
+            real = is_orientable(step(g, label))
+            assert orientable(label, contracted) == real, (g.words(), label, contracted)
+            kinds.append((contracted, len(set(edges[label])) == 1, real))
+    return kinds
+
+
+def test_step_orientability_on_every_non_orientable_class_up_to_four_edges():
+    kinds = [
+        kind
+        for g in enumerate_presentations(4) if not is_orientable(g)
+        for kind in _check_step_orientability(g)
+    ]
+    assert len(kinds) == 5902
+    # only a non-loop contraction is never orientable
+    assert set(kinds) == set(product([False, True], repeat=3)) - {(True, False, True)}
+
+
+@st.composite
+def _non_orientable_graphs(draw):
+    """Non-orientable random graphs of 5 to 12 edges, half of them with all
+    but one or two edges untwisted, so that an orientable child is common."""
+    g = random_ribbon_graph(draw(st.integers(5, 12)), draw(st.integers(0, 10**6)))
+    if draw(st.booleans()):
+        twisted = set(draw(st.lists(st.sampled_from(g.labels()), min_size=1, max_size=2)))
+        seen = set()
+        curves = [[] for _ in g.curves]
+        for curve, c in zip(curves, g.curves):
+            for a in c:
+                # a twisted edge's second arrow points against its first
+                curve.append(Arrow(a.label, a.label not in twisted or a.label not in seen))
+                seen.add(a.label)
+        g = _trusted(curves)
+    assume(not is_orientable(g))
+    return g
+
+
+@settings(max_examples=200, deadline=None)
+@given(_non_orientable_graphs())
+def test_step_orientability_matches_the_built_children(g):
+    _check_step_orientability(g)
 
 
 @settings(max_examples=200, deadline=None)
