@@ -16,11 +16,14 @@ remembers (B3 and theta_t share one in a scan); it has no override.  It
 counts the classes of the children the search builds and keys.  A child
 whose Euler genus, read off its parent, is below every target's is never
 built, nor is a non-orientable child of a non-orientable state below that
-state's genus floor (its orientability is read off its parent too), so
-such classes are not counted.  A search also remembers the operation set
-(edges deleted and contracted, vertices deleted) of each child it builds,
-at most 2E + 1 per expanded state of E edges, and of no child it skips;
-the cap counts only classes.  ``check_count`` refuses a count, such as a family
+state's genus floor (its orientability is read off its parent too), nor a
+child whose least partial-dual genus, read off the start's table of
+spanning boundaries, is below its floor, so such classes are not counted.
+A search also remembers the operation set (edges kept and contracted as
+two bitmasks, vertices deleted as a count) of each child it builds, at
+most 2E + 1 per expanded state of E edges, and of no child it skips; the
+cap counts only classes.  The table itself holds 2^E counts for a start
+of E edges, one per search.  ``check_count`` refuses a count, such as a family
 index or a size to generate, that is not an int in range; a bool is not.
 """
 

@@ -10,6 +10,14 @@ parent before the child is built, so a child below every target's genus,
 or a non-orientable child below the floor of non-orientable states, is
 never built at all.
 
+The same holds for the least Euler genus of a partial dual, pd: 0 exactly
+on the graphs that represent links, and 2 on B3 and theta_t.  One table of
+the start's spanning boundaries f(V, A), for every edge set A
+(``surfaces._spanning_boundaries``), gives the pd of every state and child
+by one bitmask loop, so the search neither expands nor builds a minor whose
+pd lies below every target's; a search from a representable graph for B3
+or theta_t stops at its start.
+
 The three patterns whose absence characterizes link-diagram representability
 are built here: ``BBAR1`` (the twisted loop), ``B3`` (the bouquet of three
 pairwise interlaced loops) and ``THETA_T`` (the toroidal theta: two vertices
@@ -42,6 +50,7 @@ from .limits import (
 from .moves import _contract_edges, _delete_edges, partial_dual
 from .presentation import ArrowPresentation, from_words
 from .surfaces import (
+    _spanning_boundaries,
     _step_genera,
     _step_orientability,
     _surface_walk,
@@ -225,6 +234,17 @@ def _one_step_order(pres: ArrowPresentation, edges: bool = True) -> list[Step]:
     return steps
 
 
+def _floors(invariants: list[tuple[int, bool]]) -> tuple[float, float]:
+    """From each target's (invariant, orientable), the least invariant of a
+    non-orientable state and of an orientable one that some target can lie
+    below, when a minor step never raises the invariant and lowers it by
+    at least 1 when it makes a non-orientable graph orientable: the least
+    x(t) + [t orientable] over all targets t, and the least x(t) over the
+    orientable ones (infinite if there are none)."""
+    orientable = min((x for x, o in invariants if o), default=inf)
+    return min(x + o for x, o in invariants), orientable
+
+
 def _genus_floors(targets: list[ArrowPresentation]) -> tuple[float, float]:
     """The least Euler genus of a state that some target can lie below, for
     a non-orientable state and for an orientable one, in that order.
@@ -241,8 +261,58 @@ def _genus_floors(targets: list[ArrowPresentation]) -> tuple[float, float]:
     t and ε(t) for a non-orientable one.
     """
     summaries = [surface_summary(t) for t in targets]
-    orientable = min((s.euler_genus for s in summaries if s.orientable), default=inf)
-    return min(s.euler_genus + s.orientable for s in summaries), orientable
+    return _floors([(s.euler_genus, s.orientable) for s in summaries])
+
+
+def _dual_genus_drop(boundaries: list[int], live: int, contracted: int) -> int:
+    """ε(S) − pd(S) for the minor S of a graph G that keeps the edges of
+    bitmask ``live``, contracts those of ``contracted`` and deletes the
+    rest, and any bare vertices, given G's ``_spanning_boundaries``.
+
+    pd(S), the least Euler genus of a partial dual S^B, is reached at some
+    B ⊆ E(S), and ε(S^B) = 2k + |E| − f_S(B) − f_S(E ∖ B) (Chmutov,
+    *Generalized duality for graphs on surfaces*, JCTB 2009), where f_S(X)
+    counts the boundary components of the spanning subgraph (V, X) of S.
+    Contraction keeps the boundary components, and a bare vertex is one of
+    its own, so f_S(X) = f_G(X ∪ C) − b for C the contracted edges and b
+    the bare vertices deleted.  At B = ∅ the formula is Euler's for S, so
+    ε(S) − pd(S) is the most that f_S(B) + f_S(E ∖ B) exceeds
+    f_S(∅) + f_S(E), where b cancels.  B and E ∖ B score alike, so each
+    pair is scored once, from the B without the least live edge.
+    """
+    low = live & -live
+    rest = live ^ low
+    best, b = 0, rest
+    while True:
+        score = boundaries[b | contracted] + boundaries[(live ^ b) | contracted]
+        if score > best:
+            best = score
+        if not b:
+            return best - boundaries[contracted] - boundaries[live | contracted]
+        b = (b - 1) & rest
+
+
+@lru_cache(maxsize=64)
+def _least_dual_genus(pres: ArrowPresentation) -> int:
+    """pd(G), the least Euler genus of a partial dual of G: 0 exactly when G
+    represents a link, and 2 on B3 and theta_t; cached per target."""
+    summary, table, _ = _surface_walk(pres)
+    boundaries = _spanning_boundaries(table)
+    return summary.euler_genus - _dual_genus_drop(boundaries, len(boundaries) - 1, 0)
+
+
+def _dual_genus_floors(targets: list[ArrowPresentation]) -> tuple[float, float]:
+    """The least pd of a state that some target can lie below, for a
+    non-orientable state and for an orientable one, in that order.
+
+    No minor step raises pd: (S − e)^(A ∖ e) and (S / e)^(A ∖ e) are each
+    S^A − e or S^A / e, neither of which raises ε.  Every partial dual of S
+    is orientable exactly when S is, so a step from a non-orientable S to
+    an orientable child takes each S^A to an orientable graph, which lowers
+    ε(S^A) by at least 1 (``_genus_floors``), and so lowers pd by at least 1.
+    """
+    orientable = [surface_summary(t).orientable for t in targets]
+    return _floors([(_least_dual_genus(t), o) for t, o in zip(targets, orientable)])
 
 
 def _minor_search(
@@ -261,9 +331,11 @@ def _minor_search(
 
     Deletions and contractions of distinct edges commute and isolated
     vertices are interchangeable, so the class of a minor is fixed by its
-    operation set: the edge steps taken and how many vertices were deleted.
-    A child whose operation set this search already built is skipped, as
-    its class was streamed, and so visited, when that set was first built.
+    operation set: the bitmasks, over the start's sorted labels, of the
+    edges kept and of those contracted, and how many vertices were deleted.
+    Each state carries its set on the frontier.  A child whose operation
+    set this search already built is skipped, as its class was streamed,
+    and so visited, when that set was first built.
 
     Every child's Euler genus is read off its parent (``_step_genera``), and
     a child below every target's genus is never built: no target lies below
@@ -282,11 +354,26 @@ def _minor_search(
     path to that class skips it too, and no target is non-orientable below
     the floor, so again no script changes.
 
+    The least partial-dual genus pd prunes alike, right after the Euler
+    genus: it never rises along a minor step, and falls by at least 1 on a
+    step that makes a graph orientable (``_dual_genus_floors``), so a state
+    needs the pd floor of its orientability, 2 for an orientable state and
+    3 for another with B3 and theta_t the targets.  The state's pd, and
+    before it is built each child's, comes from one table of the start's
+    spanning boundaries (``_spanning_boundaries``), made when the start is
+    expanded, and the operation set (``_dual_genus_drop``); a child's
+    Euler genus is the one predicted, and where its orientability is not
+    known, the lower of the two floors holds.  A class below its pd floor
+    has no target below it, and no target is below its own floor, so again
+    no script changes.  The table is not made where the floors cannot
+    prune: for B̄1 alone no orientable state is expanded anyway, and every
+    non-orientable graph has pd at least 1.
+
     The level loop prunes by edge count alone.  A state is expanded by one
     loop over its steps in ``one_step_minors``' order, after one slot table
     and one boundary walk (``_surface_walk``): the walk's summary must
     carry the genus the state's parent predicted, and reach the state's
-    floor, and the same walk gives every child's genus and, for the few
+    floors, and the same walk gives every child's genus and, for the few
     children that need it, their orientability.  The loop skips a step as
     above, and otherwise builds the child, keys it and streams it to the
     level loop, which drops a class already visited.  So once the last
@@ -300,14 +387,29 @@ def _minor_search(
     floors = _genus_floors(targets)
     # min ε(t): a least-genus target's own floor, and no floor is lower
     min_genus = min(floors)
+    dual_floors = _dual_genus_floors(targets)
+    # pd is at least 0, and at least 1 on a non-orientable graph; an
+    # infinite floor for orientable states is the genus floor's already
+    prunes = 0 < dual_floors[1] < inf or dual_floors[0] > 1
+    min_dual = min(dual_floors)
+    bit = {label: 1 << i for i, label in enumerate(pres.labels())}
+    boundaries: list[int] = []  # the start's, made at its expansion
     scripts: list[MinorScript | None] = [None] * len(targets)
-    built: set[tuple[frozenset[Step], int]] = set()
+    built: set[tuple[int, int, int]] = set()
 
-    def children(state: ArrowPresentation, steps: tuple[Step, ...], genus: int | None):
-        """(key, path, child, predicted genus) for the children of a state
-        whose parent predicts Euler genus ``genus`` (None for the start),
-        if it reaches its floor: those neither below every target's genus
-        nor built before."""
+    def children(
+        state: ArrowPresentation,
+        steps: tuple[Step, ...],
+        genus: int | None,
+        live: int,
+        contracted: int,
+        bare: int,
+    ):
+        """(key, path, child, predicted genus, operation set) for the
+        children of a state whose parent predicts Euler genus ``genus``
+        (None for the start), if it reaches its floors: those neither below
+        a floor nor built before.  An operation set is the bitmasks of the
+        start's edges kept and contracted, and the bare vertices deleted."""
         summary, table, walk = _surface_walk(state)
         gamma = summary.euler_genus
         if genus is not None and gamma != genus:
@@ -316,6 +418,12 @@ def _minor_search(
             )
         if gamma < floors[summary.orientable]:
             return
+        if prunes:
+            if not boundaries:
+                boundaries.extend(_spanning_boundaries(table))
+            drop = _dual_genus_drop(boundaries, live, contracted)
+            if gamma - drop < dual_floors[summary.orientable]:
+                return
         # At the least target edge count only vertex deletions can help.
         edges = state.edge_count > min_edges
         genera = _step_genera(table, walk, gamma) if edges else {}
@@ -323,36 +431,47 @@ def _minor_search(
         # orientable state always is
         floor = min_genus if summary.orientable else floors[0]
         orientable = None  # the test of that, made when first needed
-        done = frozenset(s for s in steps if s[0] != "delete_vertex")
-        bare = len(steps) - len(done)
         for step in _one_step_order(state, edges):
             op, arg = step
             if op == "delete_vertex":
-                predicted, ops = gamma, (done, bare + 1)
+                predicted, ops = gamma, (live, contracted, bare + 1)
             else:
                 predicted = genera[arg][op == "contract_edge"]
                 if predicted < min_genus:
                     continue
-                ops = (done | {step}, bare)
+                x = bit[arg]
+                kept = contracted | x if op == "contract_edge" else contracted
+                ops = live ^ x, kept, bare
             if ops in built:
                 continue
+            # a child of an orientable state is orientable, and one of a
+            # non-orientable state unknown unless tested: then the lower floor
+            dual_floor = dual_floors[1] if summary.orientable else min_dual
             if predicted < floor:
                 if orientable is None:
                     orientable = _step_orientability(table, walk)
                 if not orientable(arg, op == "contract_edge"):
                     continue
+                dual_floor = dual_floors[1]
+            # deleting a bare vertex keeps the state's pd, which reached its floor
+            if prunes and op != "delete_vertex":
+                drop = _dual_genus_drop(boundaries, ops[0], ops[1])
+                if predicted - drop < dual_floor:
+                    continue
             built.add(ops)
             child = apply_step(state, step)
-            yield _key(child), steps + (step,), child, predicted
+            yield (_key(child), steps + (step,), child, predicted, *ops)
 
-    # Each level streams (key, path, state, predicted genus) for the classes
-    # it reaches: the start, then the children of the previous level's
-    # expanded states.
-    level: Iterable = [(canonical_key(pres, max_edges), (), pres, None)]
+    # Each level streams (key, path, state, predicted genus, operation set)
+    # for the classes it reaches: the start, then the children of the
+    # previous level's expanded states.
+    level: Iterable = [
+        (canonical_key(pres, max_edges), (), pres, None, (1 << len(bit)) - 1, 0, 0)
+    ]
     visited: set[bytes] = set()
     while True:
-        frontier: list[tuple[ArrowPresentation, tuple[Step, ...], int | None]] = []
-        for key, steps, state, genus in level:
+        frontier: list[tuple] = []
+        for key, steps, state, *carried in level:
             if key in visited:
                 continue
             if len(visited) >= MINOR_SEARCH_MEMO_LIMIT:
@@ -368,7 +487,7 @@ def _minor_search(
             # at the least target edge count only a bare vertex keeps it alive
             edges = state.edge_count
             if edges > min_edges or edges == min_edges and state.isolated_vertices():
-                frontier.append((state, steps, genus))
+                frontier.append((state, steps, *carried))
         if not frontier:
             return scripts
         level = (found for entry in frontier for found in children(*entry))
@@ -390,12 +509,16 @@ def has_minor(
     non-orientable state needs one more than an orientable target's: a
     step that makes a graph orientable lowers its Euler genus, as a
     deletion that keeps the genus leaves the edge inside a face, and
-    contraction is deletion in the dual (``_genus_floors``).  A child of
+    contraction is deletion in the dual (``_genus_floors``).  The least
+    Euler genus of a partial dual has a floor by the same rule, read off
+    one table of the start's spanning boundaries (``_dual_genus_floors``):
+    a state below it is not expanded either, so a graph that represents a
+    link is not searched for B3 or theta_t beyond itself.  A child of
     smaller Euler genus than the target's, read off its parent, is never
     built, nor is a non-orientable child below a non-orientable state's
-    floor, whose orientability is read off its parent too; neither counts
-    against ``MINOR_SEARCH_MEMO_LIMIT``.  No set of operations is built
-    twice.
+    floor, whose orientability is read off its parent too, nor a child
+    below its partial-dual genus floor; none of these counts against
+    ``MINOR_SEARCH_MEMO_LIMIT``.  No set of operations is built twice.
     """
     check_size(pres.edge_count, MINOR_SEARCH_MAX_EDGES, max_edges, "minor-search")
     (script,) = _minor_search(pres, [target], max_edges)

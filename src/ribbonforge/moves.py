@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Collection, Iterable
 
 from .errors import UnknownLabel
-from .presentation import ArrowPresentation, _min_rotation, _slot_table, _trusted
+from .presentation import ArrowPresentation, _min_rotation, _slot_table
 from .surfaces import _cross_arrows, _opened, walk_arcs
 
 
@@ -43,12 +43,21 @@ def _unknown(pres: ArrowPresentation, labels: list[str]) -> UnknownLabel:
 
 
 def _delete_edges(pres: ArrowPresentation, labels: list[str]) -> ArrowPresentation:
-    """Remove both arrows of each edge of a run; the vertices stay."""
+    """Remove both arrows of each edge of a run; the vertices stay.  Only
+    the curves that lose an arrow are filtered and rotation-normalized
+    again; the others are kept as they are."""
     doomed = set(labels)
-    curves = [[a for a in curve if a.label not in doomed] for curve in pres.curves]
-    if sum(map(len, curves)) != 2 * (pres.edge_count - len(labels)):
+    curves = []
+    removed = 0
+    for curve in pres.curves:
+        kept = tuple(a for a in curve if a.label not in doomed)
+        if len(kept) < len(curve):
+            removed += len(curve) - len(kept)
+            curve = _min_rotation(kept)
+        curves.append(curve)
+    if removed != 2 * len(labels):
         raise _unknown(pres, labels)
-    return _trusted(curves)
+    return ArrowPresentation(tuple(curves))
 
 
 def delete_edge(pres: ArrowPresentation, label: str) -> ArrowPresentation:

@@ -22,7 +22,10 @@ cross arcs.  What its cycles give:
   along each cycle (``_cross_arrows``) form one new curve of the splice
   that contracts the set or takes the partial dual at it (see ``moves``);
 - with a set A opened on every curve, they and the bare curves number
-  f(V, A), the boundary components of the spanning subgraph (V, A).
+  f(V, A), the boundary components of the spanning subgraph (V, A):
+  ``_spanning_boundaries`` counts them for every A, one walk each and no
+  presentation built, for the minor search's floor on the least Euler
+  genus of a partial dual, ε(G^A) = 2k + e − f(V, A) − f(V, E − A).
 
 An edge is twisted when its two arrows point opposite ways.  The graph
 is orientable unless some cycle has an odd number of twisted edges.
@@ -116,6 +119,31 @@ def walk_arcs(
                     break
             ends.append(len(order))
     return order, ends
+
+
+def _spanning_boundaries(table: _SlotTable) -> list[int]:
+    """f(V, A) for every subset A of the labels, indexed by the bitmask of A
+    over the sorted labels: the ``walk_arcs`` cycles of every curve with
+    A's slots opened, plus the bare curves.
+
+    The subsets are taken in Gray-code order, so each walk follows the last
+    with one edge's two slot flags toggled in the one flags list.
+    """
+    start, mate = table.start, table.mate
+    curves = range(len(start) - 1)
+    bare = sum(b == e for b, e in zip(start, start[1:]))
+    slots = [table.first[label] for label in sorted(table.first)]
+    opened = [0] * len(mate)
+    out = [0] * (1 << len(slots))
+    mask = 0
+    for i in range(len(out)):
+        if i:
+            bit = (i & -i).bit_length() - 1
+            s = slots[bit]
+            opened[s] = opened[mate[s]] = 1 - opened[s]
+            mask ^= 1 << bit
+        out[mask] = len(walk_arcs(table, curves, opened)[1]) + bare
+    return out
 
 
 def _opened(table: _SlotTable, curves: Iterable[int], slots: list[int]) -> list[int]:

@@ -1,11 +1,13 @@
 """Minor scripts, run replay, containment search, obstruction families."""
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from closures import braid_closure_pd
 from ribbonforge import (
     EMPTY,
     InternalInvariantViolation,
@@ -13,6 +15,7 @@ from ribbonforge import (
     RibbonError,
     UnknownLabel,
     UnknownVertex,
+    all_A_ribbon_graph,
     apply_step,
     b_family_members,
     bbar1_script,
@@ -32,6 +35,7 @@ from ribbonforge import (
     has_minor,
     is_orientable,
     one_step_minors,
+    parse_pd,
     partial_dual,
     random_ribbon_graph,
     replay,
@@ -504,29 +508,69 @@ def expanded(monkeypatch):
     return states
 
 
+# representable, so of least partial-dual genus 0, below the 2 of B3 and
+# theta_t: the search stops at the start
 DISJOINT_TORI = ["a b a b c d c d", "a b a b c d c d e f e f"]
+# theta_t with one or two tori at a point, curves split at " | ": not
+# representable, so the search expands states down to three edges; B3 is
+# no minor of them, so a search for it alone runs out like the scan
+THETA_T_AND_TORI = [
+    "t1 t2' t3' a b a b | t1' t3 t2", "t1 t2' t3' a b a b | t1' t3 t2 c d c d"
+]
 
 
-@pytest.mark.parametrize("word", DISJOINT_TORI)
+def _curves(word):
+    return from_words([curve.split() for curve in word.split(" | ")])
+
+
+def _closure_state(crossings, seed):
+    return all_A_ribbon_graph(parse_pd(braid_closure_pd(crossings, 3, seed)))
+
+
+@pytest.mark.parametrize("word", DISJOINT_TORI + THETA_T_AND_TORI)
 def test_scan_is_one_search(expanded, word):
-    g = from_words([word.split()])
+    g = _curves(word)
     has_minor(g, build_B(3))
     alone = len(expanded)
     expanded.clear()
     excluded_minor_scan(g)
-    assert 0 < len(expanded) <= alone
+    assert len(expanded) <= alone
+    assert bool(expanded) == (word in THETA_T_AND_TORI)
 
 
-@pytest.mark.parametrize("word", DISJOINT_TORI)
+@pytest.mark.parametrize("word", DISJOINT_TORI + THETA_T_AND_TORI)
 def test_search_expands_no_dead_end(expanded, word):
     # at three edges only an isolated-vertex deletion keeps a state alive
-    g = from_words([word.split()])
+    g = _curves(word)
     has_minor(g, build_B(3))
     excluded_minor_scan(g)
-    assert expanded
+    assert bool(expanded) == (word in THETA_T_AND_TORI)
     assert not [
         s.words() for s in expanded if s.edge_count == 3 and not s.isolated_vertices()
     ]
+
+
+@pytest.mark.parametrize("g", [_curves(word) for word in DISJOINT_TORI] + [
+    _closure_state(8, "expand-0"),
+    partial_dual(_closure_state(7, "expand-0"), {"1", "3"}),
+])
+def test_a_representable_start_expands_no_state(monkeypatch, expanded, g):
+    # its least partial-dual genus is 0, below every floor of B3 and theta_t,
+    # though its Euler genus is not
+    from ribbonforge import minors
+
+    apply = minors.apply_step
+    built = []
+
+    def counted(state, step):
+        built.append(step)
+        return apply(state, step)
+
+    monkeypatch.setattr(minors, "apply_step", counted)
+    assert euler_genus(g) >= 2
+    assert excluded_minor_scan(g) == {}
+    assert not has_minor(g, build_B(3))[0] and not has_minor(g, build_theta_t())[0]
+    assert expanded == [] and built == []
 
 
 def test_search_builds_only_vertex_deletions_at_the_target_size(monkeypatch):
@@ -683,6 +727,100 @@ def test_genus_floors_of_the_standard_targets():
     assert minors._genus_floors([bbar1, b3]) == (1, 2)
 
 
+@st.composite
+def _small_graphs(draw):
+    """Graphs of up to 8 edges: one random graph or two side by side, with
+    up to two bare vertices."""
+    seed = draw(st.integers(0, 10**6))
+    sizes = draw(st.lists(st.integers(0, 8), min_size=1, max_size=2).filter(
+        lambda sizes: sum(sizes) <= 8
+    ))
+    parts = [random_ribbon_graph(n, f"{seed}-{i}") for i, n in enumerate(sizes)]
+    parts += [from_words([[]])] * draw(st.integers(0, 2))
+    return disjoint_union(*parts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_graphs())
+def test_least_dual_genus_is_the_least_genus_of_a_partial_dual(g):
+    from ribbonforge import minors
+
+    labels = g.labels()
+    genera = [
+        euler_genus(partial_dual(g, chosen))
+        for n in range(len(labels) + 1)
+        for chosen in combinations(labels, n)
+    ]
+    assert minors._least_dual_genus(g) == min(genera)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_graphs(), st.data())
+def test_a_minor_reads_its_boundaries_off_its_start(g, data):
+    # S keeps the edges of ``live``, contracts those of ``contracted``,
+    # loops among them, deletes the rest and then ``bare`` bare vertices:
+    # f_S(B) = f_G(B ∪ C) − b for every B, and so pd(S) comes from G's table
+    from ribbonforge import minors
+    from ribbonforge.presentation import _slot_table
+    from ribbonforge.surfaces import _spanning_boundaries
+
+    labels = g.labels()
+    fates = data.draw(st.lists(st.sampled_from("kdc"), min_size=len(labels),
+                               max_size=len(labels)))
+    state = g
+    for op, fate in (("delete_edge", "d"), ("contract_edge", "c")):
+        for label, f in zip(labels, fates):
+            if f == fate:
+                state = apply_step(state, (op, label))
+    bare = data.draw(st.integers(0, len(state.isolated_vertices())))
+    for index in list(reversed(state.isolated_vertices()))[:bare]:
+        state = apply_step(state, ("delete_vertex", index))
+    live, contracted = (
+        sum(1 << i for i, f in enumerate(fates) if f == fate) for fate in "kc"
+    )
+    kept = [i for i, f in enumerate(fates) if f == "k"]
+    assert state.labels() == tuple(labels[i] for i in kept)
+    start = _spanning_boundaries(_slot_table(g))
+    own = _spanning_boundaries(_slot_table(state))
+    for mask, boundaries in enumerate(own):
+        chosen = sum(1 << i for j, i in enumerate(kept) if mask >> j & 1)
+        assert boundaries == start[chosen | contracted] - bare
+    drop = minors._dual_genus_drop(start, live, contracted)
+    assert minors._least_dual_genus(state) == euler_genus(state) - drop
+
+
+@st.composite
+def _scan_graphs(draw):
+    """Graphs of 5 to 8 edges: random ones, random ones with every edge
+    untwisted (orientable, where B3 and theta_t are common), and
+    representable ones, each a partial dual of a braid closure's state
+    graph."""
+    edges, seed = draw(st.integers(5, 8)), draw(st.integers(0, 10**6))
+    kind = draw(st.sampled_from(["random", "orientable", "representable"]))
+    if kind == "representable":
+        g = _closure_state(edges, seed)
+        return partial_dual(g, draw(st.sets(st.sampled_from(g.labels()))))
+    g = random_ribbon_graph(edges, seed)
+    if kind == "random":
+        return g
+    return from_words([[token.rstrip("'") for token in word] for word in g.words()])
+
+
+@settings(max_examples=45, deadline=None)
+@given(_scan_graphs())
+def test_scan_and_search_match_the_one_target_oracle_up_to_eight_edges(g):
+    # the oracle prunes by no floor of partial-dual genus, and searches a
+    # representable graph, which the scan stops at, to its end
+    expected = {}
+    for name, target in (("b3", build_B(3)), ("theta_t", build_theta_t())):
+        found, script = reference_has_minor(g, target)
+        assert has_minor(g, target) == (found, script), (g.words(), name)
+        if found:
+            expected[name] = script
+    scan = excluded_minor_scan(g)
+    assert {name: scan[name] for name in scan if name != "bbar1"} == expected
+
+
 @pytest.mark.parametrize("g", [random_ribbon_graph(8, f"w{i}") for i in range(4)])
 def test_search_expands_no_non_orientable_state_below_its_floor(expanded, g):
     # B3 and theta_t are orientable of Euler genus 2, and a step that makes
@@ -795,6 +933,31 @@ def test_a_planted_loop_contraction_fault_fails_the_oracles(monkeypatch):
         return lambda label, contracted: not contracted and orientable(label, False)
 
     monkeypatch.setattr(minors, "_step_orientability", planted)
+    assert _fails_both_oracles()
+
+
+def test_a_planted_slice_without_the_contracted_edges_fails_the_oracles(monkeypatch):
+    # f_G(B) read for f_G(B ∪ C): the partial-dual genus of a state reached
+    # by contractions is read as if they were deletions
+    from ribbonforge import minors
+
+    drop = minors._dual_genus_drop
+    monkeypatch.setattr(minors, "_dual_genus_drop", lambda f, live, _: drop(f, live, 0))
+    assert _fails_both_oracles()
+
+
+def test_a_planted_dual_floor_crosscap_counted_twice_fails_the_oracles(monkeypatch):
+    # an orientable target's partial-dual genus plus 2, not 1, for
+    # non-orientable states
+    from ribbonforge import minors
+
+    floors = minors._dual_genus_floors
+
+    def twice(targets):
+        worst = min(minors._least_dual_genus(t) + 2 * is_orientable(t) for t in targets)
+        return worst, floors(targets)[1]
+
+    monkeypatch.setattr(minors, "_dual_genus_floors", twice)
     assert _fails_both_oracles()
 
 

@@ -29,6 +29,7 @@ from ribbonforge import (
     is_plane,
     partial_dual,
     random_ribbon_graph,
+    restriction,
     surface_summary,
     trace_boundary,
     twists,
@@ -39,6 +40,7 @@ from ribbonforge.surfaces import (
     _cross_arrows,
     _node,
     _opened,
+    _spanning_boundaries,
     _step_genera,
     _step_orientability,
     _surface_walk,
@@ -542,3 +544,17 @@ def test_walk_with_a_set_opened_counts_the_spanning_boundary(g, data):
         _, ends = walk_arcs(table, range(len(g.curves)), flags)
         spanning = _trusted([a for a in c if a.label in chosen] for c in g.curves)
         assert len(ends) + g.curves.count(()) == boundary_component_count(spanning)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_step_graphs().filter(lambda g: g.edge_count <= 8))
+def test_spanning_boundaries_count_every_subset(g):
+    # f(A) for every subset A: the boundary components of the ribbon
+    # subgraph on A, plus one for each curve carrying no edge of A
+    labels = g.labels()
+    table = _spanning_boundaries(_slot_table(g))
+    assert len(table) == 1 << len(labels)
+    for mask, count in enumerate(table):
+        chosen = {label for i, label in enumerate(labels) if mask >> i & 1}
+        untouched = sum(not any(a.label in chosen for a in c) for c in g.curves)
+        assert count == surface_summary(restriction(g, chosen)).boundary + untouched
