@@ -14,10 +14,10 @@ default, and, except the two enumerations', set per call via a
 ``MINOR_SEARCH_MEMO_LIMIT`` caps the equivalence classes one minor search
 remembers (B3 and theta_t share one in a scan); it has no override.  It
 counts the classes of the children the search builds and keys.  A child
-whose Euler genus, read off its parent, is below every target's is never
-built, nor is a non-orientable child of a non-orientable state below that
-state's genus floor (its orientability is read off its parent too), nor a
-child whose least partial-dual genus, read off the start's table of
+whose Euler genus is below every target's is never built, nor is a
+non-orientable child of a non-orientable state below that state's genus
+floor (both read off the parent by one step oracle, ``surfaces._steps``),
+nor a child whose least partial-dual genus, read off the start's table of
 spanning boundaries, is below its floor, so such classes are not counted.
 A search also remembers the operation set (edges kept and contracted as
 two bitmasks, vertices deleted as a count) of each child it builds, at

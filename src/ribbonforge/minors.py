@@ -51,8 +51,7 @@ from .moves import _contract_edges, _delete_edges, partial_dual
 from .presentation import ArrowPresentation, from_words
 from .surfaces import (
     _spanning_boundaries,
-    _step_genera,
-    _step_orientability,
+    _steps,
     _surface_walk,
     is_orientable,
     odd_twist_cycle,
@@ -337,7 +336,7 @@ def _minor_search(
     set this search already built is skipped, as its class was streamed,
     and so visited, when that set was first built.
 
-    Every child's Euler genus is read off its parent (``_step_genera``), and
+    Every child's Euler genus is read off its parent (``_steps``), and
     a child below every target's genus is never built: no target lies below
     it, and every class on the first path to a target has that target below
     it, so no script changes.  By the same argument a state below its genus
@@ -348,8 +347,8 @@ def _minor_search(
     theta_t the targets, no non-orientable state of Euler genus 2 or less
     is expanded.  Nor is such a child built: a child of a non-orientable
     state whose genus lies below that floor is first tested for
-    orientability off its parent (``_step_orientability``), and skipped if
-    it is not orientable.  Its class would have been visited and never
+    orientability off its parent, by the same ``_steps``, and skipped if it
+    is not orientable.  Its class would have been visited and never
     expanded; orientability and genus are class invariants, so every other
     path to that class skips it too, and no target is non-orientable below
     the floor, so again no script changes.
@@ -373,7 +372,8 @@ def _minor_search(
     loop over its steps in ``one_step_minors``' order, after one slot table
     and one boundary walk (``_surface_walk``): the walk's summary must
     carry the genus the state's parent predicted, and reach the state's
-    floors, and the same walk gives every child's genus and, for the few
+    floors, and the same walk gives the state's one step oracle
+    (``_steps``), which answers every child's genus and, for the few
     children that need it, their orientability.  The loop skips a step as
     above, and otherwise builds the child, keys it and streams it to the
     level loop, which drops a class already visited.  So once the last
@@ -424,19 +424,17 @@ def _minor_search(
             drop = _dual_genus_drop(boundaries, live, contracted)
             if gamma - drop < dual_floors[summary.orientable]:
                 return
-        # At the least target edge count only vertex deletions can help.
-        edges = state.edge_count > min_edges
-        genera = _step_genera(table, walk, gamma) if edges else {}
+        step_genus, step_orientable = _steps(table, walk, gamma)
         # below this a child counts only if orientable, which a child of an
         # orientable state always is
         floor = min_genus if summary.orientable else floors[0]
-        orientable = None  # the test of that, made when first needed
-        for step in _one_step_order(state, edges):
+        # At the least target edge count only vertex deletions can help.
+        for step in _one_step_order(state, state.edge_count > min_edges):
             op, arg = step
             if op == "delete_vertex":
                 predicted, ops = gamma, (live, contracted, bare + 1)
             else:
-                predicted = genera[arg][op == "contract_edge"]
+                predicted = step_genus(arg, op == "contract_edge")
                 if predicted < min_genus:
                     continue
                 x = bit[arg]
@@ -448,9 +446,7 @@ def _minor_search(
             # non-orientable state unknown unless tested: then the lower floor
             dual_floor = dual_floors[1] if summary.orientable else min_dual
             if predicted < floor:
-                if orientable is None:
-                    orientable = _step_orientability(table, walk)
-                if not orientable(arg, op == "contract_edge"):
+                if not step_orientable(arg, op == "contract_edge"):
                     continue
                 dual_floor = dual_floors[1]
             # deleting a bare vertex keeps the state's pd, which reached its floor
@@ -514,10 +510,10 @@ def has_minor(
     one table of the start's spanning boundaries (``_dual_genus_floors``):
     a state below it is not expanded either, so a graph that represents a
     link is not searched for B3 or theta_t beyond itself.  A child of
-    smaller Euler genus than the target's, read off its parent, is never
-    built, nor is a non-orientable child below a non-orientable state's
-    floor, whose orientability is read off its parent too, nor a child
-    below its partial-dual genus floor; none of these counts against
+    smaller Euler genus than the target's is never built, nor is a
+    non-orientable child below a non-orientable state's floor (both read
+    off the parent by ``surfaces._steps``), nor a child below its
+    partial-dual genus floor; none of these counts against
     ``MINOR_SEARCH_MEMO_LIMIT``.  No set of operations is built twice.
     """
     check_size(pres.edge_count, MINOR_SEARCH_MAX_EDGES, max_edges, "minor-search")

@@ -35,8 +35,8 @@ each curve's component root and the twist parity, behind components,
 their counts and orientability; ``curve_forest`` gives the breadth-first
 trees, for spanning trees and the cycles of certificates; and ``_blocks``
 gives the biconnected blocks of any multigraph on numbered nodes (the
-curve graph, the graph of boundary walks, an interlacement graph), behind
-bridges, separating vertices and odd cycles.
+curve graph, an interlacement graph), behind separating vertices and odd
+cycles.
 """
 
 from __future__ import annotations

@@ -14,10 +14,9 @@ cross arcs.  What its cycles give:
 - with every edge opened, they are the boundary components, with one full
   circle more for every curve with no arrows: ``surface_summary`` counts
   them, ``trace_boundary`` turns them into (curve, position, end) nodes,
-  and ``_step_genera`` reads off the same walk (``_surface_walk`` hands it
-  on) the Euler genus of every one-edge deletion and contraction, for the
-  minor search, and ``_step_orientability`` whether such a child of a
-  non-orientable graph is orientable;
+  and ``_steps`` reads off the same walk (``_surface_walk`` hands it on)
+  the Euler genus and the orientability of every one-edge deletion and
+  contraction, for the minor search;
 - with a set of edges opened on the curves carrying them, the arrows met
   along each cycle (``_cross_arrows``) form one new curve of the splice
   that contracts the set or takes the partial dual at it (see ``moves``);
@@ -50,7 +49,6 @@ from .presentation import (
     Arrow,
     ArrowPresentation,
     Curve,
-    _blocks,
     _curve_roots,
     _group_by_root,
     _slot_table,
@@ -195,17 +193,15 @@ def trace_boundary(pres: ArrowPresentation):
     indices containing its two free sides.
     """
     table = _slot_table(pres)
-    order, ends = walk_arcs(table, range(len(pres.curves)), [1] * len(table.mate))
-    walks: list[Walk] = []
-    dart_walk = [0] * len(order)
-    for b, e in zip([0, *ends], ends):
-        for d in order[b:e]:
-            dart_walk[d] = len(walks)
-        walks.append(tuple(_node(table, d) for d in order[b:e]))
+    walk = walk_arcs(table, range(len(pres.curves)), [1] * len(table.mate))
+    order, ends = walk
+    walks: list[Walk] = [
+        tuple(_node(table, d) for d in order[b:e]) for b, e in zip([0, *ends], ends)
+    ]
     walks.extend(("vertex", i) for i, curve in enumerate(pres.curves) if not curve)
-    mate = table.mate
+    walk_of, mate = _walk_of(walk), table.mate
     edge_walks = {
-        label: tuple(sorted((dart_walk[2 * s + 1], dart_walk[2 * mate[s] + 1])))
+        label: tuple(sorted((walk_of[2 * s + 1], walk_of[2 * mate[s] + 1])))
         for label, s in sorted(table.first.items())
     }
     return walks, edge_walks
@@ -293,7 +289,7 @@ def _surface_walk(
     pres: ArrowPresentation,
 ) -> tuple[SurfaceSummary, _SlotTable, tuple[list[int], list[int]]]:
     """The surface summary of ``pres`` with the slot table and the all-open
-    ``walk_arcs`` cycles it was read from, for ``_step_genera`` to reuse.
+    ``walk_arcs`` cycles it was read from, for ``_steps`` to reuse.
 
     Boundary components, connected components and orientability come from
     one slot table: the cycles of the walk with every edge opened, plus one
@@ -327,128 +323,100 @@ def surface_summary(pres: ArrowPresentation) -> SurfaceSummary:
     return _surface_walk(pres)[0]
 
 
-def _step_genera(
+def _walk_of(walk: tuple[list[int], list[int]]) -> list[int]:
+    """Each dart's cycle, by index, among the ``walk_arcs`` cycles of every
+    curve."""
+    order, ends = walk
+    walk_of = [0] * len(order)
+    for w, (b, e) in enumerate(zip([0, *ends], ends)):
+        for d in order[b:e]:
+            walk_of[d] = w
+    return walk_of
+
+
+def _steps(
     table: _SlotTable, walk: tuple[list[int], list[int]], gamma: int
-) -> dict[str, tuple[int, int]]:
-    """Each label's (γ(G − e), γ(G/e)), read off G's slot table, its
-    all-open ``walk_arcs`` cycles and its Euler genus γ, as ``_surface_walk``
-    gives them.
-
-    One rule gives both.  Deleting e keeps the vertices and drops one edge,
-    so γ moves with the boundary and component counts alone, and those are
-    set by e's two free sides:
-
-    - on different boundary walks, which e's removal merges: γ;
-    - on the same walk, run the same way, which stays one walk: γ − 1;
-    - on the same walk, run opposite ways, which splits in two: γ − 2,
-      unless e is a bridge, whose removal also adds a component: γ.
+) -> tuple[Callable[[str, bool], int], Callable[[str, bool], bool]]:
+    """The Euler genus and the orientability of deleting (False) or
+    contracting (True) each label of G, as two tests read off G's slot
+    table, its all-open ``walk_arcs`` cycles and its Euler genus γ, as
+    ``_surface_walk`` gives them.
 
     Contraction is deletion in the dual: (G/e)* = G* − e (Chmutov, JCTB
-    2009), and duality keeps γ and the component count.  The vertices of G*
-    are the boundary walks of G, its boundary walks are the curves of G, and
-    e's two arrows play the part of its free sides.  So the rule on G* reads:
-    on different curves (e is not a loop), γ; on one curve pointing the same
-    way as read along it (a twisted loop), γ − 1; otherwise γ − 2, unless e
-    is a bridge of G*, which leaves γ.
+    2009), and duality keeps γ, the component count and orientability.  So
+    both steps read two signed multigraphs with the edges of G.  In
+    ``graph``, G's curve graph, e joins the curves of its arrows and is
+    twisted when they point opposite ways.  In ``dual``, the graph of G's
+    boundary walks, which are the vertices of G*, e joins the walks of its
+    two free sides and is twisted when they run the same way.  A deletion
+    reads (near, far) = (dual, graph) and a contraction (graph, dual):
+
+    - e's ends in near differ: γ;
+    - e is twisted in near: γ − 1;
+    - otherwise γ − 2, unless e is a bridge of far, which leaves γ.
+
+    A deletion keeps the vertices, so γ moves with the boundary and
+    component counts alone, and e's two free sides set those: on two
+    walks, which deleting e merges; on one walk, run the same way, which
+    stays one walk; or run opposite ways, which splits in two, and deleting
+    a bridge adds a component too.  A graph is orientable exactly when its
+    signed curve graph is balanced, with no cycle of an odd number of
+    twisted edges (Zaslavsky, *Signed graphs*, Discrete Appl. Math. 1982),
+    so the child is orientable exactly when far without e is.  One parity
+    union-find over far without e (``_skip_one``) tells both whether e's
+    ends stay joined, so that e is no bridge, and whether it is balanced.
 
     With every edge opened, ``walk_arcs`` gives each dart's walk, and as
     each walk has even length, the darts at odd places are those it leaves
     by their free sides.  Of e's first arrow, the side at the head leads to
     the second arrow's tail and the side at the tail comes from the second
     arrow's head, so the two sides run the same way exactly when both ends
-    of the first arrow are left by their free sides or neither is.  The
-    bridges of G are the one-edge blocks (``_blocks``) of its curve graph,
-    where e joins the curves of its arrows, and those of G* the one-edge
-    blocks of the graph of walks, where e joins the walks of its free sides.
+    of the first arrow are left by their free sides or neither is.
     """
     curve, along, mate = table.curve, table.along, table.mate
-    walk_of, side = _walk_sides(walk)
-    slots = table.first.values()
-    bridges = _bridges(len(table.start) - 1, [(curve[s], curve[mate[s]]) for s in slots])
-    dual_bridges = _bridges(
-        len(walk[1]), [(walk_of[2 * s + 1], walk_of[2 * mate[s] + 1]) for s in slots]
-    )
-    out: dict = {}
-    for i, (label, s) in enumerate(table.first.items()):
-        t = mate[s]
-        if walk_of[2 * s + 1] != walk_of[2 * t + 1]:
-            deleted = gamma
-        elif side[2 * s + 1] == side[2 * s]:
-            deleted = gamma - 1
-        else:
-            deleted = gamma if i in bridges else gamma - 2
-        if curve[s] != curve[t]:
-            contracted = gamma
-        elif along[s] != along[t]:
-            contracted = gamma - 1
-        else:
-            contracted = gamma if i in dual_bridges else gamma - 2
-        out[label] = deleted, contracted
-    return out
-
-
-def _walk_sides(walk: tuple[list[int], list[int]]) -> tuple[list[int], list[int]]:
-    """Each dart's walk among the all-open ``walk_arcs`` cycles, and 1 where
-    its walk leaves it by its free side (the odd places), else 0."""
-    order, ends = walk
-    walk_of = [0] * len(order)
-    for w, (b, e) in enumerate(zip([0, *ends], ends)):
-        for d in order[b:e]:
-            walk_of[d] = w
-    side = [0] * len(order)
-    for d in order[1::2]:
+    walk_of = _walk_of(walk)
+    side = [0] * len(walk_of)
+    for d in walk[0][1::2]:
         side[d] = 1
-    return walk_of, side
-
-
-def _step_orientability(
-    table: _SlotTable, walk: tuple[list[int], list[int]]
-) -> Callable[[str, bool], bool]:
-    """A test of whether deleting (False) or contracting (True) a label of
-    a non-orientable G leaves an orientable graph, read off G's slot table
-    and its all-open ``walk_arcs`` cycles, as ``_step_genera`` reads them.
-
-    A ribbon graph is orientable exactly when its curve graph, each edge
-    signed by its twist, is balanced: no cycle has an odd number of twisted
-    edges (Zaslavsky, *Signed graphs*, Discrete Appl. Math. 1982).  So G − e
-    is orientable iff G's signed curve graph without e is balanced.
-    Contracting a non-loop keeps the surface, so G/e stays non-orientable.
-    For a loop, (G/e)* = G* − e (Chmutov, JCTB 2009) and duality keeps
-    orientability, so G/e is orientable iff G* − e is balanced, where G* is
-    the graph of boundary walks of ``_step_genera``: e joins the walks of
-    its two free sides, and is twisted when they run the same way.  Each
-    answer is one parity pass over one of the two edge lists.
-    """
-    curve, along, mate = table.curve, table.along, table.mate
-    walk_of, side = _walk_sides(walk)
-    index: dict[str, tuple[int, bool]] = {}
-    graph, dual = [], []
-    for i, (label, s) in enumerate(table.first.items()):
+    curve_edges, walk_edges = {}, {}
+    for label, s in table.first.items():
         t = mate[s]
-        index[label] = i, curve[s] == curve[t]
-        graph.append((curve[s], curve[t], along[s] != along[t]))
-        twisted = side[2 * s + 1] == side[2 * s]  # its free sides run one way
-        dual.append((walk_of[2 * s + 1], walk_of[2 * t + 1], twisted))
-    curves, walks = len(table.start) - 1, len(walk[1])
+        curve_edges[label] = curve[s], curve[t], along[s] != along[t]
+        head = 2 * s + 1
+        same_way = side[head] == side[head - 1]
+        walk_edges[label] = walk_of[head], walk_of[2 * t + 1], same_way
+    # (node count, signed edges)
+    graph = len(table.start) - 1, curve_edges
+    dual = len(walk[1]), walk_edges
+
+    def genus(label: str, contracted: bool) -> int:
+        near, far = (graph, dual) if contracted else (dual, graph)
+        a, b, twisted = near[1][label]
+        if a != b:
+            return gamma
+        if twisted:
+            return gamma - 1
+        return gamma - 2 if _skip_one(*far, label)[0] else gamma
 
     def orientable(label: str, contracted: bool) -> bool:
-        i, loop = index[label]
-        if not contracted:
-            return _balanced(curves, graph, i)
-        return loop and _balanced(walks, dual, i)
+        return _skip_one(*(dual if contracted else graph), label)[1]
 
-    return orientable
+    return genus, orientable
 
 
-def _balanced(n: int, signed: list[tuple[int, int, bool]], skip: int) -> bool:
-    """Whether a signed multigraph on nodes 0, ..., n − 1, edge i joining
-    ``signed[i][:2]`` with twist ``signed[i][2]``, has no cycle of odd twist
-    once edge ``skip`` is left out: a union-find that keeps each node's
-    twist parity to its root."""
+def _skip_one(
+    n: int, signed: dict[str, tuple[int, int, bool]], skip: str
+) -> tuple[bool, bool]:
+    """Whether the ends of edge ``skip`` of a signed multigraph on nodes 0,
+    ..., n − 1, edge x joining ``signed[x][:2]`` with twist ``signed[x][2]``,
+    stay joined once it is left out, and whether what is left has no cycle
+    of odd twist: a union-find that keeps each node's twist parity to its
+    root."""
     root = list(range(n))
     odd = [False] * n
-    for i, (a, b, twisted) in enumerate(signed):
-        if i == skip:
+    balanced = True
+    for label, (a, b, twisted) in signed.items():
+        if label == skip:
             continue
         while root[a] != a:
             twisted ^= odd[a]
@@ -459,13 +427,13 @@ def _balanced(n: int, signed: list[tuple[int, int, bool]], skip: int) -> bool:
         if a != b:
             root[a], odd[a] = b, twisted
         elif twisted:
-            return False
-    return True
-
-
-def _bridges(n: int, ends: list[tuple[int, int]]) -> set[int]:
-    """The edges of a multigraph whose removal disconnects their ends."""
-    return {block[0] for block in _blocks(n, ends) if len(block) == 1}
+            balanced = False
+    a, b, _ = signed[skip]
+    while root[a] != a:
+        a = root[a]
+    while root[b] != b:
+        b = root[b]
+    return a == b, balanced
 
 
 def boundary_component_count(pres: ArrowPresentation) -> int:

@@ -656,15 +656,18 @@ def _planted(monkeypatch, fault):
     contraction) pair of one label, and returns the pair the search sees."""
     from ribbonforge import minors
 
-    step_genera = minors._step_genera
+    steps = minors._steps
 
     def planted(table, walk, gamma):
-        return {
-            label: fault(table, label, gamma, pair)
-            for label, pair in step_genera(table, walk, gamma).items()
-        }
+        genus, orientable = steps(table, walk, gamma)
 
-    monkeypatch.setattr(minors, "_step_genera", planted)
+        def faulty(label, contracted):
+            pair = genus(label, False), genus(label, True)
+            return fault(table, label, gamma, pair)[contracted]
+
+        return faulty, orientable
+
+    monkeypatch.setattr(minors, "_steps", planted)
 
 
 def test_a_planted_genus_fault_trips_the_guard(monkeypatch):
@@ -926,13 +929,13 @@ def test_a_planted_loop_contraction_fault_fails_the_oracles(monkeypatch):
     # child of the target's genus is then dropped unbuilt
     from ribbonforge import minors
 
-    step_orientability = minors._step_orientability
+    steps = minors._steps
 
-    def planted(table, walk):
-        orientable = step_orientability(table, walk)
-        return lambda label, contracted: not contracted and orientable(label, False)
+    def planted(table, walk, gamma):
+        genus, orientable = steps(table, walk, gamma)
+        return genus, lambda label, contracted: not contracted and orientable(label, False)
 
-    monkeypatch.setattr(minors, "_step_orientability", planted)
+    monkeypatch.setattr(minors, "_steps", planted)
     assert _fails_both_oracles()
 
 

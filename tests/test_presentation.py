@@ -1,5 +1,6 @@
 """Arrow presentations: construction, validation, text format, structure."""
 
+import inspect
 import random
 import sys
 import threading
@@ -331,10 +332,28 @@ def _multigraphs(draw):
 @settings(max_examples=300, deadline=None)
 @given(_multigraphs())
 def test_blocks_match_the_bridge_and_cycle_oracles(graph):
-    # loops and parallel edges included: a bridge is an edge whose deletion
-    # adds a component, and two edges share a block exactly when they lie
-    # on a common simple cycle
-    n, ends = graph
+    _check_blocks(*graph)
+
+
+def test_a_planted_parent_node_fault_fails_the_block_oracles(monkeypatch):
+    # _blocks skipping the parent node rather than the edge it came in by:
+    # of three parallel edges, one then reads as a bridge and two lie in no
+    # block
+    source = inspect.getsource(PRESENTATION._blocks)
+    assert source.count("if i == via:") == 1
+    source = source.replace("if i == via:", "if len(stack) > 1 and w == stack[-2][0]:")
+    namespace = dict(vars(PRESENTATION))
+    exec(source, namespace)
+    monkeypatch.setattr(PRESENTATION, "_blocks", namespace["_blocks"])
+    with pytest.raises(AssertionError):
+        _check_blocks(2, [(0, 1)] * 3)
+
+
+def _check_blocks(n, ends):
+    """``_blocks`` on a multigraph against the bridge and cycle oracles:
+    loops and parallel edges included, a bridge is an edge whose deletion
+    adds a component, and two edges share a block exactly when they lie on
+    a common simple cycle."""
     blocks = PRESENTATION._blocks(n, ends)
     block_of = {i: b for b, block in enumerate(blocks) for i in block}
     assert sum(map(len, blocks)) == len(block_of)

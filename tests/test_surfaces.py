@@ -41,15 +41,13 @@ from ribbonforge.surfaces import (
     _node,
     _opened,
     _spanning_boundaries,
-    _step_genera,
-    _step_orientability,
+    _steps,
     _surface_walk,
     odd_twist_cycle,
     walk_arcs,
 )
 
-# the modules, which the package's ``presentation`` function shadows
-PRESENTATION = import_module("ribbonforge.presentation")
+# the module itself, whose names the planted faults patch
 SURFACES = import_module("ribbonforge.surfaces")
 
 # (words, vertices, edges, boundary, euler_genus, orientable) — hand-traced
@@ -187,7 +185,7 @@ def node_walk_arcs(pres, curve_indices, opened, sides_labelled):
     table = _slot_table(pres)
     slots = [table.start[c] + p for pair in opened.values() for c, p in pair]
     flags = _opened(table, curve_indices, slots)
-    order, ends = walk_arcs(table, curve_indices, flags)
+    order, ends = SURFACES.walk_arcs(table, curve_indices, flags)
     return [
         (
             [_node(table, d) for d in order[b:e]],
@@ -231,6 +229,24 @@ def test_walk_matches_the_arc_list_oracle():
                 assert got == one_dart_on(g, expected), g.words()
                 moved += got != expected
     assert moved  # some cycles do start at an entry dart
+
+
+def test_a_planted_least_dart_start_fails_the_walk_oracle(monkeypatch):
+    # walk_arcs without the entry exception, starting every cycle at its
+    # least dart: a cycle through a curve's closed first arrow then runs
+    # against the way the curve is read.  Cycles and their places stay, so
+    # boundary counts, the spanning table and the step oracle do not see
+    # it, and a splice stays equivalent, so no acceptance criterion does;
+    # the arc-list oracle does
+    source = inspect.getsource(SURFACES.walk_arcs)
+    rule = "entry = 2 * b + 1 - along[b] if e - b > 1 and not opened[b] else -1"
+    assert source.count(rule) == 1
+    namespace = dict(vars(SURFACES))
+    exec(source.replace(rule, "entry = -1"), namespace)
+    for module in (SURFACES, import_module("ribbonforge.moves")):
+        monkeypatch.setattr(module, "walk_arcs", namespace["walk_arcs"])
+    with pytest.raises(AssertionError):
+        test_walk_matches_the_arc_list_oracle()
 
 
 def test_walk_refuses_malformed_openings():
@@ -380,7 +396,7 @@ def test_summary_as_dict_keys():
 
 def _step_kinds(g, label):
     """The kinds of e's deletion and contraction, told apart by building
-    both children, as ``_step_genera`` does not."""
+    both children, as ``_steps`` does not."""
     (c1, _), (c2, _) = g.arrow_positions(label)
     k = component_count(g)
     if c1 != c2:
@@ -393,9 +409,11 @@ def _step_kinds(g, label):
 
 
 def _genera(g):
-    """``_step_genera`` of g, read off the walk of g's surface summary."""
+    """The (deletion, contraction) genera of ``_steps`` for each label of
+    g's slot table, read off the walk of g's surface summary."""
     summary, table, walk = _surface_walk(g)
-    return _step_genera(table, walk, summary.euler_genus)
+    genus, _ = _steps(table, walk, summary.euler_genus)
+    return {label: (genus(label, False), genus(label, True)) for label in table.first}
 
 
 def _check_step_genera(g):
@@ -408,7 +426,7 @@ def _check_step_genera(g):
 
 
 # (name, words, label, γ(G − e), γ(G/e)): one edge of each kind the walk and
-# the connectivity pass tell apart
+# the union-find tell apart
 STEP_CASES = [
     ("free sides on two walks", [["a", "a"]], "a", 0, 0),
     ("free sides run the same way", [["a", "a'"]], "a", 0, 0),
@@ -446,19 +464,19 @@ def test_step_genera_on_every_class_up_to_four_edges():
     }
 
 
-def test_a_planted_parent_node_fault_fails_the_step_genera_oracle(monkeypatch):
-    # _blocks skipping the parent node rather than the edge it came in by:
-    # the three parallel edges of the "non-loop" case then read as a bridge
-    # and two edges in no block, and a deletion's genus comes out wrong
-    source = inspect.getsource(PRESENTATION._blocks)
-    assert source.count("if i == via:") == 1
-    source = source.replace("if i == via:", "if len(stack) > 1 and w == stack[-2][0]:")
-    namespace = dict(vars(PRESENTATION))
+@pytest.mark.parametrize("name", ["bridge", "bridge to a bare end"])
+def test_a_planted_unskipped_edge_fails_the_step_genera_oracle(monkeypatch, name):
+    # the union-find not leaving e out: e's own ends are then always
+    # joined, so no edge is ever a bridge and a bridge's deletion reads γ − 2
+    source = inspect.getsource(SURFACES._skip_one)
+    assert source.count("if label == skip:") == 1
+    source = source.replace("if label == skip:", "if False:")
+    namespace = dict(vars(SURFACES))
     exec(source, namespace)
-    monkeypatch.setattr(SURFACES, "_blocks", namespace["_blocks"])
-    (words,) = [case[1] for case in STEP_CASES if case[0] == "non-loop"]
+    monkeypatch.setattr(SURFACES, "_skip_one", namespace["_skip_one"])
+    (case,) = [case[1:] for case in STEP_CASES if case[0] == name]
     with pytest.raises(AssertionError):
-        _check_step_genera(from_words(words))
+        test_step_genera_by_kind(*case)
 
 
 @st.composite
@@ -479,12 +497,12 @@ def test_step_genera_match_the_built_children(g):
 
 
 def _check_step_orientability(g):
-    """Both answers of ``_step_orientability`` for every label of a
+    """Both orientability answers of ``_steps`` for every label of a
     non-orientable g against the real children; (contracted, loop,
     orientable) for each."""
     summary, table, walk = _surface_walk(g)
     assert not summary.orientable
-    orientable = _step_orientability(table, walk)
+    _, orientable = _steps(table, walk, summary.euler_genus)
     edges = underlying_edges(g)
     kinds = []
     for label in g.labels():
