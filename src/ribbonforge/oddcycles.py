@@ -3,9 +3,10 @@
 A ribbon graph represents a link exactly when, component by component, the
 interlacement graph of its spanning-tree partial dual is bipartite (see
 ``links``).  When it is not, the certificate is built from a shortest odd
-cycle, which lies inside one biconnected block; this module takes the
-blocks from the package's one block decomposition (``presentation._blocks``)
-and searches only those that hold an odd cycle.
+cycle, which lies inside one biconnected block.  This module takes the
+colouring from the package's one parity union-find (``presentation._parity``)
+and the blocks from its one block decomposition (``presentation._blocks``),
+and searches only the blocks that hold an odd cycle.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .errors import InternalInvariantViolation
-from .presentation import _blocks
+from .presentation import _blocks, _parity
 
 if TYPE_CHECKING:
     from .links import IntersectionGraph
@@ -24,45 +25,28 @@ def _two_colour(
 ) -> tuple[dict[str, int] | None, tuple[str, ...] | None]:
     """Bipartition or a minimal odd cycle.
 
-    Colours each interlacement component from its smallest label (colour 0).
-    On success returns (colouring, None); otherwise (None, cycle) with the
-    shortest odd cycle, ties broken lexicographically.  Every cycle lies in
-    one biconnected block (``_blocks``, on the vertices numbered in sorted
-    order), and a block holds an odd cycle exactly when one of its edges
-    joins two vertices of one colour, so only those blocks are searched,
-    and the least (length, cycle) over them is the answer.  A block with as
+    Colours each interlacement component from its smallest label (colour
+    0), by ``_parity`` with every edge twisted.  On success returns
+    (colouring, None); otherwise (None, cycle) with the shortest odd cycle,
+    ties broken lexicographically.  Every cycle lies in one biconnected
+    block (``_blocks``).  The union-find's linking edges form a spanning
+    forest, which meets each block in a spanning tree of it, so a block
+    holds an odd cycle exactly when one of its fundamental cycles is odd,
+    that is when it holds a clash edge; only those blocks are searched, and
+    the least (length, cycle) over them is the answer.  A block with as
     many edges as vertices is a chordless cycle, read off directly from its
     least vertex towards its smaller neighbour.
     """
-    # each pair is sorted, so listing the pairs in order sorts every list
     pairs = sorted(graph.edges)
-    adj: dict[str, list[str]] = {v: [] for v in graph.vertices}
-    for a, b in pairs:
-        adj[a].append(b)
-        adj[b].append(a)
-    colour: dict[str, int] = {}
-    clashes: set[tuple[str, str]] = set()
-    for root in graph.vertices:
-        if root in colour:
-            continue
-        colour[root] = 0
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w in adj[v]:
-                    if w not in colour:
-                        colour[w] = colour[v] ^ 1
-                        nxt.append(w)
-                    elif colour[w] == colour[v]:
-                        clashes.add((v, w) if v < w else (w, v))
-            frontier = nxt
+    number = {v: i for i, v in enumerate(graph.vertices)}
+    edges = [(number[a], number[b], True) for a, b in pairs]
+    _, side, clashes = _parity(len(number), edges)
     if not clashes:
-        return colour, None
-    number = {v: i for i, v in enumerate(sorted(graph.vertices))}
+        return dict(zip(graph.vertices, side)), None
+    odd = set(clashes)
     best: tuple[str, ...] | None = None
-    for block in _blocks(len(number), [(number[a], number[b]) for a, b in pairs]):
-        if clashes.isdisjoint(pairs[i] for i in block):
+    for block in _blocks(len(number), [(a, b) for a, b, _ in edges]):
+        if odd.isdisjoint(block):
             continue
         sub: dict[str, list[str]] = {}
         for i in block:

@@ -31,12 +31,15 @@ slot carrying the same label, and its label.  An end of an arrow is the
 (curve, position, end) nodes they stand for.  A label on other than two
 arrows, which only a bug inside the package can produce, is caught by every
 build.  Three passes over a graph read the table: ``_curve_roots`` gives
-each curve's component root and the twist parity, behind components,
-their counts and orientability; ``curve_forest`` gives the breadth-first
-trees, for spanning trees and the cycles of certificates; and ``_blocks``
-gives the biconnected blocks of any multigraph on numbered nodes (the
-curve graph, an interlacement graph), behind separating vertices and odd
-cycles.
+each curve's component root and whether the curve graph is balanced,
+behind components, their counts and orientability; ``curve_forest`` gives
+the breadth-first trees, for spanning trees and the cycles of
+certificates; and ``_blocks`` gives the biconnected blocks of any
+multigraph on numbered nodes (the curve graph, an interlacement graph),
+behind separating vertices and odd cycles.  ``_curve_roots`` reads
+``_parity``, the one parity union-find over a signed multigraph on
+numbered nodes, which the minor search's step oracle and the two-colouring
+of interlacement graphs read too.
 """
 
 from __future__ import annotations
@@ -298,33 +301,62 @@ def _slot_table(pres: ArrowPresentation) -> _SlotTable:
     raise next(_miscounted(lab, k) for lab, k in Counter(label).items() if k != 2)
 
 
+def _parity(
+    n: int, edges: list[tuple[int, int, bool]]
+) -> tuple[list[int], list[int], list[int]]:
+    """Each node's root and side in a signed multigraph on nodes 0, ...,
+    n − 1 whose edge i is ``edges[i] = (a, b, twisted)``, and the indices
+    of the *clash* edges, each closing a cycle of odd twist with the edges
+    before it.
+
+    A union-find keeps each node's side relative to its parent, with path
+    halving, and links the larger root under the smaller.  So every root
+    is its component's least node, with side 0, every other node's parent
+    is smaller than it, and one forward sweep gives the final roots and
+    sides.  A component is balanced, with no cycle of odd twist (Zaslavsky,
+    *Signed graphs*, 1982), exactly when none of its edges clashes, and its
+    sides are then its one two-colouring with the root at 0.
+    """
+    parent = list(range(n))
+    side = [0] * n
+    clashes = []
+    for i, (a, b, twisted) in enumerate(edges):
+        while parent[a] != a:
+            p = parent[a]
+            side[a] ^= side[p]
+            twisted ^= side[a]
+            parent[a] = a = parent[p]
+        while parent[b] != b:
+            p = parent[b]
+            side[b] ^= side[p]
+            twisted ^= side[b]
+            parent[b] = b = parent[p]
+        if a < b:
+            parent[b], side[b] = a, twisted
+        elif b < a:
+            parent[a], side[a] = b, twisted
+        elif twisted:
+            clashes.append(i)
+    for v in range(n):
+        p = parent[v]
+        side[v] ^= side[p]
+        parent[v] = parent[p]
+    return parent, side, clashes
+
+
 def _curve_roots(table: _SlotTable) -> tuple[list[int], bool]:
     """The root (least curve) of each curve's component, and whether the
     curves can be read so that every edge is untwisted, that is whether no
     cycle of the curve graph, a loop included, has an odd number of twisted
-    edges."""
-    start, curve, along, mate = table.start, table.curve, table.along, table.mate
-    root = [-1] * (len(start) - 1)
-    side = root[:]
-    consistent = True
-    for r in range(len(root)):
-        if root[r] >= 0:
-            continue
-        root[r], side[r] = r, 0
-        stack = [r]
-        while stack:
-            c = stack.pop()
-            here = side[c]
-            for s in range(start[c], start[c + 1]):
-                t = mate[s]
-                w = curve[t]
-                wanted = here ^ along[s] ^ along[t]
-                if root[w] < 0:
-                    root[w], side[w] = r, wanted
-                    stack.append(w)
-                elif side[w] != wanted:
-                    consistent = False
-    return root, consistent
+    edges: ``_parity`` over the curve graph, where an edge is twisted when
+    its arrows point opposite ways."""
+    curve, along, mate = table.curve, table.along, table.mate
+    edges = [
+        (curve[s], curve[mate[s]], along[s] != along[mate[s]])
+        for s in table.first.values()
+    ]
+    root, _, clashes = _parity(len(table.start) - 1, edges)
+    return root, not clashes
 
 
 def underlying_edges(pres: ArrowPresentation) -> dict[str, tuple[int, int]]:

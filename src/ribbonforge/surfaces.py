@@ -29,9 +29,10 @@ cross arcs.  What its cycles give:
 An edge is twisted when its two arrows point opposite ways.  The graph
 is orientable unless some cycle has an odd number of twisted edges.
 ``surface_summary`` reads connected components and orientability from
-``_curve_roots`` over the slot table that it walks; ``odd_twist_cycle``
-finds such a cycle, for certificates, on the breadth-first
-``curve_forest`` of the same kind of table.
+``_curve_roots``, the parity union-find ``_parity`` over the curve graph
+of the slot table that it walks; ``_steps`` asks the same union-find about
+each child; ``odd_twist_cycle`` finds such a cycle, for certificates, on
+the breadth-first ``curve_forest`` of the same kind of table.
 
 Euler's formula for a ribbon graph with v vertices, e edges, f boundary
 components and k connected components reads  v − e + f = 2k − γ  where γ is
@@ -51,6 +52,7 @@ from .presentation import (
     Curve,
     _curve_roots,
     _group_by_root,
+    _parity,
     _slot_table,
     _SlotTable,
     curve_forest,
@@ -363,8 +365,9 @@ def _steps(
     signed curve graph is balanced, with no cycle of an odd number of
     twisted edges (Zaslavsky, *Signed graphs*, Discrete Appl. Math. 1982),
     so the child is orientable exactly when far without e is.  One parity
-    union-find over far without e (``_skip_one``) tells both whether e's
-    ends stay joined, so that e is no bridge, and whether it is balanced.
+    union-find (``_parity``) over far's edge list without e tells both
+    whether e's ends stay joined, so that e is no bridge, and whether what
+    is left is balanced: O(E) per question.
 
     With every edge opened, ``walk_arcs`` gives each dart's walk, and as
     each walk has even length, the darts at odd places are those it leaves
@@ -378,62 +381,37 @@ def _steps(
     side = [0] * len(walk_of)
     for d in walk[0][1::2]:
         side[d] = 1
-    curve_edges, walk_edges = {}, {}
+    index, curve_edges, walk_edges = {}, [], []
     for label, s in table.first.items():
         t = mate[s]
-        curve_edges[label] = curve[s], curve[t], along[s] != along[t]
+        index[label] = len(curve_edges)
+        curve_edges.append((curve[s], curve[t], along[s] != along[t]))
         head = 2 * s + 1
         same_way = side[head] == side[head - 1]
-        walk_edges[label] = walk_of[head], walk_of[2 * t + 1], same_way
+        walk_edges.append((walk_of[head], walk_of[2 * t + 1], same_way))
     # (node count, signed edges)
     graph = len(table.start) - 1, curve_edges
     dual = len(walk[1]), walk_edges
 
     def genus(label: str, contracted: bool) -> int:
         near, far = (graph, dual) if contracted else (dual, graph)
-        a, b, twisted = near[1][label]
+        i = index[label]
+        a, b, twisted = near[1][i]
         if a != b:
             return gamma
         if twisted:
             return gamma - 1
-        return gamma - 2 if _skip_one(*far, label)[0] else gamma
+        n, edges = far
+        root = _parity(n, edges[:i] + edges[i + 1:])[0]
+        a, b, _ = edges[i]
+        return gamma - 2 if root[a] == root[b] else gamma
 
     def orientable(label: str, contracted: bool) -> bool:
-        return _skip_one(*(dual if contracted else graph), label)[1]
+        i = index[label]
+        n, edges = dual if contracted else graph
+        return not _parity(n, edges[:i] + edges[i + 1:])[2]
 
     return genus, orientable
-
-
-def _skip_one(
-    n: int, signed: dict[str, tuple[int, int, bool]], skip: str
-) -> tuple[bool, bool]:
-    """Whether the ends of edge ``skip`` of a signed multigraph on nodes 0,
-    ..., n − 1, edge x joining ``signed[x][:2]`` with twist ``signed[x][2]``,
-    stay joined once it is left out, and whether what is left has no cycle
-    of odd twist: a union-find that keeps each node's twist parity to its
-    root."""
-    root = list(range(n))
-    odd = [False] * n
-    balanced = True
-    for label, (a, b, twisted) in signed.items():
-        if label == skip:
-            continue
-        while root[a] != a:
-            twisted ^= odd[a]
-            a = root[a]
-        while root[b] != b:
-            twisted ^= odd[b]
-            b = root[b]
-        if a != b:
-            root[a], odd[a] = b, twisted
-        elif twisted:
-            balanced = False
-    a, b, _ = signed[skip]
-    while root[a] != a:
-        a = root[a]
-    while root[b] != b:
-        b = root[b]
-    return a == b, balanced
 
 
 def boundary_component_count(pres: ArrowPresentation) -> int:

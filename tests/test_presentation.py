@@ -6,7 +6,7 @@ import sys
 import threading
 from collections import Counter
 from importlib import import_module
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -365,3 +365,101 @@ def _check_blocks(n, ends):
     for i, j in combinations(sorted(block_of), 2):
         on_one = any(i in cycle and j in cycle for cycle in cycles)
         assert (block_of[i] == block_of[j]) == on_one, (ends, i, j)
+
+
+# -- the parity union-find ------------------------------------------------------
+
+
+def _balanced(n, edges):
+    """Oracle: the first of all 2^n assignments of a 0/1 side to each node
+    under which every edge joins two sides that differ exactly when it is
+    twisted, or None if there is none."""
+    for sides in product((0, 1), repeat=n):
+        if all(sides[a] ^ sides[b] == twisted for a, b, twisted in edges):
+            return sides
+    return None
+
+
+def _least_reachable(n, edges):
+    """Oracle: the least node of each node's component, by propagating the
+    least label along the edges until nothing changes."""
+    least = list(range(n))
+    changed = True
+    while changed:
+        changed = False
+        for a, b, _ in edges:
+            low = min(least[a], least[b])
+            if least[a] != low or least[b] != low:
+                least[a] = least[b] = low
+                changed = True
+    return least
+
+
+@st.composite
+def _signed_multigraphs(draw):
+    n = draw(st.integers(1, 8))
+    node = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(node, node, st.booleans()), max_size=10))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_signed_multigraphs())
+def test_parity_matches_the_brute_force_oracles(graph):
+    _check_parity(*graph)
+
+
+@pytest.mark.parametrize(
+    "old, new, graph",
+    [
+        # the smaller root linked under the larger: 0 ends under 1
+        (
+            ("if a < b:", "if a > b:"),
+            ("elif b < a:", "elif b > a:"),
+            (2, [(0, 1, False)]),
+        ),
+        # path halving skipping the parent's side: 2 keeps its side to 1 when
+        # it moves under 0, and the even triangle reads as a clash
+        (
+            ("side[a] ^= side[p]\n", "\n"),
+            ("side[b] ^= side[p]\n", "\n"),
+            (3, [(1, 2, True), (0, 1, True), (2, 0, False)]),
+        ),
+    ],
+    ids=["larger root kept", "halving without parity"],
+)
+def test_a_planted_kernel_fault_fails_the_parity_oracles(monkeypatch, old, new, graph):
+    source = inspect.getsource(PRESENTATION._parity)
+    for before, after in (old, new):
+        assert source.count(before) == 1
+        source = source.replace(before, after)
+    namespace = dict(vars(PRESENTATION))
+    exec(source, namespace)
+    monkeypatch.setattr(PRESENTATION, "_parity", namespace["_parity"])
+    with pytest.raises(AssertionError):
+        _check_parity(*graph)
+
+
+def _check_parity(n, edges):
+    """``_parity`` on a signed multigraph, loops and parallel edges included,
+    against brute force: each root is the least node of its component; there
+    is no clash exactly when some side assignment satisfies every edge; a
+    balanced component's sides are that assignment with its root at 0; the
+    first clash is the first edge whose prefix has no such assignment; and
+    the ``_blocks`` blocks holding a clash are those with a cycle of odd
+    twist."""
+    root, side, clashes = PRESENTATION._parity(n, edges)
+    assert root == _least_reachable(n, edges)
+    assert (not clashes) == (_balanced(n, edges) is not None)
+    for r in set(root):
+        sides = _balanced(n, [e for e in edges if root[e[0]] == r])
+        if sides is not None:
+            nodes = [v for v in range(n) if root[v] == r]
+            assert [side[v] for v in nodes] == [sides[v] ^ sides[r] for v in nodes]
+    unbalanced = [i for i in range(len(edges)) if _balanced(n, edges[: i + 1]) is None]
+    assert clashes[:1] == unbalanced[:1]
+    ends = [(a, b) for a, b, _ in edges]
+    odd = [
+        cycle for cycle in _simple_cycles(ends) if sum(edges[i][2] for i in cycle) % 2
+    ]
+    for block in map(set, PRESENTATION._blocks(n, ends)):
+        assert block.isdisjoint(clashes) == all(not cycle <= block for cycle in odd)

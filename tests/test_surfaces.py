@@ -412,7 +412,7 @@ def _genera(g):
     """The (deletion, contraction) genera of ``_steps`` for each label of
     g's slot table, read off the walk of g's surface summary."""
     summary, table, walk = _surface_walk(g)
-    genus, _ = _steps(table, walk, summary.euler_genus)
+    genus, _ = SURFACES._steps(table, walk, summary.euler_genus)
     return {label: (genus(label, False), genus(label, True)) for label in table.first}
 
 
@@ -466,14 +466,14 @@ def test_step_genera_on_every_class_up_to_four_edges():
 
 @pytest.mark.parametrize("name", ["bridge", "bridge to a bare end"])
 def test_a_planted_unskipped_edge_fails_the_step_genera_oracle(monkeypatch, name):
-    # the union-find not leaving e out: e's own ends are then always
+    # the parity union-find not leaving e out: e's own ends are then always
     # joined, so no edge is ever a bridge and a bridge's deletion reads γ − 2
-    source = inspect.getsource(SURFACES._skip_one)
-    assert source.count("if label == skip:") == 1
-    source = source.replace("if label == skip:", "if False:")
+    source = inspect.getsource(SURFACES._steps)
+    assert source.count("edges[:i] + edges[i + 1:]") == 2
+    source = source.replace("edges[:i] + edges[i + 1:]", "edges")
     namespace = dict(vars(SURFACES))
     exec(source, namespace)
-    monkeypatch.setattr(SURFACES, "_skip_one", namespace["_skip_one"])
+    monkeypatch.setattr(SURFACES, "_steps", namespace["_steps"])
     (case,) = [case[1:] for case in STEP_CASES if case[0] == name]
     with pytest.raises(AssertionError):
         test_step_genera_by_kind(*case)
