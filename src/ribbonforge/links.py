@@ -7,7 +7,11 @@ way from some diagram exactly when it has no minor equivalent to the
 twisted loop, the bouquet of three pairwise interlaced loops, or the
 toroidal theta.  This module builds the state graph, decides
 representability, and backs every verdict with either a plane partial-dual
-witness or a replayable minor certificate.
+witness or a replayable minor certificate.  The decision two-colours the
+word of each component's spanning-tree partial dual on the package's
+parity union-find (``oddcycles._colour_word`` over
+``presentation._parity``); only a component that is not bipartite has its
+interlaced pairs listed, for a shortest odd cycle.
 """
 
 from __future__ import annotations
@@ -47,8 +51,8 @@ from .presentation import (
     curve_forest,
     restriction,
 )
-from .oddcycles import _two_colour
-from .surfaces import is_orientable, surface_summary
+from .oddcycles import _colour_word, _two_colour
+from .surfaces import is_orientable, surface_summary, walk_arcs
 
 # -- PD codes ----------------------------------------------------------------
 
@@ -188,24 +192,19 @@ class IntersectionGraph:
         }
 
 
-def intersection_graph(pres: ArrowPresentation) -> IntersectionGraph:
-    """The interlacement graph of a one-vertex ribbon graph.
+def _interlaced(word: Iterable[str]) -> frozenset[tuple[str, str]]:
+    """The interlaced pairs (e, f), e < f, of a curve reading ``word``.
 
     One scan of the word keeps the open labels in a chain, each linked to
     the one opened just before it.  When e closes, the labels opened after
     it and still open are exactly those with one end between e's ends, so
     the walk down the chain from the last opened label to e lists e's new
-    neighbours, and e is unlinked: O(L + |edges|) for a word of length L.
+    neighbours, and e is unlinked: O(L + pairs) for a word of length L.
     """
-    if len(pres.curves) != 1:
-        raise NotABouquet(
-            f"interlacement needs a single vertex, found {len(pres.curves)}"
-        )
     below: dict[str, str | None] = {}
     top: str | None = None
     edges = set()
-    for arrow in pres.curves[0]:
-        e = arrow.label
+    for e in word:
         if e not in below:
             below[e], top = top, e
             continue
@@ -218,7 +217,17 @@ def intersection_graph(pres: ArrowPresentation) -> IntersectionGraph:
         else:
             below[above] = below[e]
         del below[e]
-    return IntersectionGraph(pres.labels(), frozenset(edges))
+    return frozenset(edges)
+
+
+def intersection_graph(pres: ArrowPresentation) -> IntersectionGraph:
+    """The interlacement graph of a one-vertex ribbon graph (``_interlaced``)."""
+    if len(pres.curves) != 1:
+        raise NotABouquet(
+            f"interlacement needs a single vertex, found {len(pres.curves)}"
+        )
+    pairs = _interlaced(arrow.label for arrow in pres.curves[0])
+    return IntersectionGraph(pres.labels(), pairs)
 
 
 # -- plane-biseparations ------------------------------------------------------
@@ -406,12 +415,16 @@ def represents_link(
 
     The decision is polynomial: the graph must be orientable and, component
     by component, the interlacement graph of its spanning-tree partial dual
-    must be bipartite.  A positive answer carries a verified plane-dual
-    witness; a negative one carries a verified minor certificate to one of
-    the three forbidden patterns (unless ``certificates`` is off, which
-    skips the extraction and its replay).  Certificates are explicit
-    scripts, polynomial in the size of the graph; extraction never searches
-    and never meets a size bound.
+    must be bipartite.  One walk of the arc complex reads every
+    component's spanning-tree partial dual as a word, which ``_colour_word``
+    two-colours without listing interlaced pairs; only a component that
+    fails lists its pairs (``_interlaced``), for ``_two_colour``'s shortest
+    odd cycle.  A positive answer carries a verified plane-dual witness; a
+    negative one carries a verified minor certificate to one of the three
+    forbidden patterns (unless ``certificates`` is off, which skips the
+    extraction and its replay).  Certificates are explicit scripts,
+    polynomial in the size of the graph; extraction never searches and
+    never meets a size bound.
     """
     if not is_orientable(pres):
         cert = bbar1_script(pres) if certificates else None
@@ -420,24 +433,37 @@ def represents_link(
             certificate=cert,
             certificate_target="bbar1" if cert else None,
         )
-    witness: list[str] = []
     # each component's breadth-first tree in the whole graph's forest is
     # its own ``spanning_tree``: the incidence is ordered by label first
-    forest = curve_forest(_slot_table(pres))
-    groups = _group_by_root(forest.root)
-    for group in groups:
-        # a connected graph is its own component, and keeps its slot table
-        comp = pres if len(groups) == 1 else ArrowPresentation(
-            tuple(pres.curves[i] for i in group)
+    table = _slot_table(pres)
+    forest = curve_forest(table)
+    # a bare curve is a component of its own, with no word
+    trees = [
+        tuple(sorted(forest.label[i] for i in group[1:]))
+        for group in _group_by_root(forest.root)
+        if pres.curves[group[0]]
+    ]
+    # the spanning-tree partial dual of every component at once: one walk
+    # with the tree edges opened, one cycle per component in group order,
+    # whose cross arcs carry the arrows of its one curve
+    opened = [0] * len(table.mate)
+    for tree in trees:
+        for lab in tree:
+            s = table.first[lab]
+            opened[s] = opened[table.mate[s]] = 1
+    order, ends = walk_arcs(table, range(len(pres.curves)), opened)
+    if len(ends) != len(trees):
+        raise InternalInvariantViolation(
+            "spanning-tree partial dual is not a one-vertex graph"
         )
-        tree = tuple(sorted(forest.label[i] for i in group[1:]))
-        bouquet = partial_dual(comp, set(tree))
-        if len(bouquet.curves) != 1:
-            raise InternalInvariantViolation(
-                "spanning-tree partial dual is not a one-vertex graph"
-            )
-        graph = intersection_graph(bouquet)
-        colouring, cycle = _two_colour(graph)
+    witness: list[str] = []
+    for tree, b, e in zip(trees, [0, *ends], ends):
+        word = [table.label[d >> 1] for d in order[b + 1:e:2]]
+        colouring = _colour_word(word)
+        if colouring is None:
+            # only a clashing component lists its pairs, for the odd cycle
+            graph = IntersectionGraph(tuple(sorted(set(word))), _interlaced(word))
+            colouring, cycle = _two_colour(graph)
         if colouring is None:
             cert, name = (None, None)
             if certificates:

@@ -2,22 +2,85 @@
 
 A ribbon graph represents a link exactly when, component by component, the
 interlacement graph of its spanning-tree partial dual is bipartite (see
-``links``).  When it is not, the certificate is built from a shortest odd
-cycle, which lies inside one biconnected block.  This module takes the
-colouring from the package's one parity union-find (``presentation._parity``)
-and the blocks from its one block decomposition (``presentation._blocks``),
-and searches only the blocks that hold an odd cycle.
+``links``).  ``_colour_word`` decides that from the one-vertex graph's word
+with a stack, without listing the interlaced pairs.  When the graph is not
+bipartite, the certificate is built from a shortest odd cycle, which lies
+inside one biconnected block; ``_two_colour`` finds it on the pairs.  Both
+take the colouring from the package's one parity union-find
+(``presentation._parity``), and ``_two_colour`` the blocks from its one
+block decomposition (``presentation._blocks``), searching only the blocks
+that hold an odd cycle.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from collections import deque
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import InternalInvariantViolation
 from .presentation import _blocks, _parity
 
 if TYPE_CHECKING:
     from .links import IntersectionGraph
+
+
+def _colour_word(word: Sequence[str]) -> dict[str, int] | None:
+    """The two-colouring ``_two_colour`` gives the interlacement graph of a
+    one-vertex graph whose curve reads ``word``, label by label, or None
+    when that graph is not bipartite.
+
+    Open chords lie on a stack in the order they opened; when chord e
+    closes, those above it are exactly its neighbours that close later
+    (Even and Itai, *Queues, stacks and graphs*, 1971).  They must all take
+    e's opposite colour, so the stack is kept as *groups*, contiguous runs
+    of chords forced to one colour: at e's close every group above e's own
+    merges into one, smaller into larger, with one twisted edge from e to a
+    chord of each.  A chord of e's own group above e is a same-colour
+    neighbour, so the graph is not bipartite.  Every recorded edge joins
+    interlaced chords, and every interlaced pair is coloured apart once the
+    groups are, so the graph is bipartite exactly when no group clashes and
+    ``_parity`` over the recorded edges, on the sorted labels, finds no
+    clash either; its sides then root each component at its least label
+    with colour 0, as ``_two_colour`` does.  O(L log L) for a word of
+    length L: a chord changes group O(log L) times, each recorded edge
+    pops one group, and ``_parity`` links by least node without union by
+    rank.
+    """
+    labels = sorted(set(word))
+    number = {label: i for i, label in enumerate(labels)}
+    group: list[deque[int] | None] = [None] * len(labels)
+    stack: list[deque[int]] = []
+    edges: list[tuple[int, int, bool]] = []
+    for label in word:
+        e = number[label]
+        own = group[e]
+        if own is None:
+            own = group[e] = deque((e,))
+            stack.append(own)
+            continue
+        merged = None
+        while stack[-1] is not own:
+            above = stack.pop()
+            edges.append((e, above[0], True))
+            if merged is None:
+                merged = above
+            elif len(above) < len(merged):
+                merged.extendleft(reversed(above))
+                for f in above:
+                    group[f] = merged
+            else:
+                above.extend(merged)
+                for f in merged:
+                    group[f] = above
+                merged = above
+        if own.pop() != e:
+            return None
+        if not own:
+            stack.pop()
+        if merged is not None:
+            stack.append(merged)
+    _, side, clashes = _parity(len(labels), edges)
+    return None if clashes else dict(zip(labels, side))
 
 
 def _two_colour(

@@ -38,8 +38,9 @@ certificates; and ``_blocks`` gives the biconnected blocks of any
 multigraph on numbered nodes (the curve graph, an interlacement graph),
 behind separating vertices and odd cycles.  ``_curve_roots`` reads
 ``_parity``, the one parity union-find over a signed multigraph on
-numbered nodes, which the minor search's step oracle and the two-colouring
-of interlacement graphs read too.
+numbered nodes, which the minor search's step oracle, the two-colouring
+of interlacement graphs and the stack colouring of a one-vertex graph's
+word (``oddcycles``) read too.
 """
 
 from __future__ import annotations

@@ -14,13 +14,14 @@ B3_WORDS = [["b2", "b1", "b3", "b2", "b1", "b3"]]
 THETA_T_WORDS = [["t1", "t2'", "t3'"], ["t1'", "t3", "t2"]]
 
 
-def braid_closure_pd(crossings: int, strands: int, seed) -> str:
+def braid_closure_pd(crossings: int, strands: int, seed, positive=False) -> str:
     """PD text of the closure of a random braid word with every generator.
 
     Strands run upward.  A crossing on positions i, i + 1 takes labels p
     (left) and q (right) in and gives r (left) and s (right) out; its row
     lists them counterclockwise from the incoming understrand, which runs
-    p -> s for sigma_i and q -> r for its inverse.
+    p -> s for sigma_i and q -> r for its inverse.  Each crossing is sigma_i
+    or its inverse at random, or sigma_i throughout when ``positive`` is set.
     """
     rng = random.Random(seed)
     gens = list(range(1, strands))
@@ -33,7 +34,7 @@ def braid_closure_pd(crossings: int, strands: int, seed) -> str:
         p, q = cur[g - 1], cur[g]
         r, s = 2 * len(rows) + strands + 1, 2 * len(rows) + strands + 2
         cur[g - 1], cur[g] = r, s
-        rows.append((p, q, s, r) if rng.random() < 0.5 else (q, s, r, p))
+        rows.append((p, q, s, r) if positive or rng.random() < 0.5 else (q, s, r, p))
     close = dict(zip(cur, top))
     return " ".join(
         "X({},{},{},{})".format(*(close.get(x, x) for x in row)) for row in rows

@@ -10,6 +10,7 @@ from growth import exponent
 
 from ribbonforge import (
     all_A_ribbon_graph,
+    from_words,
     parse_pd,
     represents_link,
     surface_summary,
@@ -38,14 +39,57 @@ def test_the_parity_union_find_is_near_linear(make):
     assert exponent(lambda graph: _parity(*graph), make, sizes) <= 1.15
 
 
+def _closure_pd(crossings):
+    """PD text of a random-sign 20-strand braid closure."""
+    return braid_closure_pd(crossings, 20, crossings)
+
+
 def _closure_state_graph(crossings):
-    """The all-A state graph of a random-sign 20-strand braid closure, with
-    the surface summaries of earlier graphs dropped, so that every count
-    starts cold."""
+    """The all-A state graph of ``_closure_pd``, with the surface summaries
+    of earlier graphs dropped, so that every count starts cold."""
     surface_summary.cache_clear()
-    return all_A_ribbon_graph(parse_pd(braid_closure_pd(crossings, 20, crossings)))
+    return all_A_ribbon_graph(parse_pd(_closure_pd(crossings)))
 
 
 def test_represents_link_is_near_linear_on_braid_closures():
     sizes = [500, 1000, 2000, 4000]
     assert exponent(represents_link, _closure_state_graph, sizes) <= 1.15
+
+
+def test_parse_pd_is_near_linear_on_braid_closures():
+    sizes = [500, 1000, 2000, 4000]
+    assert exponent(parse_pd, _closure_pd, sizes) <= 1.15
+
+
+def test_all_A_ribbon_graph_is_near_linear_on_braid_closures():
+    def code(crossings):
+        return parse_pd(_closure_pd(crossings))
+
+    sizes = [500, 1000, 2000, 4000]
+    assert exponent(all_A_ribbon_graph, code, sizes) <= 1.15
+
+
+def _bipartite_bouquet(k):
+    """The bouquet K_{k,k}, a1 … ak b1 … bk ak … a1 bk … b1: every a
+    interlaces every b and nothing else, k² pairs over 2k loops."""
+    a = [f"a{i}" for i in range(k)]
+    b = [f"b{i}" for i in range(k)]
+    return from_words([a + b + a[::-1] + b[::-1]])
+
+
+def test_represents_link_is_near_linear_on_bipartite_bouquets():
+    sizes = [250, 500, 1000, 2000]
+    assert exponent(represents_link, _bipartite_bouquet, sizes) <= 1.15
+
+
+def _positive_closure_state_graph(crossings):
+    """The all-B state graph of a positive 3-strand braid closure, whose
+    spanning-tree dual has about crossings² / 10 interlaced pairs."""
+    surface_summary.cache_clear()
+    pd = braid_closure_pd(crossings, 3, crossings, positive=True)
+    return all_A_ribbon_graph(parse_pd(pd), "B")
+
+
+def test_represents_link_is_near_linear_on_positive_braids_under_b():
+    sizes = [500, 1000, 2000, 4000]
+    assert exponent(represents_link, _positive_closure_state_graph, sizes) <= 1.15

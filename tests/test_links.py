@@ -1,5 +1,6 @@
 """Diagram ingestion, interlacement, biseparations, the representability verdict."""
 
+import inspect
 import random
 import re
 from importlib import import_module, resources
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from closures import B3_WORDS, braid_closure_pd, glue
+from closures import B3_WORDS, THETA_T_WORDS, braid_closure_pd, glue
 from ribbonforge import (
     MinorScript,
     NotABouquet,
@@ -52,6 +53,8 @@ from ribbonforge import (
 )
 from ribbonforge.links import IntersectionGraph, _bouquet_reduction
 from ribbonforge.oddcycles import _shortest_odd_cycle, _two_colour
+
+ODDCYCLES = import_module("ribbonforge.oddcycles")
 
 TORUS = from_words([["a", "b", "a", "b"]])
 PATTERN = {
@@ -535,6 +538,70 @@ def test_block_search_matches_the_all_vertex_search(graph):
     assert cycle == _shortest_odd_cycle(adj)
 
 
+def _check_colour_word(word):
+    """The stack colouring of a word against ``_two_colour`` on the
+    interlaced pairs of the bouquet that reads it: the same colouring, or
+    None exactly when the pairs are not bipartite."""
+    colouring, _ = _two_colour(intersection_graph(from_words([word])))
+    assert ODDCYCLES._colour_word(word) == colouring, word
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 30), st.data())
+def test_the_stack_colouring_matches_the_pairs_on_random_bouquets(n, data):
+    # the labels are renamed at random, so that orders like "e10" < "e2"
+    # decide the roots, and the word is cut at a random place
+    names = [f"e{i}" for i in data.draw(st.permutations(range(n)))]
+    word = data.draw(st.permutations(names + names))
+    cut = data.draw(st.integers(0, 2 * n - 1))
+    _check_colour_word(word[cut:] + word[:cut])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(50, 400),
+    st.integers(2, 12),
+    st.integers(0, 10**6),
+    st.sampled_from([None, B3_WORDS, THETA_T_WORDS]),
+)
+def test_the_stack_colouring_matches_the_pairs_on_closure_duals(
+    crossings, strands, seed, pattern
+):
+    # the words represents_link colours: spanning-tree duals of state
+    # graphs, bipartite, and with B3 or the toroidal theta glued on, not
+    g = all_A_ribbon_graph(parse_pd(braid_closure_pd(crossings, strands, seed)))
+    if pattern is not None:
+        g = from_words(glue(g.words(), pattern, seed))
+    for comp in components(g):
+        bouquet = partial_dual(comp, set(spanning_tree(comp)))
+        _check_colour_word([arrow.label for arrow in bouquet.curves[0]])
+
+
+@pytest.mark.parametrize(
+    "old, new, word",
+    [
+        # no same-group check: B3's third loop closes inside the group of
+        # the second, and the triangle reads as bipartite
+        (
+            "if own.pop() != e:\n            return None\n",
+            "own.remove(e)\n",
+            B3_WORDS[0],
+        ),
+        # merged groups left untied to e: a and b interlace but stay apart
+        ("edges.append((e, above[0], True))\n", "\n", ["a", "b", "a", "b"]),
+    ],
+    ids=["no same-group clash", "merged groups untied"],
+)
+def test_a_planted_stack_fault_fails_the_colouring_oracle(monkeypatch, old, new, word):
+    source = inspect.getsource(ODDCYCLES._colour_word)
+    assert source.count(old) == 1
+    namespace = dict(vars(ODDCYCLES))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(ODDCYCLES, "_colour_word", namespace["_colour_word"])
+    with pytest.raises(AssertionError):
+        _check_colour_word(word)
+
+
 def _pattern_of(verdict):
     return PATTERN[verdict.certificate_target]()
 
@@ -663,8 +730,8 @@ def test_certificate_target_is_the_trimmed_search_pick():
 
 
 def test_a_connected_graph_keeps_its_own_slot_table(monkeypatch):
-    # the spanning-tree dual of a connected graph reuses the table its curve
-    # forest was read from, instead of building one for a copy of it
+    # the words of the spanning-tree dual are walked on the table the curve
+    # forest was read from, and no dual is built for them
     g = all_A_ribbon_graph(parse_pd(braid_closure_pd(400, 6, "connected-400")))
     assert len(components(g)) == 1
     module = import_module("ribbonforge.presentation")
