@@ -46,13 +46,14 @@ from .presentation import (
     _check_vertex,
     _group_by_root,
     _slot_table,
+    _SlotTable,
     _trusted,
     component_count,
     curve_forest,
     restriction,
 )
 from .oddcycles import _colour_word, _two_colour
-from .surfaces import is_orientable, surface_summary, walk_arcs
+from .surfaces import _dual_genus, is_orientable, surface_summary, walk_arcs
 
 # -- PD codes ----------------------------------------------------------------
 
@@ -408,6 +409,16 @@ def _pattern_certificate(
     return verified_script(pres, steps + reduction, target), name
 
 
+def _open(table: _SlotTable, labels: Iterable[str]) -> list[int]:
+    """The walker's slot flags that open the edges of ``labels``."""
+    first, mate = table.first, table.mate
+    opened = [0] * len(mate)
+    for label in labels:
+        s = first[label]
+        opened[s] = opened[mate[s]] = 1
+    return opened
+
+
 def represents_link(
     pres: ArrowPresentation, *, certificates: bool = True
 ) -> Verdict:
@@ -419,12 +430,14 @@ def represents_link(
     component's spanning-tree partial dual as a word, which ``_colour_word``
     two-colours without listing interlaced pairs; only a component that
     fails lists its pairs (``_interlaced``), for ``_two_colour``'s shortest
-    odd cycle.  A positive answer carries a verified plane-dual witness; a
-    negative one carries a verified minor certificate to one of the three
-    forbidden patterns (unless ``certificates`` is off, which skips the
-    extraction and its replay).  Certificates are explicit scripts,
-    polynomial in the size of the graph; extraction never searches and
-    never meets a size bound.
+    odd cycle.  A positive answer carries a witness W whose partial dual
+    is checked to be plane without building it: Euler's formula for G^W
+    reads its vertices and faces as two cycle counts on G's own slot table
+    (``surfaces._dual_genus``).  A negative answer carries a verified
+    minor certificate to one of the three forbidden patterns (unless
+    ``certificates`` is off, which skips the extraction and its replay).
+    Certificates are explicit scripts, polynomial in the size of the
+    graph; extraction never searches and never meets a size bound.
     """
     if not is_orientable(pres):
         cert = bbar1_script(pres) if certificates else None
@@ -437,20 +450,17 @@ def represents_link(
     # its own ``spanning_tree``: the incidence is ordered by label first
     table = _slot_table(pres)
     forest = curve_forest(table)
+    groups = _group_by_root(forest.root)
     # a bare curve is a component of its own, with no word
     trees = [
         tuple(sorted(forest.label[i] for i in group[1:]))
-        for group in _group_by_root(forest.root)
+        for group in groups
         if pres.curves[group[0]]
     ]
     # the spanning-tree partial dual of every component at once: one walk
     # with the tree edges opened, one cycle per component in group order,
     # whose cross arcs carry the arrows of its one curve
-    opened = [0] * len(table.mate)
-    for tree in trees:
-        for lab in tree:
-            s = table.first[lab]
-            opened[s] = opened[table.mate[s]] = 1
+    opened = _open(table, chain.from_iterable(trees))
     order, ends = walk_arcs(table, range(len(pres.curves)), opened)
     if len(ends) != len(trees):
         raise InternalInvariantViolation(
@@ -476,6 +486,6 @@ def represents_link(
             )
         marked = {label for label, c in colouring.items() if c == 0}
         witness.extend(sorted(set(tree) ^ marked))
-    if surface_summary(partial_dual(pres, set(witness))).euler_genus != 0:
+    if _dual_genus(table, _open(table, witness), len(groups)):
         raise InternalInvariantViolation("bipartite witness is not plane")
     return Verdict(representable=True, witness=tuple(sorted(witness)))

@@ -8,8 +8,10 @@ arrow itself, from tail to head, except that an *opened* edge replaces its
 two arrows α and β by its two *free sides*, which join {head α, tail β} and
 {head β, tail α}.  Each dart then lies on one plain arc and one *cross*
 arc, so the complex falls into cycles.  ``walk_arcs`` is the one walker of
-them; it leaves every other dart by its plain arc and the rest by their
-cross arcs.  What its cycles give:
+them that records their darts in order; it leaves every other dart by its
+plain arc and the rest by their cross arcs.  ``_cycle_count`` only counts
+them, in one pass over every dart, which any dart of a cycle may start.
+What the cycles give:
 
 - with every edge opened, they are the boundary components, with one full
   circle more for every curve with no arrows: ``surface_summary`` counts
@@ -21,10 +23,13 @@ cross arcs.  What its cycles give:
   along each cycle (``_cross_arrows``) form one new curve of the splice
   that contracts the set or takes the partial dual at it (see ``moves``);
 - with a set A opened on every curve, they and the bare curves number
-  f(V, A), the boundary components of the spanning subgraph (V, A):
-  ``_spanning_boundaries`` counts them for every A, one walk each and no
-  presentation built, for the minor search's floor on the least Euler
-  genus of a partial dual, ε(G^A) = 2k + e − f(V, A) − f(V, E − A).
+  f(V, A), the boundary components of the spanning subgraph (V, A).  The
+  vertices of the partial dual G^A are the boundary components of (V, A)
+  and its faces those of (V, E − A) (Chmutov, JCTB 2009), so
+  ε(G^A) = 2k + e − f(V, A) − f(V, E − A) with no G^A built:
+  ``_dual_genus`` counts it for one A, for the decision's plane witness,
+  and ``_spanning_boundaries`` counts f(V, A) for every A, for the minor
+  search's floor on the least Euler genus of a partial dual.
 
 An edge is twisted when its two arrows point opposite ways.  The graph
 is orientable unless some cycle has an odd number of twisted edges.
@@ -121,17 +126,64 @@ def walk_arcs(
     return order, ends
 
 
+def _cycle_count(table: _SlotTable, opened: Sequence[int]) -> int:
+    """The number of cycles of the arc complex of every curve, with
+    ``opened`` set at the slots of the opened edges: the cycles
+    ``walk_arcs`` gives, counted without recording them.  A cycle is the
+    same set of darts whichever dart it starts from, so each starts at the
+    least dart not yet walked, leaving it by its plain arc."""
+    _, _, along, nxt, prv, mate, _, _, _ = table
+    seen = [0] * (2 * len(mate))
+    cycles = 0
+    for first in range(len(seen)):
+        if seen[first]:
+            continue
+        cycles += 1
+        d = first
+        while True:
+            seen[d] = 1
+            s = d >> 1
+            if d & 1 == along[s]:
+                t = nxt[s]
+                d = 2 * t + 1 - along[t]
+            else:
+                t = prv[s]
+                d = 2 * t + along[t]
+            seen[d] = 1
+            s = d >> 1
+            d = 2 * mate[s] + 1 - (d & 1) if opened[s] else d ^ 1
+            if d == first:
+                break
+    return cycles
+
+
+def _bare(table: _SlotTable) -> int:
+    """The number of curves with no arrows."""
+    start = table.start
+    return sum(b == e for b, e in zip(start, start[1:]))
+
+
+def _dual_genus(table: _SlotTable, opened: Sequence[int], k: int) -> int:
+    """The Euler genus of the partial dual G^A of a graph with k connected
+    components, A the edges whose slots ``opened`` sets, by Euler's formula
+    with v = f(V, A) and f = f(V, E − A): two ``_cycle_count`` walks, and
+    no G^A built."""
+    bare = _bare(table)
+    v = _cycle_count(table, opened) + bare
+    f = _cycle_count(table, [1 - o for o in opened]) + bare
+    return 2 * k + len(table.mate) // 2 - v - f
+
+
 def _spanning_boundaries(table: _SlotTable) -> list[int]:
     """f(V, A) for every subset A of the labels, indexed by the bitmask of A
-    over the sorted labels: the ``walk_arcs`` cycles of every curve with
-    A's slots opened, plus the bare curves.
+    over the sorted labels: the ``_cycle_count`` cycles with A's slots
+    opened, plus the bare curves.
 
     The subsets are taken in Gray-code order, so each walk follows the last
     with one edge's two slot flags toggled in the one flags list.
     """
-    start, mate = table.start, table.mate
-    curves = range(len(start) - 1)
-    bare = sum(b == e for b, e in zip(start, start[1:]))
+    mate = table.mate
+    bare = _bare(table)
     slots = [table.first[label] for label in sorted(table.first)]
     opened = [0] * len(mate)
     out = [0] * (1 << len(slots))
@@ -142,7 +194,7 @@ def _spanning_boundaries(table: _SlotTable) -> list[int]:
             s = slots[bit]
             opened[s] = opened[mate[s]] = 1 - opened[s]
             mask ^= 1 << bit
-        out[mask] = len(walk_arcs(table, curves, opened)[1]) + bare
+        out[mask] = _cycle_count(table, opened) + bare
     return out
 
 
@@ -287,21 +339,19 @@ class SurfaceSummary:
         return asdict(self)
 
 
-def _surface_walk(
-    pres: ArrowPresentation,
-) -> tuple[SurfaceSummary, _SlotTable, tuple[list[int], list[int]]]:
-    """The surface summary of ``pres`` with the slot table and the all-open
-    ``walk_arcs`` cycles it was read from, for ``_steps`` to reuse.
+def _summary(
+    pres: ArrowPresentation, table: _SlotTable, cycles: int
+) -> SurfaceSummary:
+    """The surface summary of ``pres`` from its slot table and the number
+    of cycles of its arc complex with every edge opened.
 
     Boundary components, connected components and orientability come from
-    one slot table: the cycles of the walk with every edge opened, plus one
-    more component of both kinds for every bare curve.  Euler-formula sanity
-    checks raise ``InternalInvariantViolation``.
+    the one slot table: the cycles, plus one more component of both kinds
+    for every bare curve.  Euler-formula sanity checks raise
+    ``InternalInvariantViolation``.
     """
-    table = _slot_table(pres)
     root, orientable = _curve_roots(table)
-    walk = walk_arcs(table, range(len(pres.curves)), [1] * len(table.mate))
-    f = pres.curves.count(()) + len(walk[1])
+    f = pres.curves.count(()) + cycles
     v = pres.vertex_count
     e = pres.edge_count
     k = len(set(root))
@@ -315,14 +365,26 @@ def _surface_walk(
             f"odd Euler genus {euler_genus} on an orientable surface"
         )
     genus = euler_genus // 2 if orientable else euler_genus
-    return SurfaceSummary(v, e, f, k, euler_genus, genus, orientable), table, walk
+    return SurfaceSummary(v, e, f, k, euler_genus, genus, orientable)
+
+
+def _surface_walk(
+    pres: ArrowPresentation,
+) -> tuple[SurfaceSummary, _SlotTable, tuple[list[int], list[int]]]:
+    """The surface summary of ``pres`` with the slot table and the all-open
+    ``walk_arcs`` cycles it was read from, for ``_steps`` to reuse."""
+    table = _slot_table(pres)
+    walk = walk_arcs(table, range(len(pres.curves)), [1] * len(table.mate))
+    return _summary(pres, table, len(walk[1])), table, walk
 
 
 @lru_cache(maxsize=1 << 18)
 def surface_summary(pres: ArrowPresentation) -> SurfaceSummary:
     """Vertex/edge/boundary counts and genus, with Euler-formula sanity
-    checks (``_surface_walk``), cached per presentation."""
-    return _surface_walk(pres)[0]
+    checks (``_summary``), cached per presentation; the boundary walks are
+    only counted (``_cycle_count``)."""
+    table = _slot_table(pres)
+    return _summary(pres, table, _cycle_count(table, [1] * len(table.mate)))
 
 
 def _walk_of(walk: tuple[list[int], list[int]]) -> list[int]:

@@ -6,11 +6,14 @@ one pass/fail line per criterion; the summary line for each is also printed
 strings are pinned, so a criterion that passes on different counts fails.
 """
 
+import inspect
+
 import pytest
 
 import ribbonforge.links as links
 import ribbonforge.minors as minors
 import ribbonforge.moves as moves
+import ribbonforge.surfaces as surfaces
 from ribbonforge import (
     acceptance,
     canonical_key,
@@ -119,6 +122,23 @@ def test_a_planted_interlacement_fault_fails_criterion_2(monkeypatch):
         return two_colour(links.IntersectionGraph(graph.vertices, edges))
 
     monkeypatch.setattr(links, "_two_colour", faulty)
+    result = run_criterion(2)
+    assert not result.passed
+    assert result.details == (
+        "raised InternalInvariantViolation: bipartite witness is not plane"
+    )
+
+
+def test_a_planted_bare_vertex_fault_fails_criterion_2(monkeypatch):
+    # the witness's dual counted without the bare curves among its
+    # vertices: a representable graph with a bare vertex has its plane
+    # witness refused
+    source = inspect.getsource(surfaces._dual_genus)
+    count = "v = _cycle_count(table, opened) + bare"
+    assert source.count(count) == 1
+    namespace = dict(vars(surfaces))
+    exec(source.replace(count, "v = _cycle_count(table, opened)"), namespace)
+    monkeypatch.setattr(links, "_dual_genus", namespace["_dual_genus"])
     result = run_criterion(2)
     assert not result.passed
     assert result.details == (

@@ -9,13 +9,15 @@ from closures import braid_closure_pd
 from growth import exponent
 
 from ribbonforge import (
+    Arrow,
     all_A_ribbon_graph,
     from_words,
     parse_pd,
     represents_link,
     surface_summary,
 )
-from ribbonforge.presentation import _parity
+from ribbonforge.links import _bouquet_reduction
+from ribbonforge.presentation import _min_rotation, _parity
 
 
 def _descending_chain(n):
@@ -93,3 +95,30 @@ def _positive_closure_state_graph(crossings):
 def test_represents_link_is_near_linear_on_positive_braids_under_b():
     sizes = [500, 1000, 2000, 4000]
     assert exponent(represents_link, _positive_closure_state_graph, sizes) <= 1.15
+
+
+def _random_curve(n):
+    """A bouquet word of n arrows on n / 2 labels, in random order and
+    with random directions."""
+    rng = random.Random(n)
+    arrows = [Arrow(str(i // 2), rng.random() < 0.5) for i in range(n)]
+    rng.shuffle(arrows)
+    return tuple(arrows)
+
+
+def test_min_rotation_is_linear_on_random_curves():
+    sizes = [1000, 2000, 4000, 8000]
+    assert exponent(_min_rotation, _random_curve, sizes) <= 1.15
+
+
+def _cycle_and_tree(loops):
+    """An interlacement cycle of ``loops`` loops and a random tree set."""
+    rng = random.Random(loops)
+    cycle = tuple(f"e{i}" for i in range(loops))
+    return cycle, {label for label in cycle if rng.random() < 0.5}
+
+
+def test_bouquet_reduction_is_linear_on_odd_cycles():
+    sizes = [501, 1001, 2001, 4001]
+    growth = exponent(lambda args: _bouquet_reduction(*args), _cycle_and_tree, sizes)
+    assert growth <= 1.15

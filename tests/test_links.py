@@ -26,6 +26,7 @@ from ribbonforge import (
     build_B,
     build_Bbar1,
     build_theta_t,
+    component_count,
     components,
     contract_edge,
     defines_plane_biseparation,
@@ -53,6 +54,8 @@ from ribbonforge import (
 )
 from ribbonforge.links import IntersectionGraph, _bouquet_reduction
 from ribbonforge.oddcycles import _shortest_odd_cycle, _two_colour
+from ribbonforge.presentation import _slot_table
+from ribbonforge.surfaces import _dual_genus
 
 ODDCYCLES = import_module("ribbonforge.oddcycles")
 
@@ -730,8 +733,9 @@ def test_certificate_target_is_the_trimmed_search_pick():
 
 
 def test_a_connected_graph_keeps_its_own_slot_table(monkeypatch):
-    # the words of the spanning-tree dual are walked on the table the curve
-    # forest was read from, and no dual is built for them
+    # the words of the spanning-tree dual are walked, and the witness's
+    # partial dual counted, on the table the curve forest was read from:
+    # no dual is built for either
     g = all_A_ribbon_graph(parse_pd(braid_closure_pd(400, 6, "connected-400")))
     assert len(components(g)) == 1
     module = import_module("ribbonforge.presentation")
@@ -742,10 +746,14 @@ def test_a_connected_graph_keeps_its_own_slot_table(monkeypatch):
         built.append(fields)
         return table(*fields)
 
+    def splice(*args):
+        raise AssertionError("the positive path built a splice")
+
     monkeypatch.setattr(module, "_RECENT", ())
     monkeypatch.setattr(module, "_SlotTable", counted)
+    monkeypatch.setattr(import_module("ribbonforge.moves"), "_splice", splice)
     assert represents_link(g).representable
-    assert len(built) == 2  # the graph's and its plane partial dual's
+    assert len(built) == 1  # the graph's own
 
 
 # -- metamorphic checks at scale ----------------------------------------------
@@ -776,6 +784,19 @@ def test_state_graphs_stay_representable_under_duals_and_minors(g, rng):
     assert plane.orientable and plane.euler_genus == 0
     assert represents_link(delete_edge(g, rng.choice(labels))).representable
     assert represents_link(contract_edge(g, rng.choice(labels))).representable
+
+
+@settings(max_examples=30, deadline=None)
+@given(_state_graphs(), st.randoms(use_true_random=False))
+def test_the_dual_genus_count_holds_on_partial_duals_of_state_graphs(g, rng):
+    # the count that checks the witness, against the built dual, at a random
+    # set A of a random partial dual H, where ε(H^A) is mostly far from 0
+    h = partial_dual(g, _some(g.labels(), rng))
+    chosen = _some(h.labels(), rng)
+    table = _slot_table(h)
+    flags = [int(label in chosen) for label in table.label]
+    genus = _dual_genus(table, flags, component_count(h))
+    assert genus == euler_genus(partial_dual(h, chosen))
 
 
 @settings(max_examples=10, deadline=None)

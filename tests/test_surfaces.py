@@ -38,6 +38,8 @@ from ribbonforge import (
 from ribbonforge.presentation import _slot_table, _trusted
 from ribbonforge.surfaces import (
     _cross_arrows,
+    _cycle_count,
+    _dual_genus,
     _node,
     _opened,
     _spanning_boundaries,
@@ -553,15 +555,31 @@ def test_step_orientability_matches_the_built_children(g):
 @given(_step_graphs(), st.data())
 def test_walk_with_a_set_opened_counts_the_spanning_boundary(g, data):
     # f(V, A): the cycles with A opened on every curve, plus the bare curves,
-    # are the boundary components of the spanning subgraph (V, A)
+    # are the boundary components of the spanning subgraph (V, A); the
+    # count-only walk counts the same cycles
     labels = g.labels()
     drawn = data.draw(st.sets(st.sampled_from(labels))) if labels else set()
     table = _slot_table(g)
     for chosen in (set(), drawn, set(labels)):
         flags = bytes(label in chosen for label in table.label)
         _, ends = walk_arcs(table, range(len(g.curves)), flags)
+        assert _cycle_count(table, flags) == len(ends)
         spanning = _trusted([a for a in c if a.label in chosen] for c in g.curves)
         assert len(ends) + g.curves.count(()) == boundary_component_count(spanning)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_step_graphs().filter(lambda g: g.edge_count <= 10), st.data())
+def test_the_dual_genus_count_is_the_genus_of_the_built_dual(g, data):
+    # Chmutov: G^A has the boundary components of (V, A) for vertices and
+    # those of (V, E − A) for faces
+    labels = g.labels()
+    drawn = data.draw(st.sets(st.sampled_from(labels))) if labels else set()
+    table = _slot_table(g)
+    k = component_count(g)
+    for chosen in (set(), drawn, set(labels)):
+        flags = [int(label in chosen) for label in table.label]
+        assert _dual_genus(table, flags, k) == euler_genus(partial_dual(g, chosen))
 
 
 @settings(max_examples=100, deadline=None)
