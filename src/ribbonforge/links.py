@@ -11,7 +11,8 @@ witness or a replayable minor certificate.  The decision two-colours the
 word of each component's spanning-tree partial dual on the package's
 parity union-find (``oddcycles._colour_word`` over
 ``presentation._parity``); only a component that is not bipartite has its
-interlaced pairs listed, for a shortest odd cycle.
+interlaced pairs listed, for a chordless odd cycle
+(``oddcycles._odd_cycle``).
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .presentation import (
     curve_forest,
     restriction,
 )
-from .oddcycles import _colour_word, _two_colour
+from .oddcycles import _colour_word, _interlaced, _odd_cycle
 from .surfaces import _dual_genus, is_orientable, surface_summary, walk_arcs
 
 # -- PD codes ----------------------------------------------------------------
@@ -191,34 +192,6 @@ class IntersectionGraph:
             "vertices": list(self.vertices),
             "edges": [list(pair) for pair in sorted(self.edges)],
         }
-
-
-def _interlaced(word: Iterable[str]) -> frozenset[tuple[str, str]]:
-    """The interlaced pairs (e, f), e < f, of a curve reading ``word``.
-
-    One scan of the word keeps the open labels in a chain, each linked to
-    the one opened just before it.  When e closes, the labels opened after
-    it and still open are exactly those with one end between e's ends, so
-    the walk down the chain from the last opened label to e lists e's new
-    neighbours, and e is unlinked: O(L + pairs) for a word of length L.
-    """
-    below: dict[str, str | None] = {}
-    top: str | None = None
-    edges = set()
-    for e in word:
-        if e not in below:
-            below[e], top = top, e
-            continue
-        above, f = None, top
-        while f != e:
-            edges.add((e, f) if e < f else (f, e))
-            above, f = f, below[f]
-        if above is None:
-            top = below[e]
-        else:
-            below[above] = below[e]
-        del below[e]
-    return frozenset(edges)
 
 
 def intersection_graph(pres: ArrowPresentation) -> IntersectionGraph:
@@ -392,8 +365,8 @@ def _pattern_certificate(
 ) -> tuple[MinorScript, str]:
     """A minor script from ``pres`` to B3 or the toroidal theta.
 
-    An explicit, polynomial script: no minor search and no size bound.  The
-    shortest odd interlacement cycle C has no chords, so deleting the edges
+    An explicit, polynomial script: no minor search and no size bound.
+    ``cycle`` is a chordless odd interlacement cycle C, so deleting the edges
     outside C and the spanning tree T (and the vertices left bare) and
     contracting T - C leaves a graph H with H^S = B_L, S = T & C, L = |C|;
     ``_bouquet_reduction`` takes H the rest of the way.  The target is B3
@@ -429,15 +402,16 @@ def represents_link(
     must be bipartite.  One walk of the arc complex reads every
     component's spanning-tree partial dual as a word, which ``_colour_word``
     two-colours without listing interlaced pairs; only a component that
-    fails lists its pairs (``_interlaced``), for ``_two_colour``'s shortest
-    odd cycle.  A positive answer carries a witness W whose partial dual
-    is checked to be plane without building it: Euler's formula for G^W
-    reads its vertices and faces as two cycle counts on G's own slot table
-    (``surfaces._dual_genus``).  A negative answer carries a verified
-    minor certificate to one of the three forbidden patterns (unless
-    ``certificates`` is off, which skips the extraction and its replay).
-    Certificates are explicit scripts, polynomial in the size of the
-    graph; extraction never searches and never meets a size bound.
+    fails lists its pairs, for ``_odd_cycle``'s chordless odd cycle, in
+    O(L + pairs) for its word of length L.  A positive answer carries a
+    witness W whose partial dual is checked to be plane without building
+    it: Euler's formula for G^W reads its vertices and faces as two cycle
+    counts on G's own slot table (``surfaces._dual_genus``).  A negative
+    answer carries a verified minor certificate to one of the three
+    forbidden patterns (unless ``certificates`` is off, which skips the
+    extraction and its replay).  Certificates are explicit scripts,
+    polynomial in the size of the graph; extraction never searches and
+    never meets a size bound.
     """
     if not is_orientable(pres):
         cert = bbar1_script(pres) if certificates else None
@@ -471,10 +445,11 @@ def represents_link(
         word = [table.label[d >> 1] for d in order[b + 1:e:2]]
         colouring = _colour_word(word)
         if colouring is None:
-            # only a clashing component lists its pairs, for the odd cycle
-            graph = IntersectionGraph(tuple(sorted(set(word))), _interlaced(word))
-            colouring, cycle = _two_colour(graph)
-        if colouring is None:
+            cycle = _odd_cycle(word)
+            if cycle is None:
+                raise InternalInvariantViolation(
+                    "non-bipartite graph with no odd cycle"
+                )
             cert, name = (None, None)
             if certificates:
                 cert, name = _pattern_certificate(pres, tree, cycle)

@@ -1,27 +1,52 @@
-"""Two-colourings and shortest odd cycles of interlacement graphs.
+"""Two-colourings and chordless odd cycles of interlacement graphs.
 
 A ribbon graph represents a link exactly when, component by component, the
 interlacement graph of its spanning-tree partial dual is bipartite (see
 ``links``).  ``_colour_word`` decides that from the one-vertex graph's word
-with a stack, without listing the interlaced pairs.  When the graph is not
-bipartite, the certificate is built from a shortest odd cycle, which lies
-inside one biconnected block; ``_two_colour`` finds it on the pairs.  Both
-take the colouring from the package's one parity union-find
-(``presentation._parity``), and ``_two_colour`` the blocks from its one
-block decomposition (``presentation._blocks``), searching only the blocks
-that hold an odd cycle.
+with a stack, without listing the interlaced pairs, on the package's one
+parity union-find (``presentation._parity``).  When the graph is not
+bipartite, the certificate is built from a chordless odd cycle, which
+``_odd_cycle`` finds with one breadth-first search over the pairs
+(``_interlaced``) and one pass over the chords of the cycle it closes.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .errors import InternalInvariantViolation
-from .presentation import _blocks, _parity
+from .presentation import _parity
 
 if TYPE_CHECKING:
     from .links import IntersectionGraph
+
+
+def _interlaced(word: Iterable[str]) -> frozenset[tuple[str, str]]:
+    """The interlaced pairs (e, f), e < f, of a curve reading ``word``.
+
+    One scan of the word keeps the open labels in a chain, each linked to
+    the one opened just before it.  When e closes, the labels opened after
+    it and still open are exactly those with one end between e's ends, so
+    the walk down the chain from the last opened label to e lists e's new
+    neighbours, and e is unlinked: O(L + pairs) for a word of length L.
+    """
+    below: dict[str, str | None] = {}
+    top: str | None = None
+    edges = set()
+    for e in word:
+        if e not in below:
+            below[e], top = top, e
+            continue
+        above, f = None, top
+        while f != e:
+            edges.add((e, f) if e < f else (f, e))
+            above, f = f, below[f]
+        if above is None:
+            top = below[e]
+        else:
+            below[above] = below[e]
+        del below[e]
+    return frozenset(edges)
 
 
 def _colour_word(word: Sequence[str]) -> dict[str, int] | None:
@@ -83,110 +108,88 @@ def _colour_word(word: Sequence[str]) -> dict[str, int] | None:
     return None if clashes else dict(zip(labels, side))
 
 
-def _two_colour(
-    graph: IntersectionGraph,
-) -> tuple[dict[str, int] | None, tuple[str, ...] | None]:
-    """Bipartition or a minimal odd cycle.
+def _two_colour(graph: IntersectionGraph) -> dict[str, int] | None:
+    """The two-colouring of an interlacement graph, or None when it is not
+    bipartite: the pairs' reference for ``_colour_word``.
 
-    Colours each interlacement component from its smallest label (colour
-    0), by ``_parity`` with every edge twisted.  On success returns
-    (colouring, None); otherwise (None, cycle) with the shortest odd cycle,
-    ties broken lexicographically.  Every cycle lies in one biconnected
-    block (``_blocks``).  The union-find's linking edges form a spanning
-    forest, which meets each block in a spanning tree of it, so a block
-    holds an odd cycle exactly when one of its fundamental cycles is odd,
-    that is when it holds a clash edge; only those blocks are searched, and
-    the least (length, cycle) over them is the answer.  A block with as
-    many edges as vertices is a chordless cycle, read off directly from its
-    least vertex towards its smaller neighbour.
+    Colours each component from its least label (colour 0), by ``_parity``
+    with every edge twisted.
     """
-    pairs = sorted(graph.edges)
     number = {v: i for i, v in enumerate(graph.vertices)}
-    edges = [(number[a], number[b], True) for a, b in pairs]
+    edges = [(number[a], number[b], True) for a, b in graph.edges]
     _, side, clashes = _parity(len(number), edges)
-    if not clashes:
-        return dict(zip(graph.vertices, side)), None
-    odd = set(clashes)
-    best: tuple[str, ...] | None = None
-    for block in _blocks(len(number), [(a, b) for a, b, _ in edges]):
-        if odd.isdisjoint(block):
-            continue
-        sub: dict[str, list[str]] = {}
-        for i in block:
-            a, b = pairs[i]
-            sub.setdefault(a, []).append(b)
-            sub.setdefault(b, []).append(a)
-        if len(block) == len(sub):
-            cycle = [min(sub)]
-            here = min(sub[cycle[0]])
-            while here != cycle[0]:
-                prev = cycle[-1]
-                cycle.append(here)
-                a, b = sub[here]
-                here = b if a == prev else a
-            found = tuple(cycle)
-        else:
-            for lst in sub.values():
-                lst.sort()
-            found = _shortest_odd_cycle(sub)
-        if best is None or (len(found), found) < (len(best), best):
-            best = found
-    return None, best
+    return None if clashes else dict(zip(graph.vertices, side))
 
 
-def _parity_distances(
-    adj: dict[str, list[str]], start: str, limit: int | None
-) -> dict[tuple[str, int], int]:
-    """BFS on the parity double cover of the subgraph on vertices >= start.
+def _odd_cycle(word: Sequence[str]) -> tuple[str, ...] | None:
+    """A chordless odd cycle of the interlacement graph of a one-vertex
+    graph whose curve reads ``word``, or None when that graph is bipartite.
 
-    Maps (vertex, parity) to the length of the shortest walk from ``start``
-    of that parity.  Stops once (start, 1) is reached, or before walks of
-    length ``limit``; every state closer than the stopping depth is present.
+    The tree paths a = u … w and b = v … w from the ends of
+    ``_same_depth_edge``'s edge (u, v) up to their common ancestor w close
+    an odd cycle.  Every edge joins depths at most one apart, and an edge
+    a[i] b[i] with i > 0 would have been met before (u, v).  The search
+    reached u before v, so a[i] before b[i] at every depth, and an edge
+    a[i + 1] b[i] would have made a[i + 1] the parent of b[i].  So every
+    chord joins a[i] to b[i + 1], and the least such i, found with O(1)
+    interlace tests on the arrow positions, cuts off the odd cycle
+    a[0..i] b[i+1..0] of length 2i + 3, which has no chord; with no chord
+    at all the whole cycle is chordless.  It is read from its least label
+    towards the smaller of that label's two neighbours.  O(L + pairs) for
+    a word of length L.
     """
-    dist = {(start, 0): 0}
-    frontier = [(start, 0)]
-    depth = 0
-    while frontier and (start, 1) not in dist:
-        depth += 1
-        if limit is not None and depth >= limit:
+    labels = sorted(set(word))
+    number = {label: i for i, label in enumerate(labels)}
+    ends: list[list[int]] = [[] for _ in labels]
+    for p, label in enumerate(word):
+        ends[number[label]].append(p)
+    adj: list[list[int]] = [[] for _ in labels]
+    # sorted pairs list each label's neighbours in increasing order
+    for e, f in sorted(_interlaced(word)):
+        adj[number[e]].append(number[f])
+        adj[number[f]].append(number[e])
+    found = _same_depth_edge(adj)
+    if found is None:
+        return None
+    u, v, parent = found
+    a, b = [u], [v]
+    while a[-1] != b[-1]:
+        a.append(parent[a[-1]])
+        b.append(parent[b[-1]])
+    for i in range(len(a) - 2):
+        (p, q), (r, s) = ends[a[i]], ends[b[i + 1]]
+        if (p < r < q) != (p < s < q):
+            del a[i + 1:], b[i + 2:]
             break
-        nxt = []
-        for v, p in frontier:
-            for w in adj[v]:
-                state = (w, p ^ 1)
-                if w >= start and state not in dist:
-                    dist[state] = depth
-                    nxt.append(state)
-        frontier = nxt
-    return dist
+    else:
+        b.pop()
+    cycle = a + b[::-1]
+    least = cycle.index(min(cycle))
+    cycle = cycle[least:] + cycle[:least]
+    if cycle[-1] < cycle[1]:
+        cycle[1:] = cycle[:0:-1]
+    return tuple(labels[i] for i in cycle)
 
 
-def _shortest_odd_cycle(adj: dict[str, list[str]]) -> tuple[str, ...]:
-    """The lexicographically least shortest odd cycle of a non-bipartite graph.
-
-    ``_two_colour`` calls it on one biconnected block at a time.  One parity
-    BFS per start vertex s, on the vertices >= s, finds the shortest odd
-    closed walk through s (Itai & Rodeh style, O(V(V+E))); the
-    least s reaching the global minimum length L starts the answer.  The
-    cycle is then grown greedily from s: each step takes the smallest
-    neighbour w > s from which a walk of the remaining length and parity
-    returns to s.  A closed odd walk of the minimum odd length is a simple
-    cycle, so the greedy walk is the least cycle in the old order: length
-    first, then the label sequence read from its least vertex.
+def _same_depth_edge(
+    adj: list[list[int]],
+) -> tuple[int, int, list[int]] | None:
+    """The first edge (u, v) joining two nodes of the same depth met by a
+    breadth-first search from each node in turn over the sorted lists
+    ``adj``, with the search's parents; None when the graph is bipartite.
     """
-    best: tuple[int, str, dict[tuple[str, int], int]] | None = None
-    for start in sorted(adj):
-        dist = _parity_distances(adj, start, best[0] if best else None)
-        length = dist.get((start, 1))
-        if length is not None and (best is None or length < best[0]):
-            best = (length, start, dist)
-    if best is None:
-        raise InternalInvariantViolation("non-bipartite graph with no odd cycle")
-    length, start, dist = best
-    cycle = [start]
-    for remaining in range(length - 1, 0, -1):
-        cycle.append(next(
-            w for w in adj[cycle[-1]]
-            if w > start and dist.get((w, remaining % 2), length) <= remaining
-        ))
-    return tuple(cycle)
+    depth = [-1] * len(adj)
+    parent = list(range(len(adj)))
+    for root in range(len(adj)):
+        if depth[root] >= 0:
+            continue
+        depth[root] = 0
+        queue = [root]
+        for u in queue:
+            for v in adj[u]:
+                if depth[v] < 0:
+                    depth[v], parent[v] = depth[u] + 1, u
+                    queue.append(v)
+                elif depth[v] == depth[u]:
+                    return u, v, parent
+    return None

@@ -35,12 +35,11 @@ each curve's component root and whether the curve graph is balanced,
 behind components, their counts and orientability; ``curve_forest`` gives
 the breadth-first trees, for spanning trees and the cycles of
 certificates; and ``_blocks`` gives the biconnected blocks of any
-multigraph on numbered nodes (the curve graph, an interlacement graph),
-behind separating vertices and odd cycles.  ``_curve_roots`` reads
-``_parity``, the one parity union-find over a signed multigraph on
-numbered nodes, which the minor search's step oracle, the two-colouring
-of interlacement graphs and the stack colouring of a one-vertex graph's
-word (``oddcycles``) read too.
+multigraph on numbered nodes, behind separating vertices.
+``_curve_roots`` reads ``_parity``, the one parity union-find over a
+signed multigraph on numbered nodes, which the minor search's step
+oracle, the two-colouring of interlacement graphs and the stack colouring
+of a one-vertex graph's word (``oddcycles``) read too.
 """
 
 from __future__ import annotations
@@ -430,7 +429,7 @@ def _blocks(n: int, ends: list[tuple[int, int]]) -> list[list[int]]:
     edge i joins ``ends[i]``, each as a list of edge indices.
 
     Hopcroft and Tarjan's depth-first search (CACM 1973), with an explicit
-    stack since interlacement graphs can have thousands of vertices.  Each
+    stack since a curve graph can have thousands of vertices.  Each
     edge is pushed when first met, and when a child w of v reaches no node
     above v, the edges pushed since the tree edge (v, w) form one block.
     The search skips the tree edge it came in by, not the parent node, so

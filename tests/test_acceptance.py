@@ -13,6 +13,7 @@ import pytest
 import ribbonforge.links as links
 import ribbonforge.minors as minors
 import ribbonforge.moves as moves
+import ribbonforge.oddcycles as oddcycles
 import ribbonforge.surfaces as surfaces
 from ribbonforge import (
     acceptance,
@@ -112,20 +113,20 @@ def test_a_planted_trim_fault_fails_criterion_2(monkeypatch):
 
 
 def test_a_planted_interlacement_fault_fails_criterion_2(monkeypatch):
-    # the two-colouring ignores the least interlacement edge: a graph whose
-    # interlacement graph is bipartite only without it gets a witness whose
-    # partial dual is not plane
-    two_colour = links._two_colour
+    # the odd-cycle search ignores the least interlaced pair: a graph whose
+    # interlacement graph is bipartite only without it has no odd cycle
+    # where the colouring found a clash
+    interlaced = oddcycles._interlaced
 
-    def faulty(graph):
-        edges = graph.edges - {min(graph.edges)} if graph.edges else graph.edges
-        return two_colour(links.IntersectionGraph(graph.vertices, edges))
+    def faulty(word):
+        pairs = interlaced(word)
+        return pairs - {min(pairs)} if pairs else pairs
 
-    monkeypatch.setattr(links, "_two_colour", faulty)
+    monkeypatch.setattr(oddcycles, "_interlaced", faulty)
     result = run_criterion(2)
     assert not result.passed
     assert result.details == (
-        "raised InternalInvariantViolation: bipartite witness is not plane"
+        "raised InternalInvariantViolation: non-bipartite graph with no odd cycle"
     )
 
 

@@ -84,6 +84,20 @@ def test_represents_link_is_near_linear_on_bipartite_bouquets():
     assert exponent(represents_link, _bipartite_bouquet, sizes) <= 1.15
 
 
+def _odd_bouquet(k):
+    """K_{k,k} with a loop x that interlaces a0 and every b: not bipartite,
+    with k² + k pairs over 2k + 1 loops."""
+    a = [f"a{i}" for i in range(k)]
+    b = [f"b{i}" for i in range(k)]
+    return from_words([a[:1] + ["x"] + a[1:] + b + a[::-1] + ["x"] + b[::-1]])
+
+
+def test_represents_link_is_linear_in_the_pairs_on_odd_bouquets():
+    # linear in the k² + k pairs reads 2 in k
+    sizes = [16, 32, 64, 128]
+    assert exponent(represents_link, _odd_bouquet, sizes) <= 2.15
+
+
 def _positive_closure_state_graph(crossings):
     """The all-B state graph of a positive 3-strand braid closure, whose
     spanning-tree dual has about crossings² / 10 interlaced pairs."""

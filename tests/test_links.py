@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from closures import B3_WORDS, THETA_T_WORDS, braid_closure_pd, glue
+from closures import B3_WORDS, THETA_T_WORDS, braid_closure_pd, glue, twist
 from ribbonforge import (
     MinorScript,
     NotABouquet,
@@ -53,7 +53,7 @@ from ribbonforge import (
     surface_summary,
 )
 from ribbonforge.links import IntersectionGraph, _bouquet_reduction
-from ribbonforge.oddcycles import _shortest_odd_cycle, _two_colour
+from ribbonforge.oddcycles import _two_colour
 from ribbonforge.presentation import _slot_table
 from ribbonforge.surfaces import _dual_genus
 
@@ -496,56 +496,14 @@ def _simple_graphs(draw):
 @settings(max_examples=400, deadline=None)
 @given(_simple_graphs())
 def test_odd_cycle_search_matches_path_search(graph):
-    assert _two_colour(graph) == _two_colour_by_path_search(graph)
-
-
-@st.composite
-def _block_graphs(draw):
-    """Blocks glued at cut vertices or joined by bridges.
-
-    Each block is a cycle, odd or even, with a few chords, or a chordless
-    odd cycle of up to 41 vertices.  The vertices are renamed at random,
-    so that orders like "v10" < "v2" decide ties.
-    """
-    edges = set()
-    count = 0
-    for _ in range(draw(st.integers(1, 5))):
-        chordless = draw(st.booleans())
-        size = 2 * draw(st.integers(1, 20)) + 1 if chordless else draw(st.integers(3, 9))
-        if count and draw(st.booleans()):
-            ring = [draw(st.integers(0, count - 1))] + list(range(count, count + size - 1))
-        else:
-            ring = list(range(count, count + size))
-            if count:
-                edges.add((draw(st.integers(0, count - 1)), count))
-        count = max(count, ring[-1] + 1)
-        edges |= {(ring[i - 1], ring[i]) for i in range(size)}
-        if not chordless:
-            chords = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))
-            edges |= {(ring[a], ring[b]) for a, b in draw(st.lists(chords, max_size=4))}
-    names = [f"v{i}" for i in draw(st.permutations(range(count)))]
-    pairs = frozenset(
-        tuple(sorted((names[a], names[b]))) for a, b in edges if a != b
-    )
-    return IntersectionGraph(tuple(sorted(names)), pairs)
-
-
-@settings(max_examples=150, deadline=None)
-@given(_block_graphs())
-def test_block_search_matches_the_all_vertex_search(graph):
-    # on the whole graph, _shortest_odd_cycle is the former search from
-    # every vertex; the block search must pick the very same cycle
-    colouring, cycle = _two_colour(graph)
-    assume(colouring is None)
-    adj = {v: graph.neighbours(v) for v in graph.vertices}
-    assert cycle == _shortest_odd_cycle(adj)
+    assert _two_colour(graph) == _two_colour_by_path_search(graph)[0]
 
 
 def _check_colour_word(word):
     """The stack colouring of a word against ``_two_colour`` on the
     interlaced pairs of the bouquet that reads it: the same colouring, or
     None exactly when the pairs are not bipartite."""
-    colouring, _ = _two_colour(intersection_graph(from_words([word])))
+    colouring = _two_colour(intersection_graph(from_words([word])))
     assert ODDCYCLES._colour_word(word) == colouring, word
 
 
@@ -603,6 +561,91 @@ def test_a_planted_stack_fault_fails_the_colouring_oracle(monkeypatch, old, new,
     monkeypatch.setattr(ODDCYCLES, "_colour_word", namespace["_colour_word"])
     with pytest.raises(AssertionError):
         _check_colour_word(word)
+
+
+def _check_odd_cycle(word):
+    """``_odd_cycle`` against the pairs of the bouquet that reads ``word``:
+    None exactly when they are bipartite, else an odd cycle of interlaced
+    labels with no chord, read from its least label towards the smaller of
+    its two neighbours, and no shorter than the least odd cycle the path
+    search finds in its interlacement component."""
+    graph = intersection_graph(from_words([word]))
+    cycle = ODDCYCLES._odd_cycle(word)
+    assert (cycle is None) == (_two_colour(graph) is not None), word
+    if cycle is None:
+        return
+    n = len(cycle)
+    assert n % 2 == 1 and len(set(cycle)) == n, (word, cycle)
+    assert all(graph.adjacent(cycle[i - 1], cycle[i]) for i in range(n)), (word, cycle)
+    inside = [pair for pair in graph.edges if set(pair) <= set(cycle)]
+    assert len(inside) == n, (word, cycle)
+    assert cycle[0] == min(cycle) and cycle[1] < cycle[-1], (word, cycle)
+    component, frontier = set(), [cycle[0]]
+    while frontier:
+        v = frontier.pop()
+        if v not in component:
+            component.add(v)
+            frontier += graph.neighbours(v)
+    sub = IntersectionGraph(
+        tuple(sorted(component)),
+        frozenset(pair for pair in graph.edges if pair[0] in component),
+    )
+    assert n >= len(_two_colour_by_path_search(sub)[1]), (word, cycle)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(3, 12), st.data())
+def test_the_odd_cycle_is_odd_and_chordless_on_random_bouquets(n, data):
+    # renamed at random, so that orders like "e10" < "e2" decide the
+    # search, and cut at a random place
+    names = [f"e{i}" for i in data.draw(st.permutations(range(n)))]
+    word = data.draw(st.permutations(names + names))
+    assume(ODDCYCLES._colour_word(word) is None)
+    cut = data.draw(st.integers(0, 2 * n - 1))
+    _check_odd_cycle(word[cut:] + word[:cut])
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(50, 400),
+    st.integers(2, 12),
+    st.integers(0, 10**6),
+    st.sampled_from([B3_WORDS, THETA_T_WORDS]),
+)
+def test_the_odd_cycle_is_odd_and_chordless_on_glued_closure_duals(
+    crossings, strands, seed, pattern
+):
+    # the words represents_link searches: spanning-tree duals of state
+    # graphs with B3 or the toroidal theta glued on
+    g = all_A_ribbon_graph(parse_pd(braid_closure_pd(crossings, strands, seed)))
+    g = from_words(glue(g.words(), pattern, seed))
+    for comp in components(g):
+        bouquet = partial_dual(comp, set(spanning_tree(comp)))
+        _check_odd_cycle([arrow.label for arrow in bouquet.curves[0]])
+
+
+# the search from a meets the same-depth edge (b, e) first; the chord b d
+# cuts its fundamental cycle b c a d e down to the triangle b d e
+CHORDED = "d b e a d c a b c e".split()
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("for i in range(len(a) - 2):", "for i in range(0):"),
+        ("del a[i + 1:], b[i + 2:]", "del a[i + 1:], b[i + 1:]"),
+    ],
+    ids=["chord pass skipped", "cut one label short"],
+)
+def test_a_planted_chord_fault_fails_the_odd_cycle_property(monkeypatch, old, new):
+    _check_odd_cycle(CHORDED)
+    source = inspect.getsource(ODDCYCLES._odd_cycle)
+    assert source.count(old) == 1
+    namespace = dict(vars(ODDCYCLES))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(ODDCYCLES, "_odd_cycle", namespace["_odd_cycle"])
+    with pytest.raises(AssertionError):
+        _check_odd_cycle(CHORDED)
 
 
 def _pattern_of(verdict):
@@ -678,7 +721,7 @@ def _bouquet_reduction_by_lists(cycle, tree):
 def test_bouquet_reduction_ring_matches_the_list_version(half, data):
     # B_L^S for odd L <= 41: S is drawn at random, or the whole cycle
     n = 2 * half + 1
-    _, cycle = _two_colour(intersection_graph(build_B(n)))
+    cycle = ODDCYCLES._odd_cycle(build_B(n).words()[0])
     inside = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
     if data.draw(st.booleans()):
         inside = [True] * n
@@ -690,7 +733,8 @@ def _trimmed_search_target(g):
     """The pattern a minor search on the trimmed odd-cycle graph finds first."""
     for comp in components(g):
         tree = spanning_tree(comp)
-        _, cycle = _two_colour(intersection_graph(partial_dual(comp, set(tree))))
+        bouquet = partial_dual(comp, set(tree))
+        cycle = ODDCYCLES._odd_cycle([arrow.label for arrow in bouquet.curves[0]])
         if cycle is not None:
             break
     cur = restriction(comp, set(cycle) | set(tree))
@@ -809,3 +853,22 @@ def test_a_glued_b3_stays_refused_under_partial_duals(g, rng):
     verdict = represents_link(dual)
     assert not verdict.representable
     assert equivalent(replay(dual, verdict.certificate), _pattern_of(verdict))
+
+
+@settings(max_examples=10, deadline=None)
+@given(_state_graphs(), st.randoms(use_true_random=False))
+def test_a_glued_theta_and_a_twisted_edge_stay_refused(g, rng):
+    # the toroidal theta joined at one point is its own interlacement
+    # component, one of its loops in the spanning tree; a twisted edge on a
+    # cycle makes the graph non-orientable, under every partial dual
+    glued = from_words(glue(g.words(), THETA_T_WORDS, rng.random()))
+    verdict = represents_link(glued)
+    assert not verdict.representable
+    assert verdict.certificate_target == "theta_t"
+    assert equivalent(replay(glued, verdict.certificate), build_theta_t())
+    twisted = from_words(twist(g.words(), rng.random()))
+    dual = partial_dual(twisted, _some(twisted.labels(), rng))
+    verdict = represents_link(dual)
+    assert not verdict.representable
+    assert verdict.certificate_target == "bbar1"
+    assert equivalent(replay(dual, verdict.certificate), build_Bbar1())
