@@ -43,9 +43,9 @@ from .moves import partial_dual
 from .presentation import (
     Arrow,
     ArrowPresentation,
-    _blocks,
     _check_vertex,
     _group_by_root,
+    _parity,
     _slot_table,
     _SlotTable,
     _trusted,
@@ -210,19 +210,25 @@ def intersection_graph(pres: ArrowPresentation) -> IntersectionGraph:
 def is_separating_vertex(pres: ArrowPresentation, index: int) -> bool:
     """Whether the edges at a vertex split into two or more blocks.
 
-    Each loop at the vertex is its own block, and its other edges fall into
-    the biconnected blocks of the curve graph (``_blocks``).  Two or more
-    blocks means the vertex separates.  A label on other than two arrows,
-    which only a bug inside the package can produce, raises
-    ``InternalInvariantViolation``.
+    Each loop at the vertex is its own block.  Two non-loop edges at it lie
+    on a common cycle, and so share a block, exactly when their far ends are
+    joined in the graph less the vertex.  So the blocks at the vertex number
+    its loops plus the components of that graph its non-loop edges reach,
+    read from one ``_parity`` pass over the edges off the vertex: O(V + E)
+    up to the union-find's log factor.  Two or more blocks means the vertex
+    separates.  A label on other than two arrows, which only a bug inside
+    the package can produce, raises ``InternalInvariantViolation``.
     """
     _check_vertex(pres, index)
     table = _slot_table(pres)
     curve, mate = table.curve, table.mate
     ends = [(curve[s], curve[mate[s]]) for s in table.first.values()]
-    blocks = _blocks(len(pres.curves), ends)
-    at = sum(any(index in ends[i] for i in block) for block in blocks)
-    return ends.count((index, index)) + at >= 2
+    off = [(a, b, False) for a, b in ends if index not in (a, b)]
+    root = _parity(len(pres.curves), off)[0]
+    reached = {
+        root[b if a == index else a] for a, b in ends if (a == index) != (b == index)
+    }
+    return ends.count((index, index)) + len(reached) >= 2
 
 
 def defines_plane_biseparation(

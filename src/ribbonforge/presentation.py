@@ -30,16 +30,16 @@ slot carrying the same label, and its label.  An end of an arrow is the
 *dart* 2·slot + end (0 = tail, 1 = head), so sorting darts sorts the
 (curve, position, end) nodes they stand for.  A label on other than two
 arrows, which only a bug inside the package can produce, is caught by every
-build.  Three passes over a graph read the table: ``_curve_roots`` gives
+build.  Two passes over a graph read the table: ``_curve_roots`` gives
 each curve's component root and whether the curve graph is balanced,
-behind components, their counts and orientability; ``curve_forest`` gives
-the breadth-first trees, for spanning trees and the cycles of
-certificates; and ``_blocks`` gives the biconnected blocks of any
-multigraph on numbered nodes, behind separating vertices.
-``_curve_roots`` reads ``_parity``, the one parity union-find over a
-signed multigraph on numbered nodes, which the minor search's step
-oracle, the two-colouring of interlacement graphs and the stack colouring
-of a one-vertex graph's word (``oddcycles``) read too.
+behind components, their counts and orientability; and ``curve_forest``
+gives the breadth-first trees, for spanning trees and the cycles of
+certificates.  ``_curve_roots`` reads ``_parity``, the one parity
+union-find over a signed multigraph on numbered nodes, which separating
+vertices (``links.is_separating_vertex``, a component count of the graph
+less the vertex), the minor search's step oracle, the two-colouring of
+interlacement graphs and the stack colouring of a one-vertex graph's word
+(``oddcycles``) read too.
 """
 
 from __future__ import annotations
@@ -422,61 +422,6 @@ def curve_forest(table: _SlotTable) -> CurveForest:
                     root[w], parent[w], tree_label[w] = r, v, lab
                     order.append(w)
     return CurveForest(order, root, parent, tree_label, incident)
-
-
-def _blocks(n: int, ends: list[tuple[int, int]]) -> list[list[int]]:
-    """The biconnected blocks of a multigraph on nodes 0, ..., n − 1 whose
-    edge i joins ``ends[i]``, each as a list of edge indices.
-
-    Hopcroft and Tarjan's depth-first search (CACM 1973), with an explicit
-    stack since a curve graph can have thousands of vertices.  Each
-    edge is pushed when first met, and when a child w of v reaches no node
-    above v, the edges pushed since the tree edge (v, w) form one block.
-    The search skips the tree edge it came in by, not the parent node, so
-    parallel edges, which lie on a common cycle, share a block; a bridge is
-    a block of one edge, and a loop lies in no block.
-    """
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for i, (a, b) in enumerate(ends):
-        if a != b:
-            adj[a].append((b, i))
-            adj[b].append((a, i))
-    disc = [-1] * n
-    low = [0] * n
-    count = 0
-    edges: list[int] = []
-    blocks: list[list[int]] = []
-    for root in range(n):
-        if disc[root] >= 0 or not adj[root]:  # a bare node is in no block
-            continue
-        disc[root] = low[root] = count = count + 1
-        # (node, the edge it was reached by, its unread edges, where that
-        # edge sits on the edge stack)
-        stack = [(root, -1, iter(adj[root]), 0)]
-        while stack:
-            v, via, todo, mark = stack[-1]
-            for w, i in todo:
-                if i == via:
-                    continue
-                if disc[w] < 0:
-                    disc[w] = low[w] = count = count + 1
-                    stack.append((w, i, iter(adj[w]), len(edges)))
-                    edges.append(i)
-                    break
-                if disc[w] < disc[v]:
-                    edges.append(i)
-                    if disc[w] < low[v]:
-                        low[v] = disc[w]
-            else:
-                stack.pop()
-                if stack:
-                    u = stack[-1][0]
-                    if low[v] >= disc[u]:
-                        blocks.append(edges[mark:])
-                        del edges[mark:]
-                    elif low[v] < low[u]:
-                        low[u] = low[v]
-    return blocks
 
 
 def component_vertex_sets(pres: ArrowPresentation) -> list[set[int]]:

@@ -1,8 +1,11 @@
 """Growth gates: the near-linear claims, checked by the growth exponent of
-the package's executed lines (``growth.exponent``), never by a count or a
-time."""
+the package's executed lines (``growth.exponent``), never by a line count
+or a time; where the work is done inside builtins, which executes no line
+of the package, by a count of that work."""
 
+import inspect
 import random
+from importlib import import_module
 
 import pytest
 from closures import braid_closure_pd
@@ -12,12 +15,17 @@ from ribbonforge import (
     Arrow,
     all_A_ribbon_graph,
     from_words,
+    is_separating_vertex,
     parse_pd,
     represents_link,
     surface_summary,
 )
 from ribbonforge.links import _bouquet_reduction
 from ribbonforge.presentation import _min_rotation, _parity
+from ribbonforge.surfaces import _steps, _surface_walk
+
+# the module, which the package's ``presentation`` function shadows
+PRESENTATION = import_module("ribbonforge.presentation")
 
 
 def _descending_chain(n):
@@ -125,6 +133,45 @@ def test_min_rotation_is_linear_on_random_curves():
     assert exponent(_min_rotation, _random_curve, sizes) <= 1.15
 
 
+class _SliceCounting(tuple):
+    """A curve that counts the slices taken of it: two per rotation built."""
+
+    slices = 0
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            type(self).slices += 1
+        return super().__getitem__(key)
+
+
+def _rotations_built(min_rotation, n):
+    """The rotations ``min_rotation`` builds of a random curve of n arrows,
+    whose result is checked against brute force."""
+    curve = _random_curve(n)
+    least = min(curve[i:] + curve[:i] for i in range(n))
+    counted = _SliceCounting(curve)
+    _SliceCounting.slices = 0
+    assert min_rotation(counted) == least
+    return _SliceCounting.slices // 2
+
+
+@pytest.mark.parametrize("n", [1000, 2000, 4000, 8000])
+def test_min_rotation_builds_at_most_two_rotations(n):
+    # a line count cannot see rotations built and compared inside min
+    assert _rotations_built(_min_rotation, n) <= 2
+
+
+def test_a_planted_all_rotations_fault_fails_the_rotation_count():
+    # min over every rotation: the same answer, and the same line count up
+    # to a constant, from n rotations
+    source = inspect.getsource(PRESENTATION._min_rotation)
+    before = "for i, arrow in enumerate(curve) if arrow == least"
+    assert source.count(before) == 1
+    namespace = dict(vars(PRESENTATION))
+    exec(source.replace(before, "for i in range(len(curve))"), namespace)
+    assert _rotations_built(namespace["_min_rotation"], 1000) > 2
+
+
 def _cycle_and_tree(loops):
     """An interlacement cycle of ``loops`` loops and a random tree set."""
     rng = random.Random(loops)
@@ -135,4 +182,33 @@ def _cycle_and_tree(loops):
 def test_bouquet_reduction_is_linear_on_odd_cycles():
     sizes = [501, 1001, 2001, 4001]
     growth = exponent(lambda args: _bouquet_reduction(*args), _cycle_and_tree, sizes)
+    assert growth <= 1.15
+
+
+def _ring_of_loops(n):
+    """A ring of n curves, each with one loop: every curve separates."""
+    return from_words(
+        [[f"l{i}", f"l{i}", f"r{i}", f"r{(i - 1) % n}"] for i in range(n)]
+    )
+
+
+def test_is_separating_vertex_is_linear_on_rings_of_loops():
+    sizes = [1000, 2000, 4000, 8000]
+    growth = exponent(lambda g: is_separating_vertex(g, 0), _ring_of_loops, sizes)
+    assert growth <= 1.15
+
+
+def _plane_bouquet_genus(n):
+    """The step oracle's genus test of the plane bouquet a0 a0 … an−1 an−1,
+    built outside the count."""
+    word = [f"a{i}" for i in range(n) for _ in range(2)]
+    summary, table, walk = _surface_walk(from_words([word]))
+    return _steps(table, walk, summary.euler_genus)[0]
+
+
+def test_a_contraction_genus_question_is_linear_on_plane_bouquets():
+    # contracting an untwisted loop asks whether it is a bridge of the dual:
+    # one parity pass over the other edges
+    sizes = [1000, 2000, 4000, 8000]
+    growth = exponent(lambda genus: genus("a0", True), _plane_bouquet_genus, sizes)
     assert growth <= 1.15

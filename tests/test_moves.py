@@ -4,10 +4,13 @@ import random
 from importlib import import_module
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ribbonforge.moves as moves
 from ribbonforge import (
     EMPTY,
+    Arrow,
     UnknownLabel,
     build_B,
     build_Bbar1,
@@ -15,6 +18,7 @@ from ribbonforge import (
     canonical_key,
     contract_edge,
     delete_edge,
+    delete_vertex,
     equivalent,
     euler_genus,
     from_words,
@@ -22,7 +26,9 @@ from ribbonforge import (
     intersection_graph,
     is_orientable,
     partial_dual,
+    presentation,
     random_ribbon_graph,
+    restriction,
     surface_summary,
 )
 
@@ -65,21 +71,71 @@ def test_single_label_dual_words_are_pinned():
     ]
 
 
+def _second_least(curve):
+    rotations = sorted({curve[i:] + curve[:i] for i in range(len(curve))})
+    return rotations[1] if len(rotations) > 1 else curve
+
+
 def test_a_planted_second_least_rotation_fails_the_splice_word_pins(monkeypatch):
     # each curve written from its second-least rotation, both where a
     # presentation is built and where a splice writes its new curves: the
     # graphs stay valid and equivalent, and no acceptance criterion fails,
     # but the pinned words do
-    def second_least(curve):
-        rotations = sorted({curve[i:] + curve[:i] for i in range(len(curve))})
-        return rotations[1] if len(rotations) > 1 else curve
-
     monkeypatch.setattr(import_module("ribbonforge.presentation"), "_min_rotation",
-                        second_least)
-    monkeypatch.setattr(moves, "_min_rotation", second_least)
+                        _second_least)
+    monkeypatch.setattr(moves, "_min_rotation", _second_least)
     for pinned in (test_splice_curve_words_are_pinned, test_single_label_dual_words_are_pinned):
         with pytest.raises(AssertionError):
             pinned()
+
+
+@st.composite
+def _raw_curves(draw):
+    """Raw curves of up to 7 edges, bare curves included, each arrow's
+    direction drawn; and a label, a label set and a curve to act on."""
+    count = draw(st.integers(0, 7))
+    arrows = [Arrow(f"e{i // 2}", draw(st.booleans())) for i in range(2 * count)]
+    arrows = draw(st.permutations(arrows))
+    cuts = sorted(draw(st.lists(st.integers(0, len(arrows)), max_size=3)))
+    bounds = [0, *cuts, len(arrows)]
+    curves = [arrows[a:b] for a, b in zip(bounds, bounds[1:])]
+    labels = [f"e{i}" for i in range(count)]
+    label = draw(st.sampled_from(labels)) if labels else None
+    chosen = draw(st.sets(st.sampled_from(labels))) if labels else set()
+    return curves, label, chosen, draw(st.integers(0, len(curves) - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_raw_curves())
+def test_every_stored_curve_is_its_least_rotation(case):
+    _check_least_rotations(*case)
+
+
+@pytest.mark.parametrize("modules", [["presentation", "moves"], ["moves"]],
+                         ids=["everywhere", "splices only"])
+def test_a_planted_second_least_rotation_fails_the_least_rotation_property(
+    monkeypatch, modules
+):
+    for name in modules:
+        monkeypatch.setattr(import_module(f"ribbonforge.{name}"), "_min_rotation",
+                            _second_least)
+    with pytest.raises(AssertionError):
+        _check_least_rotations(build_B(5).curves, "e3", {"e3"}, 0)
+
+
+def _check_least_rotations(curves, label, chosen, vertex):
+    """Every curve that ``presentation``, ``partial_dual``, ``contract_edge``,
+    ``delete_edge``, ``restriction`` and ``delete_vertex`` return is its own
+    least rotation, by brute force."""
+    g = presentation(curves)
+    results = [g, partial_dual(g, chosen), restriction(g, chosen)]
+    results.append(delete_vertex(g, vertex))
+    if label is not None:
+        results += [contract_edge(g, label), delete_edge(g, label)]
+    for result in results:
+        for curve in result.curves:
+            least = min((curve[i:] + curve[:i] for i in range(len(curve))), default=())
+            assert curve == least, (curves, label, chosen, vertex)
 
 
 def test_contract_edge_rejects_unknown_label_from_one_arrow_pass(monkeypatch):

@@ -46,6 +46,7 @@ from ribbonforge.presentation import _min_rotation, _slot_table
 
 # the module, which the package's ``presentation`` function shadows
 PRESENTATION = import_module("ribbonforge.presentation")
+LINKS = import_module("ribbonforge.links")
 
 
 def test_presentation_normalizes_rotation():
@@ -286,12 +287,11 @@ def test_threads_share_the_ring_safely():
     assert wrong == []
 
 
-# -- the block decomposition ----------------------------------------------------
+# -- blocks and separating vertices ---------------------------------------------
 
 
-def _component_count(n, ends, skip=None):
-    """Oracle: the components of the multigraph without edge ``skip``, by
-    union-find."""
+def _component_count(n, ends):
+    """Oracle: the components of the multigraph, by union-find."""
     parent = list(range(n))
 
     def find(x):
@@ -299,9 +299,8 @@ def _component_count(n, ends, skip=None):
             x = parent[x]
         return x
 
-    for i, (a, b) in enumerate(ends):
-        if i != skip:
-            parent[find(a)] = find(b)
+    for a, b in ends:
+        parent[find(a)] = find(b)
     return len({find(v) for v in range(n)})
 
 
@@ -322,49 +321,62 @@ def _simple_cycles(ends):
                 yield set(subset)
 
 
+def _blocks_by_cycles(ends):
+    """Oracle: the blocks of a multigraph as sets of edge indices, from
+    ``_simple_cycles``: edges that lie on a common simple cycle share a
+    block, a bridge is a block of its own, and a loop lies in no block."""
+    block = {i: {i} for i, (a, b) in enumerate(ends) if a != b}
+    for cycle in _simple_cycles(ends):
+        merged = set().union(*(block[i] for i in cycle))
+        for i in merged:
+            block[i] = merged
+    return list({min(b): b for b in block.values()}.values())
+
+
 @st.composite
-def _multigraphs(draw):
+def _ribbon_multigraphs(draw):
+    """A ribbon graph of up to 8 edges on up to 6 curves, loops and parallel
+    edges included, with ``ends[i]`` the curves of edge ``e{i}``."""
     n = draw(st.integers(1, 6))
     node = st.integers(0, n - 1)
-    return n, draw(st.lists(st.tuples(node, node), max_size=9))
+    ends = draw(st.lists(st.tuples(node, node), max_size=8))
+    words = [[] for _ in range(n)]
+    for i, (a, b) in enumerate(ends):
+        words[a].append(f"e{i}")
+        words[b].append(f"e{i}'" if draw(st.booleans()) else f"e{i}")
+    return from_words([draw(st.permutations(word)) for word in words]), ends
 
 
 @settings(max_examples=300, deadline=None)
-@given(_multigraphs())
-def test_blocks_match_the_bridge_and_cycle_oracles(graph):
-    _check_blocks(*graph)
+@given(_ribbon_multigraphs())
+def test_separating_vertices_match_the_block_oracle(graph):
+    _check_separating(*graph)
 
 
-def test_a_planted_parent_node_fault_fails_the_block_oracles(monkeypatch):
-    # _blocks skipping the parent node rather than the edge it came in by:
-    # of three parallel edges, one then reads as a bridge and two lie in no
+def test_a_planted_unskipped_vertex_fails_the_separating_oracle(monkeypatch):
+    # the vertex's own edges left in the parity pass: every far end then
+    # shares the vertex's component, so the middle of a path reads as one
     # block
-    source = inspect.getsource(PRESENTATION._blocks)
-    assert source.count("if i == via:") == 1
-    source = source.replace("if i == via:", "if len(stack) > 1 and w == stack[-2][0]:")
-    namespace = dict(vars(PRESENTATION))
+    source = inspect.getsource(LINKS.is_separating_vertex)
+    before = "for a, b in ends if index not in (a, b)]"
+    assert source.count(before) == 1
+    source = source.replace(before, "for a, b in ends]")
+    namespace = dict(vars(LINKS))
     exec(source, namespace)
-    monkeypatch.setattr(PRESENTATION, "_blocks", namespace["_blocks"])
+    patched = namespace["is_separating_vertex"]
+    monkeypatch.setattr(LINKS, "is_separating_vertex", patched)
     with pytest.raises(AssertionError):
-        _check_blocks(2, [(0, 1)] * 3)
+        _check_separating(from_words([["e0"], ["e0", "e1"], ["e1"]]), [(0, 1), (1, 2)])
 
 
-def _check_blocks(n, ends):
-    """``_blocks`` on a multigraph against the bridge and cycle oracles:
-    loops and parallel edges included, a bridge is an edge whose deletion
-    adds a component, and two edges share a block exactly when they lie on
-    a common simple cycle."""
-    blocks = PRESENTATION._blocks(n, ends)
-    block_of = {i: b for b, block in enumerate(blocks) for i in block}
-    assert sum(map(len, blocks)) == len(block_of)
-    assert sorted(block_of) == [i for i, (a, b) in enumerate(ends) if a != b]
-    whole = _component_count(n, ends)
-    for i, b in block_of.items():
-        assert (len(blocks[b]) == 1) == (_component_count(n, ends, i) > whole)
-    cycles = list(_simple_cycles(ends))
-    for i, j in combinations(sorted(block_of), 2):
-        on_one = any(i in cycle and j in cycle for cycle in cycles)
-        assert (block_of[i] == block_of[j]) == on_one, (ends, i, j)
+def _check_separating(g, ends):
+    """``is_separating_vertex`` at every curve against the definition: a
+    vertex separates when two or more blocks meet it, where each loop at it
+    is a block of its own and the other blocks are ``_blocks_by_cycles``'."""
+    blocks = _blocks_by_cycles(ends)
+    for v in range(g.vertex_count):
+        at = ends.count((v, v)) + sum(any(v in ends[i] for i in b) for b in blocks)
+        assert LINKS.is_separating_vertex(g, v) == (at >= 2), (ends, v)
 
 
 # -- the parity union-find ------------------------------------------------------
@@ -445,8 +457,8 @@ def _check_parity(n, edges):
     is no clash exactly when some side assignment satisfies every edge; a
     balanced component's sides are that assignment with its root at 0; the
     first clash is the first edge whose prefix has no such assignment; and
-    the ``_blocks`` blocks holding a clash are those with a cycle of odd
-    twist."""
+    the ``_blocks_by_cycles`` blocks holding a clash are those with a cycle
+    of odd twist."""
     root, side, clashes = PRESENTATION._parity(n, edges)
     assert root == _least_reachable(n, edges)
     assert (not clashes) == (_balanced(n, edges) is not None)
@@ -461,5 +473,5 @@ def _check_parity(n, edges):
     odd = [
         cycle for cycle in _simple_cycles(ends) if sum(edges[i][2] for i in cycle) % 2
     ]
-    for block in map(set, PRESENTATION._blocks(n, ends)):
+    for block in _blocks_by_cycles(ends):
         assert block.isdisjoint(clashes) == all(not cycle <= block for cycle in odd)
