@@ -10,10 +10,12 @@ Contraction and partial duality are one splice: a walk of the arc complex
 the set opened.  Opening an edge e removes its two arrows α and β and joins
 the loose ends by its free sides, from the head of α to the tail of β and
 from the head of β to the tail of α.  The affected curves fall apart into
-the cycles of the walk, each read off as the arrows on the cross arcs it
-takes: for contraction the free sides are bare, and for partial duality
-each carries a fresh e-labelled arrow pointing the way it is walked.  All
-other curves pass through unchanged.
+the cycles of the walk, each written during the walk itself
+(``surfaces._splice_words``) as the arrows on the cross arcs it takes: for
+contraction the free sides are bare, and for partial duality each carries
+a fresh e-labelled arrow pointing the way it is walked.  Only the new
+curves are then rotation-normalized; all other curves pass through
+unchanged.
 
 Partial duality over a set opens all of its edges in the one walk, as in
 Chmutov's construction of G^A, so it costs one pass over the affected curves
@@ -28,7 +30,7 @@ from typing import Collection, Iterable
 
 from .errors import UnknownLabel
 from .presentation import ArrowPresentation, _min_rotation, _slot_table
-from .surfaces import _cross_arrows, _opened, walk_arcs
+from .surfaces import _opened, _splice_words
 
 
 def _unknown(pres: ArrowPresentation, labels: list[str]) -> UnknownLabel:
@@ -68,11 +70,12 @@ def delete_edge(pres: ArrowPresentation, label: str) -> ArrowPresentation:
 def _splice(
     pres: ArrowPresentation, labels: Collection[str], dual: bool
 ) -> ArrowPresentation:
-    """Open every edge of ``labels`` in one walk; the new curves take the
-    place of the first affected curve.  The slot table finds the slots of
-    those labels, and refuses an absent label, or for a contraction run a
-    repeated one, as step by step.  Untouched curves are reused as they
-    are, and only the new ones are rotation-normalized."""
+    """Open every edge of ``labels`` in one walk, which writes the new
+    curves as it goes; they take the place of the first affected curve.
+    The slot table finds the slots of those labels, and refuses an absent
+    label, or for a contraction run a repeated one, as step by step.
+    Untouched curves are reused as they are, and only the new ones are
+    rotation-normalized."""
     if not labels:
         return pres
     table = _slot_table(pres)
@@ -86,11 +89,7 @@ def _splice(
     slots = [s for label in run for s in (first[label], mate[first[label]])]
     affected = sorted({table.curve[s] for s in slots})
     opened = _opened(table, affected, slots)
-    order, ends = walk_arcs(table, affected, opened)
-    new_curves = [
-        _min_rotation(_cross_arrows(table, opened, dual, order[b + 1:e:2]))
-        for b, e in zip([0, *ends], ends)
-    ]
+    new_curves = map(_min_rotation, _splice_words(table, affected, opened, dual))
     out: list = []
     hit = set(affected)
     for ci, curve in enumerate(pres.curves):

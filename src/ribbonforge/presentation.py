@@ -79,14 +79,19 @@ def _min_rotation(curve: Curve) -> Curve:
 
     That rotation begins with the least arrow, which a valid curve carries
     at most twice (each label occurs twice in the whole presentation), so
-    only the rotations starting there are compared: O(n) for n arrows.
+    only the rotations starting there are compared: ``min`` finds the least
+    arrow, and ``tuple.count`` and ``tuple.index`` its places, all in C, so
+    O(n) for n arrows.
     """
     if len(curve) < 2:
         return curve
     least = min(curve)
-    return min(
-        curve[i:] + curve[:i] for i, arrow in enumerate(curve) if arrow == least
-    )
+    i = curve.index(least)
+    best = curve[i:] + curve[:i]
+    for _ in range(curve.count(least) - 1):
+        i = curve.index(least, i + 1)
+        best = min(best, curve[i:] + curve[:i])
+    return best
 
 
 @dataclass(frozen=True, slots=True)

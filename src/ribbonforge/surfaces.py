@@ -7,11 +7,12 @@ by the *plain arc* from each arrow to the next along its curve and by each
 arrow itself, from tail to head, except that an *opened* edge replaces its
 two arrows α and β by its two *free sides*, which join {head α, tail β} and
 {head β, tail α}.  Each dart then lies on one plain arc and one *cross*
-arc, so the complex falls into cycles.  ``walk_arcs`` is the one walker of
-them that records their darts in order; it leaves every other dart by its
-plain arc and the rest by their cross arcs.  ``_cycle_count`` only counts
-them, in one pass over every dart, which any dart of a cycle may start.
-What the cycles give:
+arc, so the complex falls into cycles.  Two walkers follow them from the
+same first darts (``_starts``), leaving every other dart by its plain arc
+and the rest by their cross arcs: ``walk_arcs`` records their darts in
+order, and ``_splice_words`` writes the arrows on their cross arcs as it
+goes.  ``_cycle_count`` only counts them, in one pass over every dart,
+which any dart of a cycle may start.  What the cycles give:
 
 - with every edge opened, they are the boundary components, with one full
   circle more for every curve with no arrows: ``surface_summary`` counts
@@ -19,9 +20,10 @@ What the cycles give:
   and ``_steps`` reads off the same walk (``_surface_walk`` hands it on)
   the Euler genus and the orientability of every one-edge deletion and
   contraction, for the minor search;
-- with a set of edges opened on the curves carrying them, the arrows met
-  along each cycle (``_cross_arrows``) form one new curve of the splice
-  that contracts the set or takes the partial dual at it (see ``moves``);
+- with a set of edges opened on the curves carrying them, each cycle is
+  one new curve of the splice that contracts the set or takes the partial
+  dual at it (see ``moves``), which ``_splice_words`` writes in the one
+  walk from the arrows met on its cross arcs;
 - with a set A opened on every curve, they and the bare curves number
   f(V, A), the boundary components of the spanning subgraph (V, A).  The
   vertices of the partial dual G^A are the boundary components of (V, A)
@@ -48,7 +50,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InternalInvariantViolation
 from .presentation import (
@@ -76,54 +78,100 @@ def _node(table: _SlotTable, dart: int) -> Node:
     return ci, slot - table.start[ci], dart & 1
 
 
+def _starts(
+    table: _SlotTable, curves: Iterable[int], opened: Sequence[int], seen: list[int]
+) -> Iterator[int]:
+    """The first dart of each cycle of the arc complex of some curves, taken
+    in the order given, for a walker that marks its darts in ``seen``: the
+    least dart of its curve not yet walked, except that at the entry dart
+    of a curve's first arrow, when the curve has more than one arrow and
+    that edge is not opened, it starts one dart on, at the arrow's other
+    end, so that the cycle runs the way the curve is read."""
+    start, along = table.start, table.along
+    for ci in curves:
+        b, e = start[ci], start[ci + 1]
+        entry = 2 * b + 1 - along[b] if e - b > 1 and not opened[b] else -1
+        for first in range(2 * b, 2 * e):
+            if not seen[first]:
+                yield first ^ 1 if first == entry else first
+
+
 def walk_arcs(
     table: _SlotTable, curves: Iterable[int], opened: Sequence[int]
 ) -> tuple[list[int], list[int]]:
     """The cycles of the arc complex of some curves, with ``opened`` set at
     the slots of the opened edges: every dart of the curves in walking
     order, and the index in that list just past each cycle's last dart.
-
-    Curves are taken in the order given.  A cycle starts at the least dart
-    of its curve not yet walked and leaves it by the plain arc, except at
-    the entry dart of a curve's first arrow when the curve has more than one
-    arrow and that edge is not opened: there it starts one dart on, at the
-    arrow's other end, so that it runs the way the curve is read.  The arcs
-    alternate from there, so a cycle's odd places hold the darts it leaves
-    by their cross arcs.
-    """
-    start, _, along, nxt, prv, mate, _, _, _ = table
+    Each cycle leaves its first dart (``_starts``) by the plain arc, and the
+    arcs alternate from there, so its odd places hold the darts it leaves
+    by their cross arcs."""
+    _, _, along, nxt, prv, mate, _, _, _ = table
     order: list[int] = []
     ends: list[int] = []
     seen = [0] * (2 * len(mate))  # a list indexes faster than a bytearray
-    for ci in curves:
-        b, e = start[ci], start[ci + 1]
-        entry = 2 * b + 1 - along[b] if e - b > 1 and not opened[b] else -1
-        for first in range(2 * b, 2 * e):
-            if seen[first]:
-                continue
-            if first == entry:
-                first ^= 1
-            d = first
-            while True:
-                seen[d] = 1
-                order.append(d)
-                s = d >> 1
-                if d & 1 == along[s]:
-                    # the plain arc: an arrow along its curve is left at its head
-                    t = nxt[s]
-                    d = 2 * t + 1 - along[t]
-                else:
-                    t = prv[s]
-                    d = 2 * t + along[t]
-                seen[d] = 1
-                order.append(d)
-                # the cross arc: a free side to the mate slot, or the arrow
-                s = d >> 1
-                d = 2 * mate[s] + 1 - (d & 1) if opened[s] else d ^ 1
-                if d == first:
-                    break
-            ends.append(len(order))
+    for first in _starts(table, curves, opened, seen):
+        d = first
+        while True:
+            seen[d] = 1
+            order.append(d)
+            s = d >> 1
+            if d & 1 == along[s]:
+                # the plain arc: an arrow along its curve is left at its head
+                t = nxt[s]
+                d = 2 * t + 1 - along[t]
+            else:
+                t = prv[s]
+                d = 2 * t + along[t]
+            seen[d] = 1
+            order.append(d)
+            # the cross arc: a free side to the mate slot, or the arrow
+            s = d >> 1
+            d = 2 * mate[s] + 1 - (d & 1) if opened[s] else d ^ 1
+            if d == first:
+                break
+        ends.append(len(order))
     return order, ends
+
+
+def _splice_words(
+    table: _SlotTable, curves: Iterable[int], opened: Sequence[int], dual: bool
+) -> list[Curve]:
+    """The new curves of a splice, in walk order: the ``walk_arcs`` cycles,
+    each written as it is walked from the arrows on its cross arcs, pointing
+    the way it runs.  A closed edge's arrow runs forward when left at its
+    tail, and an opened edge's free side, which carries an arrow only when
+    ``dual`` is set, when left at its head; an arrow of the label that
+    already points that way is reused rather than built again."""
+    _, _, along, nxt, prv, mate, label, arrow, _ = table
+    words: list[Curve] = []
+    seen = [0] * (2 * len(mate))
+    for first in _starts(table, curves, opened, seen):
+        word = []
+        d = first
+        while True:
+            seen[d] = 1
+            s = d >> 1
+            if d & 1 == along[s]:
+                t = nxt[s]
+                d = 2 * t + 1 - along[t]
+            else:
+                t = prv[s]
+                d = 2 * t + along[t]
+            seen[d] = 1
+            s = d >> 1
+            forward = d & 1 == opened[s]
+            if dual or not opened[s]:
+                m = mate[s]
+                word.append(
+                    arrow[s] if along[s] == forward
+                    else arrow[m] if along[m] == forward
+                    else Arrow(label[s], forward)
+                )
+            d = 2 * mate[s] + 1 - (d & 1) if opened[s] else d ^ 1
+            if d == first:
+                break
+        words.append(tuple(word))
+    return words
 
 
 def _cycle_count(table: _SlotTable, opened: Sequence[int]) -> int:
@@ -212,30 +260,6 @@ def _opened(table: _SlotTable, curves: Iterable[int], slots: list[int]) -> list[
         if not flags[mate[s]]:
             raise InternalInvariantViolation(f"slot {s} opened without its mate")
     return flags
-
-
-def _cross_arrows(
-    table: _SlotTable, opened: Sequence[int], dual: bool, darts: Iterable[int]
-) -> Curve:
-    """The arrows on the cross arcs leaving ``darts``, each pointing the way
-    the walk runs: a closed edge's arrow runs forward from its tail, and an
-    opened edge's free side, which carries an arrow only when ``dual`` is
-    set, from the head it leaves.  An arrow of the label that already
-    points that way is reused rather than built again."""
-    along, mate, label, arrow = table.along, table.mate, table.label, table.arrow
-    out = []
-    for d in darts:
-        s = d >> 1
-        if opened[s] and not dual:
-            continue
-        forward = d & 1 == opened[s]
-        m = mate[s]
-        out.append(
-            arrow[s] if along[s] == forward
-            else arrow[m] if along[m] == forward
-            else Arrow(label[s], forward)
-        )
-    return tuple(out)
 
 
 def trace_boundary(pres: ArrowPresentation):

@@ -147,6 +147,31 @@ def test_a_planted_bare_vertex_fault_fails_criterion_2(monkeypatch):
     )
 
 
+def test_a_planted_direction_flip_fault_fails_criteria_3_and_4(monkeypatch):
+    # the splice walker writes a closed edge's stored arrow whichever way
+    # the walk runs through it, dropping its direction flip: a splice that
+    # reverses a curve's reading twists or untwists that edge.  The cached
+    # minor targets are built before the fault, so that no later test reads
+    # them wrong
+    minors._b3_theta_t()
+    source = inspect.getsource(surfaces._splice_words)
+    pick = "arrow[s] if along[s] == forward\n"
+    assert source.count(pick) == 1
+    namespace = dict(vars(surfaces))
+    exec(source.replace(pick, "arrow[s] if along[s] == forward or not opened[s]\n"),
+         namespace)
+    monkeypatch.setattr(moves, "_splice_words", namespace["_splice_words"])
+    details = {}
+    for number in (3, 4):
+        result = run_criterion(number)
+        assert not result.passed
+        details[number] = result.details
+    assert details == {
+        3: "dual of the toroidal theta at e2 is not B3",
+        4: "G='e1 e2 e1 e2': orientability changed under dual at ['e1']",
+    }
+
+
 def test_the_genus_walk_reaches_each_class_at_its_keyed_first_step():
     # criterion 4 walks every one-step minor unkeyed; its first step into
     # each class must be the step one_step_minors keeps for that class

@@ -14,13 +14,16 @@ from growth import exponent
 from ribbonforge import (
     Arrow,
     all_A_ribbon_graph,
+    build_B,
     from_words,
     is_separating_vertex,
     parse_pd,
+    partial_dual,
     represents_link,
     surface_summary,
 )
 from ribbonforge.links import _bouquet_reduction
+from ribbonforge.moves import _contract_edges
 from ribbonforge.presentation import _min_rotation, _parity
 from ribbonforge.surfaces import _steps, _surface_walk
 
@@ -165,10 +168,15 @@ def test_a_planted_all_rotations_fault_fails_the_rotation_count():
     # min over every rotation: the same answer, and the same line count up
     # to a constant, from n rotations
     source = inspect.getsource(PRESENTATION._min_rotation)
-    before = "for i, arrow in enumerate(curve) if arrow == least"
-    assert source.count(before) == 1
+    plants = {
+        "range(curve.count(least) - 1)": "range(len(curve) - 1)",
+        "curve.index(least, i + 1)": "(i + 1) % len(curve)",
+    }
+    for before, after in plants.items():
+        assert source.count(before) == 1
+        source = source.replace(before, after)
     namespace = dict(vars(PRESENTATION))
-    exec(source.replace(before, "for i in range(len(curve))"), namespace)
+    exec(source, namespace)
     assert _rotations_built(namespace["_min_rotation"], 1000) > 2
 
 
@@ -211,4 +219,22 @@ def test_a_contraction_genus_question_is_linear_on_plane_bouquets():
     # one parity pass over the other edges
     sizes = [1000, 2000, 4000, 8000]
     growth = exponent(lambda genus: genus("a0", True), _plane_bouquet_genus, sizes)
+    assert growth <= 1.15
+
+
+def _bouquet_and_half(n):
+    """The bouquet B_n and a seeded random half of its labels."""
+    g = build_B(n)
+    return g, random.Random(n).sample(g.labels(), n // 2)
+
+
+def test_a_partial_dual_is_linear_on_bouquets():
+    sizes = [1001, 2001, 4001, 8001]
+    growth = exponent(lambda args: partial_dual(*args), _bouquet_and_half, sizes)
+    assert growth <= 1.15
+
+
+def test_a_contraction_run_is_linear_on_bouquets():
+    sizes = [1001, 2001, 4001, 8001]
+    growth = exponent(lambda args: _contract_edges(*args), _bouquet_and_half, sizes)
     assert growth <= 1.15

@@ -162,13 +162,13 @@ def test_delete_edge_rejects_unknown_label_from_one_arrow_pass(monkeypatch):
 
 def test_partial_dual_over_a_set_is_one_walk(monkeypatch):
     calls = []
-    walk = moves.walk_arcs
+    walk = moves._splice_words
 
     def counted(*args):
         calls.append(args)
         return walk(*args)
 
-    monkeypatch.setattr(moves, "walk_arcs", counted)
+    monkeypatch.setattr(moves, "_splice_words", counted)
     partial_dual(build_B(7), {"e1", "e2", "e4", "e6"})
     assert len(calls) == 1
 

@@ -37,7 +37,6 @@ from ribbonforge import (
 )
 from ribbonforge.presentation import _slot_table, _trusted
 from ribbonforge.surfaces import (
-    _cross_arrows,
     _cycle_count,
     _dual_genus,
     _node,
@@ -180,20 +179,20 @@ def openings(pres, rng):
 
 
 def node_walk_arcs(pres, curve_indices, opened, sides_labelled):
-    """``walk_arcs`` called with the flags of (curve, position) slots, as a
-    splice calls it, each cycle's darts read back as (curve, position, end)
-    nodes and its arrows as the splice reads them, to compare with the
-    oracle."""
+    """``walk_arcs`` and the splice walker ``_splice_words`` called with the
+    flags of (curve, position) slots, as a splice calls them: each cycle's
+    darts read back as (curve, position, end) nodes, and its arrows as the
+    splice writes them, in walk order, to compare with the oracle."""
     table = _slot_table(pres)
     slots = [table.start[c] + p for pair in opened.values() for c, p in pair]
     flags = _opened(table, curve_indices, slots)
     order, ends = SURFACES.walk_arcs(table, curve_indices, flags)
+    words = SURFACES._splice_words(table, curve_indices, flags, sides_labelled)
+    cycles = list(zip([0, *ends], ends))
+    assert len(words) == len(cycles)
     return [
-        (
-            [_node(table, d) for d in order[b:e]],
-            list(_cross_arrows(table, flags, sides_labelled, order[b + 1:e:2])),
-        )
-        for b, e in zip([0, *ends], ends)
+        ([_node(table, d) for d in order[b:e]], list(word))
+        for (b, e), word in zip(cycles, words)
     ]
 
 
@@ -234,19 +233,32 @@ def test_walk_matches_the_arc_list_oracle():
 
 
 def test_a_planted_least_dart_start_fails_the_walk_oracle(monkeypatch):
-    # walk_arcs without the entry exception, starting every cycle at its
-    # least dart: a cycle through a curve's closed first arrow then runs
-    # against the way the curve is read.  Cycles and their places stay, so
-    # boundary counts, the spanning table and the step oracle do not see
-    # it, and a splice stays equivalent, so no acceptance criterion does;
-    # the arc-list oracle does
-    source = inspect.getsource(SURFACES.walk_arcs)
+    # the shared start rule without the entry exception, so that both
+    # walkers start every cycle at its least dart: a cycle through a curve's
+    # closed first arrow then runs against the way the curve is read.
+    # Cycles and their places stay, so boundary counts, the spanning table
+    # and the step oracle do not see it, and a splice stays equivalent, so
+    # no acceptance criterion does; the arc-list oracle does
+    source = inspect.getsource(SURFACES._starts)
     rule = "entry = 2 * b + 1 - along[b] if e - b > 1 and not opened[b] else -1"
     assert source.count(rule) == 1
     namespace = dict(vars(SURFACES))
     exec(source.replace(rule, "entry = -1"), namespace)
-    for module in (SURFACES, import_module("ribbonforge.moves")):
-        monkeypatch.setattr(module, "walk_arcs", namespace["walk_arcs"])
+    monkeypatch.setattr(SURFACES, "_starts", namespace["_starts"])
+    with pytest.raises(AssertionError):
+        test_walk_matches_the_arc_list_oracle()
+
+
+def test_a_planted_direction_flip_fault_fails_the_walk_oracle(monkeypatch):
+    # the splice walker writes a closed edge's stored arrow whichever way
+    # the walk runs through it, dropping its direction flip
+    source = inspect.getsource(SURFACES._splice_words)
+    pick = "arrow[s] if along[s] == forward\n"
+    assert source.count(pick) == 1
+    namespace = dict(vars(SURFACES))
+    exec(source.replace(pick, "arrow[s] if along[s] == forward or not opened[s]\n"),
+         namespace)
+    monkeypatch.setattr(SURFACES, "_splice_words", namespace["_splice_words"])
     with pytest.raises(AssertionError):
         test_walk_matches_the_arc_list_oracle()
 
