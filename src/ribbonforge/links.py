@@ -47,14 +47,13 @@ from .presentation import (
     _group_by_root,
     _parity,
     _slot_table,
-    _SlotTable,
     _trusted,
     component_count,
     curve_forest,
     restriction,
 )
 from .oddcycles import _colour_word, _interlaced, _odd_cycle
-from .surfaces import _dual_genus, is_orientable, surface_summary, walk_arcs
+from .surfaces import _dual_genus, _open, is_orientable, surface_summary, walk_arcs
 
 # -- PD codes ----------------------------------------------------------------
 
@@ -386,16 +385,6 @@ def _pattern_certificate(
     b3, theta_t = _b3_theta_t()
     name, target = ("b3", b3) if even else ("theta_t", theta_t)
     return verified_script(pres, steps + reduction, target), name
-
-
-def _open(table: _SlotTable, labels: Iterable[str]) -> list[int]:
-    """The walker's slot flags that open the edges of ``labels``."""
-    first, mate = table.first, table.mate
-    opened = [0] * len(mate)
-    for label in labels:
-        s = first[label]
-        opened[s] = opened[mate[s]] = 1
-    return opened
 
 
 def represents_link(

@@ -30,7 +30,7 @@ from typing import Collection, Iterable
 
 from .errors import UnknownLabel
 from .presentation import ArrowPresentation, _min_rotation, _slot_table
-from .surfaces import _opened, _splice_words
+from .surfaces import _open, _splice_words
 
 
 def _unknown(pres: ArrowPresentation, labels: list[str]) -> UnknownLabel:
@@ -79,16 +79,17 @@ def _splice(
     if not labels:
         return pres
     table = _slot_table(pres)
-    first, mate = table.first, table.mate
+    first, mate, curve_of = table.first, table.mate, table.curve
     run = set(labels)
     if not first.keys() >= run or len(run) < len(labels):
         if not dual:
             raise _unknown(pres, labels)
-        missing = sorted(run - first.keys())
+        missing = sorted(map(str, run - first.keys()))
         raise UnknownLabel(f"labels not present: {', '.join(missing)}")
-    slots = [s for label in run for s in (first[label], mate[first[label]])]
-    affected = sorted({table.curve[s] for s in slots})
-    opened = _opened(table, affected, slots)
+    affected = sorted(
+        {curve_of[s] for label in run for s in (first[label], mate[first[label]])}
+    )
+    opened = _open(table, run)
     new_curves = map(_min_rotation, _splice_words(table, affected, opened, dual))
     out: list = []
     hit = set(affected)

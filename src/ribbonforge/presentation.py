@@ -461,7 +461,8 @@ def restriction(pres: ArrowPresentation, labels: Iterable[str]) -> ArrowPresenta
     keep = set(labels)
     unknown = keep - set(pres.labels())
     if unknown:
-        raise UnknownLabel(f"labels not present: {', '.join(sorted(unknown))}")
+        missing = sorted(map(str, unknown))
+        raise UnknownLabel(f"labels not present: {', '.join(missing)}")
     curves = []
     for curve in pres.curves:
         touched = [a for a in curve if a.label in keep]

@@ -7,35 +7,41 @@ by the *plain arc* from each arrow to the next along its curve and by each
 arrow itself, from tail to head, except that an *opened* edge replaces its
 two arrows α and β by its two *free sides*, which join {head α, tail β} and
 {head β, tail α}.  Each dart then lies on one plain arc and one *cross*
-arc, so the complex falls into cycles.  Two walkers follow them from the
-same first darts (``_starts``), leaving every other dart by its plain arc
-and the rest by their cross arcs: ``walk_arcs`` records their darts in
-order, and ``_splice_words`` writes the arrows on their cross arcs as it
-goes.  ``_cycle_count`` only counts them, in one pass over every dart,
-which any dart of a cycle may start.  What the cycles give:
+arc, so the complex falls into cycles; ``_open`` sets the walkers' flags
+for a set of labels.  Each cycle leaves its first dart by its plain arc,
+and the arcs alternate from there.  Three walkers follow them, one per job:
 
-- with every edge opened, they are the boundary components, with one full
-  circle more for every curve with no arrows: ``surface_summary`` counts
-  them, ``trace_boundary`` turns them into (curve, position, end) nodes,
-  and ``_steps`` reads off the same walk (``_surface_walk`` hands it on)
-  the Euler genus and the orientability of every one-edge deletion and
-  contraction, for the minor search;
-- with a set of edges opened on the curves carrying them, each cycle is
-  one new curve of the splice that contracts the set or takes the partial
-  dual at it (see ``moves``), which ``_splice_words`` writes in the one
-  walk from the arrows met on its cross arcs;
-- with a set A opened on every curve, they and the bare curves number
-  f(V, A), the boundary components of the spanning subgraph (V, A).  The
-  vertices of the partial dual G^A are the boundary components of (V, A)
-  and its faces those of (V, E − A) (Chmutov, JCTB 2009), so
-  ε(G^A) = 2k + e − f(V, A) − f(V, E − A) with no G^A built:
+- ``walk_arcs`` records their darts in order, for the two readers of dart
+  order: ``trace_boundary``, which turns the boundary components into
+  (curve, position, end) nodes, and ``links.represents_link``, which reads
+  the word of each component's spanning-tree partial dual;
+- ``_splice_words`` writes the arrows on their cross arcs as it goes, one
+  new curve per cycle, for the splice that contracts a set of edges or
+  takes the partial dual at it (see ``moves``).  It walks only the curves
+  carrying the set and starts where ``walk_arcs`` does (``_starts``);
+- ``_cycles`` counts them, in one pass over every dart, starting each at
+  its least dart, and marks each dart with its cycle, negated where the
+  cycle leaves it by its cross arc.  With every edge opened, the cycles
+  are the boundary components, with one full circle more for every curve
+  with no arrows: ``_surface_walk`` counts them for ``surface_summary``,
+  and ``_steps`` reads off the same marks the Euler genus and the
+  orientability of every one-edge deletion and contraction, for the minor
+  search.  With a set A opened on every curve, they and the bare curves
+  number f(V, A), the boundary components of the spanning subgraph
+  (V, A).  The vertices of the partial dual G^A are the boundary
+  components of (V, A) and its faces those of (V, E − A) (Chmutov, JCTB
+  2009), so  ε(G^A) = 2k + e − f(V, A) − f(V, E − A)  with no G^A built:
   ``_dual_genus`` counts it for one A, for the decision's plane witness,
   and ``_spanning_boundaries`` counts f(V, A) for every A, for the minor
   search's floor on the least Euler genus of a partial dual.
 
+With every edge opened, ``_starts`` too starts each cycle at its least
+dart, so ``walk_arcs`` and ``_cycles`` number the cycles alike and the
+darts that ``_cycles`` marks negative are ``walk_arcs``' odd places.
+
 An edge is twisted when its two arrows point opposite ways.  The graph
 is orientable unless some cycle has an odd number of twisted edges.
-``surface_summary`` reads connected components and orientability from
+``_surface_walk`` reads connected components and orientability from
 ``_curve_roots``, the parity union-find ``_parity`` over the curve graph
 of the slot table that it walks; ``_steps`` asks the same union-find about
 each child; ``odd_twist_cycle`` finds such a cycle, for certificates, on
@@ -174,22 +180,24 @@ def _splice_words(
     return words
 
 
-def _cycle_count(table: _SlotTable, opened: Sequence[int]) -> int:
-    """The number of cycles of the arc complex of every curve, with
-    ``opened`` set at the slots of the opened edges: the cycles
-    ``walk_arcs`` gives, counted without recording them.  A cycle is the
-    same set of darts whichever dart it starts from, so each starts at the
-    least dart not yet walked, leaving it by its plain arc."""
+def _cycles(table: _SlotTable, opened: Sequence[int]) -> tuple[int, list[int]]:
+    """The cycles of the arc complex of every curve, with ``opened`` set at
+    the slots of the opened edges, as ``walk_arcs`` gives them but not
+    recorded: their number, and each dart's mark, c + 1 on the c-th cycle,
+    negated at the darts the cycle leaves by their cross arcs.  A cycle is
+    the same set of darts whichever dart it starts from, so each starts at
+    the least dart not yet walked, leaving it by its plain arc."""
     _, _, along, nxt, prv, mate, _, _, _ = table
-    seen = [0] * (2 * len(mate))
+    marks = [0] * (2 * len(mate))
     cycles = 0
-    for first in range(len(seen)):
-        if seen[first]:
+    for first in range(len(marks)):
+        if marks[first]:
             continue
         cycles += 1
+        cross = -cycles
         d = first
         while True:
-            seen[d] = 1
+            marks[d] = cycles
             s = d >> 1
             if d & 1 == along[s]:
                 t = nxt[s]
@@ -197,12 +205,12 @@ def _cycle_count(table: _SlotTable, opened: Sequence[int]) -> int:
             else:
                 t = prv[s]
                 d = 2 * t + along[t]
-            seen[d] = 1
+            marks[d] = cross
             s = d >> 1
             d = 2 * mate[s] + 1 - (d & 1) if opened[s] else d ^ 1
             if d == first:
                 break
-    return cycles
+    return cycles, marks
 
 
 def _bare(table: _SlotTable) -> int:
@@ -214,17 +222,17 @@ def _bare(table: _SlotTable) -> int:
 def _dual_genus(table: _SlotTable, opened: Sequence[int], k: int) -> int:
     """The Euler genus of the partial dual G^A of a graph with k connected
     components, A the edges whose slots ``opened`` sets, by Euler's formula
-    with v = f(V, A) and f = f(V, E − A): two ``_cycle_count`` walks, and
-    no G^A built."""
+    with v = f(V, A) and f = f(V, E − A): two ``_cycles`` walks, and no
+    G^A built."""
     bare = _bare(table)
-    v = _cycle_count(table, opened) + bare
-    f = _cycle_count(table, [1 - o for o in opened]) + bare
+    v = _cycles(table, opened)[0] + bare
+    f = _cycles(table, [1 - o for o in opened])[0] + bare
     return 2 * k + len(table.mate) // 2 - v - f
 
 
 def _spanning_boundaries(table: _SlotTable) -> list[int]:
     """f(V, A) for every subset A of the labels, indexed by the bitmask of A
-    over the sorted labels: the ``_cycle_count`` cycles with A's slots
+    over the sorted labels: the ``_cycles`` cycles with A's slots
     opened, plus the bare curves.
 
     The subsets are taken in Gray-code order, so each walk follows the last
@@ -242,24 +250,18 @@ def _spanning_boundaries(table: _SlotTable) -> list[int]:
             s = slots[bit]
             opened[s] = opened[mate[s]] = 1 - opened[s]
             mask ^= 1 << bit
-        out[mask] = _cycle_count(table, opened) + bare
+        out[mask] = _cycles(table, opened)[0] + bare
     return out
 
 
-def _opened(table: _SlotTable, curves: Iterable[int], slots: list[int]) -> list[int]:
-    """The walker's per-slot flags for opening ``slots``, both slots of each
-    opened edge, all on ``curves``; anything else is refused."""
-    curve, mate = table.curve, table.mate
-    given = set(curves)
-    flags = [0] * len(curve)
-    for s in slots:
-        if not 0 <= s < len(curve) or flags[s] or curve[s] not in given:
-            raise InternalInvariantViolation(f"bad slot {s} for an opened edge")
-        flags[s] = 1
-    for s in slots:
-        if not flags[mate[s]]:
-            raise InternalInvariantViolation(f"slot {s} opened without its mate")
-    return flags
+def _open(table: _SlotTable, labels: Iterable[str]) -> list[int]:
+    """The walker's slot flags that open the edges of ``labels``."""
+    first, mate = table.first, table.mate
+    opened = [0] * len(mate)
+    for label in labels:
+        s = first[label]
+        opened[s] = opened[mate[s]] = 1
+    return opened
 
 
 def trace_boundary(pres: ArrowPresentation):
@@ -271,13 +273,13 @@ def trace_boundary(pres: ArrowPresentation):
     indices containing its two free sides.
     """
     table = _slot_table(pres)
-    walk = walk_arcs(table, range(len(pres.curves)), [1] * len(table.mate))
-    order, ends = walk
+    opened = [1] * len(table.mate)
+    order, ends = walk_arcs(table, range(len(pres.curves)), opened)
     walks: list[Walk] = [
         tuple(_node(table, d) for d in order[b:e]) for b, e in zip([0, *ends], ends)
     ]
     walks.extend(("vertex", i) for i, curve in enumerate(pres.curves) if not curve)
-    walk_of, mate = _walk_of(walk), table.mate
+    walk_of, mate = [abs(m) - 1 for m in _cycles(table, opened)[1]], table.mate
     edge_walks = {
         label: tuple(sorted((walk_of[2 * s + 1], walk_of[2 * mate[s] + 1])))
         for label, s in sorted(table.first.items())
@@ -363,19 +365,21 @@ class SurfaceSummary:
         return asdict(self)
 
 
-def _summary(
-    pres: ArrowPresentation, table: _SlotTable, cycles: int
-) -> SurfaceSummary:
-    """The surface summary of ``pres`` from its slot table and the number
-    of cycles of its arc complex with every edge opened.
+def _surface_walk(
+    pres: ArrowPresentation,
+) -> tuple[SurfaceSummary, _SlotTable, tuple[int, list[int]]]:
+    """The surface summary of ``pres``, with the slot table and the all-open
+    ``_cycles`` it was read from, for ``_steps`` to reuse.
 
     Boundary components, connected components and orientability come from
     the one slot table: the cycles, plus one more component of both kinds
     for every bare curve.  Euler-formula sanity checks raise
     ``InternalInvariantViolation``.
     """
+    table = _slot_table(pres)
+    walk = _cycles(table, [1] * len(table.mate))
     root, orientable = _curve_roots(table)
-    f = pres.curves.count(()) + cycles
+    f = pres.curves.count(()) + walk[0]
     v = pres.vertex_count
     e = pres.edge_count
     k = len(set(root))
@@ -389,46 +393,23 @@ def _summary(
             f"odd Euler genus {euler_genus} on an orientable surface"
         )
     genus = euler_genus // 2 if orientable else euler_genus
-    return SurfaceSummary(v, e, f, k, euler_genus, genus, orientable)
-
-
-def _surface_walk(
-    pres: ArrowPresentation,
-) -> tuple[SurfaceSummary, _SlotTable, tuple[list[int], list[int]]]:
-    """The surface summary of ``pres`` with the slot table and the all-open
-    ``walk_arcs`` cycles it was read from, for ``_steps`` to reuse."""
-    table = _slot_table(pres)
-    walk = walk_arcs(table, range(len(pres.curves)), [1] * len(table.mate))
-    return _summary(pres, table, len(walk[1])), table, walk
+    return SurfaceSummary(v, e, f, k, euler_genus, genus, orientable), table, walk
 
 
 @lru_cache(maxsize=1 << 18)
 def surface_summary(pres: ArrowPresentation) -> SurfaceSummary:
     """Vertex/edge/boundary counts and genus, with Euler-formula sanity
-    checks (``_summary``), cached per presentation; the boundary walks are
-    only counted (``_cycle_count``)."""
-    table = _slot_table(pres)
-    return _summary(pres, table, _cycle_count(table, [1] * len(table.mate)))
-
-
-def _walk_of(walk: tuple[list[int], list[int]]) -> list[int]:
-    """Each dart's cycle, by index, among the ``walk_arcs`` cycles of every
-    curve."""
-    order, ends = walk
-    walk_of = [0] * len(order)
-    for w, (b, e) in enumerate(zip([0, *ends], ends)):
-        for d in order[b:e]:
-            walk_of[d] = w
-    return walk_of
+    checks (``_surface_walk``), cached per presentation."""
+    return _surface_walk(pres)[0]
 
 
 def _steps(
-    table: _SlotTable, walk: tuple[list[int], list[int]], gamma: int
+    table: _SlotTable, walk: tuple[int, list[int]], gamma: int
 ) -> tuple[Callable[[str, bool], int], Callable[[str, bool], bool]]:
     """The Euler genus and the orientability of deleting (False) or
     contracting (True) each label of G, as two tests read off G's slot
-    table, its all-open ``walk_arcs`` cycles and its Euler genus γ, as
-    ``_surface_walk`` gives them.
+    table, its all-open ``_cycles`` count and marks and its Euler genus γ,
+    as ``_surface_walk`` gives them.
 
     Contraction is deletion in the dual: (G/e)* = G* − e (Chmutov, JCTB
     2009), and duality keeps γ, the component count and orientability.  So
@@ -455,29 +436,26 @@ def _steps(
     whether e's ends stay joined, so that e is no bridge, and whether what
     is left is balanced: O(E) per question.
 
-    With every edge opened, ``walk_arcs`` gives each dart's walk, and as
-    each walk has even length, the darts at odd places are those it leaves
-    by their free sides.  Of e's first arrow, the side at the head leads to
-    the second arrow's tail and the side at the tail comes from the second
-    arrow's head, so the two sides run the same way exactly when both ends
-    of the first arrow are left by their free sides or neither is.
+    With every edge opened, a dart's ``_cycles`` mark m gives its walk,
+    |m| − 1, and whether the walk leaves it by its free side, m < 0.  Of
+    e's first arrow, the side at the head leads to the second arrow's tail
+    and the side at the tail comes from the second arrow's head, so the two
+    sides run the same way exactly when both ends of the first arrow are
+    left by their free sides or neither is.
     """
     curve, along, mate = table.curve, table.along, table.mate
-    walk_of = _walk_of(walk)
-    side = [0] * len(walk_of)
-    for d in walk[0][1::2]:
-        side[d] = 1
+    walks, marks = walk
     index, curve_edges, walk_edges = {}, [], []
     for label, s in table.first.items():
         t = mate[s]
         index[label] = len(curve_edges)
         curve_edges.append((curve[s], curve[t], along[s] != along[t]))
-        head = 2 * s + 1
-        same_way = side[head] == side[head - 1]
-        walk_edges.append((walk_of[head], walk_of[2 * t + 1], same_way))
+        head, tail = marks[2 * s + 1], marks[2 * s]
+        same_way = (head < 0) == (tail < 0)
+        walk_edges.append((abs(head) - 1, abs(marks[2 * t + 1]) - 1, same_way))
     # (node count, signed edges)
     graph = len(table.start) - 1, curve_edges
-    dual = len(walk[1]), walk_edges
+    dual = walks, walk_edges
 
     def genus(label: str, contracted: bool) -> int:
         near, far = (graph, dual) if contracted else (dual, graph)

@@ -43,7 +43,12 @@ def exponent(fn, make, sizes) -> float:
     """The largest exponent log(c₂ / c₁) / log(n₂ / n₁) between neighbouring
     sizes n₁ < n₂, where c is the line count of ``fn(make(n))``; the input
     is made outside the count."""
-    counts = [executed_lines(fn, make(n)) for n in sizes]
+    return slope([executed_lines(fn, make(n)) for n in sizes], sizes)
+
+
+def slope(counts, sizes) -> float:
+    """The largest exponent log(c₂ / c₁) / log(n₂ / n₁) between neighbouring
+    sizes n₁ < n₂ of the counts c."""
     return max(
         math.log(counts[i + 1] / counts[i]) / math.log(sizes[i + 1] / sizes[i])
         for i in range(len(sizes) - 1)

@@ -10,6 +10,8 @@ import inspect
 
 import pytest
 
+import ribbonforge.canonical as canonical
+import ribbonforge.enumeration as enumeration
 import ribbonforge.links as links
 import ribbonforge.minors as minors
 import ribbonforge.moves as moves
@@ -135,16 +137,35 @@ def test_a_planted_bare_vertex_fault_fails_criterion_2(monkeypatch):
     # vertices: a representable graph with a bare vertex has its plane
     # witness refused
     source = inspect.getsource(surfaces._dual_genus)
-    count = "v = _cycle_count(table, opened) + bare"
+    count = "v = _cycles(table, opened)[0] + bare"
     assert source.count(count) == 1
     namespace = dict(vars(surfaces))
-    exec(source.replace(count, "v = _cycle_count(table, opened)"), namespace)
+    exec(source.replace(count, "v = _cycles(table, opened)[0]"), namespace)
     monkeypatch.setattr(links, "_dual_genus", namespace["_dual_genus"])
     result = run_criterion(2)
     assert not result.passed
     assert result.details == (
         "raised InternalInvariantViolation: bipartite witness is not plane"
     )
+
+
+def test_a_planted_positive_cross_mark_fails_criteria_7_and_8(monkeypatch):
+    # the count walk marks the darts a cycle leaves by their cross arcs
+    # positive, as the rest: the step oracle then reads every edge's two
+    # free sides as run the same way, and the minor search meets a child
+    # whose genus its parent did not predict
+    source = inspect.getsource(surfaces._cycles)
+    assert source.count("cross = -cycles") == 1
+    namespace = dict(vars(surfaces))
+    exec(source.replace("cross = -cycles", "cross = cycles"), namespace)
+    monkeypatch.setattr(surfaces, "_cycles", namespace["_cycles"])
+    for number in (7, 8):
+        result = run_criterion(number)
+        assert not result.passed
+        assert result.details == (
+            "raised InternalInvariantViolation: Euler genus 0 where its parent"
+            " predicts 1"
+        )
 
 
 def test_a_planted_direction_flip_fault_fails_criteria_3_and_4(monkeypatch):
@@ -169,6 +190,38 @@ def test_a_planted_direction_flip_fault_fails_criteria_3_and_4(monkeypatch):
     assert details == {
         3: "dual of the toroidal theta at e2 is not B3",
         4: "G='e1 e2 e1 e2': orientability changed under dual at ['e1']",
+    }
+
+
+@pytest.fixture
+def fresh_keys():
+    """Drop the cached keys and enumeration layers before a planted key
+    fault, so that it is seen, and after it, so that no later test reads
+    them wrong."""
+    for cached in (canonical._component_key, enumeration._layer):
+        cached.cache_clear()
+    yield
+    for cached in (canonical._component_key, enumeration._layer):
+        cached.cache_clear()
+
+
+def test_a_planted_direction_blind_key_fails_five_criteria(monkeypatch, fresh_keys):
+    # the canonical code of a label's second arrow drops the direction its
+    # first arrow set, so that a twisted edge keys as an untwisted one.
+    # Criterion 1 still passes, on fewer pairs
+    source = inspect.getsource(canonical._render)
+    code = "code = v ^ a ^ 1"
+    assert source.count(code) == 1
+    namespace = dict(vars(canonical))
+    exec(source.replace(code, "code = (v & -2) ^ a ^ 1"), namespace)
+    monkeypatch.setattr(canonical, "_render", namespace["_render"])
+    results = {number: run_criterion(number) for number in criterion_numbers()}
+    assert {n for n, result in results.items() if not result.passed} == {2, 3, 7, 8, 10}
+    assert {n: results[n].details for n in (1, 3, 7, 10)} == {
+        1: "6657 (graph, subset) pairs agree",
+        3: "dual of the toroidal theta at e2 is not B3",
+        7: "G='e1 e1': orientable=False but twisted-loop minor found=True",
+        10: "generators disagree at 2 edges: 8 vs 14 classes",
     }
 
 

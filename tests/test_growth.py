@@ -9,7 +9,7 @@ from importlib import import_module
 
 import pytest
 from closures import braid_closure_pd
-from growth import exponent
+from growth import executed_lines, exponent, slope
 
 from ribbonforge import (
     Arrow,
@@ -24,8 +24,8 @@ from ribbonforge import (
 )
 from ribbonforge.links import _bouquet_reduction
 from ribbonforge.moves import _contract_edges
-from ribbonforge.presentation import _min_rotation, _parity
-from ribbonforge.surfaces import _steps, _surface_walk
+from ribbonforge.presentation import _min_rotation, _parity, _slot_table
+from ribbonforge.surfaces import _spanning_boundaries, _steps, _surface_walk
 
 # the module, which the package's ``presentation`` function shadows
 PRESENTATION = import_module("ribbonforge.presentation")
@@ -238,3 +238,15 @@ def test_a_contraction_run_is_linear_on_bouquets():
     sizes = [1001, 2001, 4001, 8001]
     growth = exponent(lambda args: _contract_edges(*args), _bouquet_and_half, sizes)
     assert growth <= 1.15
+
+
+def test_the_spanning_table_takes_linear_lines_per_subset_on_bouquets():
+    # its stated c·2^E·E lines: one walk of the 4E darts for each of the 2^E
+    # subsets, so the lines per subset grow linearly in E.  B_E keeps its
+    # shape as E grows, where the shape of a random graph does not
+    sizes = [6, 8, 10, 12]
+    per_subset = [
+        executed_lines(_spanning_boundaries, _slot_table(build_B(n))) / 2**n
+        for n in sizes
+    ]
+    assert slope(per_subset, sizes) <= 1.15

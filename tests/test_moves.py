@@ -160,6 +160,21 @@ def test_delete_edge_rejects_unknown_label_from_one_arrow_pass(monkeypatch):
     assert str(info.value) == "label 'zz' not present exactly twice"
 
 
+def test_labels_that_are_not_strings_are_refused_by_their_text():
+    # the missing labels are rendered and sorted as text, so a label that
+    # is not a string is named in the refusal, not a TypeError
+    for refuse in (partial_dual, restriction):
+        with pytest.raises(UnknownLabel) as info:
+            refuse(TORUS, [1])
+        assert str(info.value) == "labels not present: 1"
+        with pytest.raises(UnknownLabel) as info:
+            refuse(TORUS, ["a", 2, "zz", 10])
+        assert str(info.value) == "labels not present: 10, 2, zz"
+    with pytest.raises(UnknownLabel) as info:
+        contract_edge(TORUS, 1)
+    assert str(info.value) == "label 1 not present exactly twice"
+
+
 def test_partial_dual_over_a_set_is_one_walk(monkeypatch):
     calls = []
     walk = moves._splice_words

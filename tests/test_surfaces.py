@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from ribbonforge import (
     EMPTY,
     Arrow,
-    InternalInvariantViolation,
     boundary_component_count,
     build_B,
     build_Bbar1,
@@ -37,10 +36,10 @@ from ribbonforge import (
 )
 from ribbonforge.presentation import _slot_table, _trusted
 from ribbonforge.surfaces import (
-    _cycle_count,
+    _cycles,
     _dual_genus,
     _node,
-    _opened,
+    _open,
     _spanning_boundaries,
     _steps,
     _surface_walk,
@@ -180,12 +179,11 @@ def openings(pres, rng):
 
 def node_walk_arcs(pres, curve_indices, opened, sides_labelled):
     """``walk_arcs`` and the splice walker ``_splice_words`` called with the
-    flags of (curve, position) slots, as a splice calls them: each cycle's
-    darts read back as (curve, position, end) nodes, and its arrows as the
-    splice writes them, in walk order, to compare with the oracle."""
+    flags of the opened labels, as a splice calls them: each cycle's darts
+    read back as (curve, position, end) nodes, and its arrows as the splice
+    writes them, in walk order, to compare with the oracle."""
     table = _slot_table(pres)
-    slots = [table.start[c] + p for pair in opened.values() for c, p in pair]
-    flags = _opened(table, curve_indices, slots)
+    flags = _open(table, opened)
     order, ends = SURFACES.walk_arcs(table, curve_indices, flags)
     words = SURFACES._splice_words(table, curve_indices, flags, sides_labelled)
     cycles = list(zip([0, *ends], ends))
@@ -263,20 +261,34 @@ def test_a_planted_direction_flip_fault_fails_the_walk_oracle(monkeypatch):
         test_walk_matches_the_arc_list_oracle()
 
 
-def test_walk_refuses_malformed_openings():
-    g = from_words([["a", "a", "b"], ["b"], ["c", "c"]])
-    slots = _slots(g)
-    assert slots["b"] == [(0, 2), (1, 0)]
-    with pytest.raises(InternalInvariantViolation):
-        node_walk_arcs(g, [0], {"b": slots["b"]}, False)  # slot on curve 1
-    with pytest.raises(InternalInvariantViolation):
-        node_walk_arcs(g, [0, 1], {"b": [(0, 0), (1, 0)]}, False)  # (0, 0) is "a"
-    with pytest.raises(InternalInvariantViolation):
-        node_walk_arcs(g, [0, 1], {"b": [(0, 2), (0, 2)]}, False)  # one slot twice
-    opened = {"b": slots["b"]}
-    assert node_walk_arcs(g, [0, 1], opened, False) == one_dart_on(
-        g, reference_walk_arcs(g, [0, 1], opened, False)
-    )
+def _check_marks(g, chosen):
+    """The ``_cycles`` marks of g with the labels ``chosen`` opened against
+    the ``walk_arcs`` cycles of every curve: each dart's mark is its cycle
+    plus one, and with every edge opened it is negative exactly at the
+    cycles' odd places, the darts they leave by their free sides."""
+    table = _slot_table(g)
+    flags = _open(table, chosen)
+    count, marks = SURFACES._cycles(table, flags)
+    order, ends = walk_arcs(table, range(len(g.curves)), flags)
+    assert count == len(ends)
+    cycle, odd = [0] * len(order), [False] * len(order)
+    for c, (b, e) in enumerate(zip([0, *ends], ends)):
+        for i in range(b, e):
+            cycle[order[i]] = c
+            odd[order[i]] = i % 2 == 1
+    assert [abs(m) - 1 for m in marks] == cycle, (g.words(), chosen)
+    if set(chosen) == set(g.labels()):
+        assert [m < 0 for m in marks] == odd, g.words()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 32), st.integers(0, 10**6), st.data())
+def test_the_marks_number_the_walk_arcs_cycles(n, seed, data):
+    g = random_ribbon_graph(n, seed)
+    labels = g.labels()
+    drawn = data.draw(st.sets(st.sampled_from(labels))) if labels else set()
+    for chosen in (set(), drawn, set(labels)):
+        _check_marks(g, chosen)
 
 
 @st.composite
@@ -493,6 +505,30 @@ def test_a_planted_unskipped_edge_fails_the_step_genera_oracle(monkeypatch, name
         test_step_genera_by_kind(*case)
 
 
+def test_a_planted_positive_cross_mark_fails_the_step_and_mark_oracles(monkeypatch):
+    # the darts a cycle leaves by their cross arcs marked positive, as the
+    # rest are: the cycles and their count stay, so no surface summary sees
+    # it, but every edge's two free sides then read as run the same way
+    source = inspect.getsource(SURFACES._cycles)
+    assert source.count("cross = -cycles") == 1
+    namespace = dict(vars(SURFACES))
+    exec(source.replace("cross = -cycles", "cross = cycles"), namespace)
+    monkeypatch.setattr(SURFACES, "_cycles", namespace["_cycles"])
+    failed = set()
+    for name, words, label, deleted, contracted in STEP_CASES:
+        try:
+            test_step_genera_by_kind(words, label, deleted, contracted)
+        except AssertionError:
+            failed.add(name)
+    assert failed == {
+        "free sides run opposite ways", "bridge", "bridge to a bare end",
+        "non-loop", "separating loop", "separating loop with a bare arc",
+    }
+    g = build_B(3)
+    with pytest.raises(AssertionError):
+        _check_marks(g, g.labels())
+
+
 @st.composite
 def _step_graphs(draw):
     seed = draw(st.integers(0, 10**6))
@@ -575,7 +611,7 @@ def test_walk_with_a_set_opened_counts_the_spanning_boundary(g, data):
     for chosen in (set(), drawn, set(labels)):
         flags = bytes(label in chosen for label in table.label)
         _, ends = walk_arcs(table, range(len(g.curves)), flags)
-        assert _cycle_count(table, flags) == len(ends)
+        assert _cycles(table, flags)[0] == len(ends)
         spanning = _trusted([a for a in c if a.label in chosen] for c in g.curves)
         assert len(ends) + g.curves.count(()) == boundary_component_count(spanning)
 
