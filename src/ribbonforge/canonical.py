@@ -25,12 +25,14 @@ it keys each of those sets once.  ``canonical_key`` checks the size bound;
 a search that checked its own input, whose children are never larger, keys
 them through the unchecked ``_key``.
 
-A reading is a start slot and a direction: forward it walks the table's
-``nxt``, backward its ``prv`` with every arrow's direction flipped.  The
-relabelling is kept per slot, in a list of integers: when a label's first
-arrow is read, its number goes to its unread mate slot together with the
-direction that slot must match, and a list of those mate slots in number
-order gives the least label still waiting for its second arrow.
+A reading is a start slot and a direction, backward reading every arrow's
+direction flipped.  Either way the table's ``plain`` arc from the end an
+arrow points to as read enters the next slot, so both directions step
+alike.  The relabelling is kept per slot, in a list of integers: when a
+label's first arrow is read, its number goes to its unread mate slot
+together with the direction that slot must match, and a list of those mate
+slots in number order gives the least label still waiting for its second
+arrow.
 
 Within a component only the first curve read is a choice.  After it, some
 unread curve carries the second arrow of a label already numbered; let m be
@@ -64,11 +66,12 @@ def _first_starts(table, ci, second, least):
     """The readings of curve ``ci`` whose second code is ``least``, as
     (start slot, forward): forward from such a slot, backward from the one
     after it."""
+    along, plain = table.along, table.plain
     return [
         (t, forward)
         for s in range(table.start[ci], table.start[ci + 1])
         if second[s] == least
-        for t, forward in ((s, True), (table.nxt[s], False))
+        for t, forward in ((s, True), (plain[2 * s + along[s]] >> 1, False))
     ]
 
 
@@ -83,8 +86,8 @@ def _render(s, forward, table, tag, order, bound=None):
     twist.  Returns the encoding, or None as soon as its prefix is above
     ``bound``.
     """
-    along, mate = table.along, table.mate
-    step, back = (table.nxt, 0) if forward else (table.prv, 1)
+    along, plain, mate = table.along, table.plain, table.mate
+    back = not forward
     enc = []
     t = s
     while True:
@@ -103,7 +106,7 @@ def _render(s, forward, table, tag, order, bound=None):
             if code != bound[k]:
                 bound = None
         enc.append(code)
-        t = step[t]
+        t = plain[2 * t + a] >> 1
         if t == s:
             return tuple(enc)
 
@@ -120,11 +123,11 @@ def _component_key(pres: ArrowPresentation) -> bytes:
                 _component_key(ArrowPresentation(tuple(curves[i] for i in comp)))
                 for comp in _group_by_root(root)
             ))
-    _, curve_of, along, nxt, _, mate = table[:6]
+    curve_of, along, plain, mate = table.curve, table.along, table.plain, table.mate
 
     # the second code of the reading forward from each slot; -1 reads (1,)
-    second = [-1 if t == s else along[s] == along[t] if t == mate[s] else 3
-              for s, t in enumerate(nxt)]
+    second = [-1 if (t := plain[2 * s + a] >> 1) == s else a == along[t]
+              if t == mate[s] else 3 for s, a in enumerate(along)]
     least = min(second)
     # the least first readings, each with the relabelling it leaves
     first = None
@@ -135,7 +138,7 @@ def _component_key(pres: ArrowPresentation) -> bytes:
             continue
         tried.add(curve)
         for s, forward in _first_starts(table, ci, second, least):
-            tag, order = [-1] * len(nxt), []
+            tag, order = [-1] * len(mate), []
             piece = _render(s, forward, table, tag, order, first)
             if piece is None:
                 continue

@@ -70,17 +70,17 @@ def delete_edge(pres: ArrowPresentation, label: str) -> ArrowPresentation:
 def _splice(
     pres: ArrowPresentation, labels: Collection[str], dual: bool
 ) -> ArrowPresentation:
-    """Open every edge of ``labels`` in one walk, which writes the new
-    curves as it goes; they take the place of the first affected curve.
-    The slot table finds the slots of those labels, and refuses an absent
-    label, or for a contraction run a repeated one, as step by step.
-    Untouched curves are reused as they are, and only the new ones are
-    rotation-normalized."""
+    """Open every edge of ``labels``, a set for a dual and a run for a
+    contraction, in one walk, which writes the new curves as it goes; they
+    take the place of the first affected curve.  The slot table finds the
+    slots of those labels, and refuses an absent label, or for a
+    contraction run a repeated one, as step by step.  Untouched curves are
+    reused as they are, and only the new ones are rotation-normalized."""
     if not labels:
         return pres
     table = _slot_table(pres)
     first, mate, curve_of = table.first, table.mate, table.curve
-    run = set(labels)
+    run = labels if dual else set(labels)
     if not first.keys() >= run or len(run) < len(labels):
         if not dual:
             raise _unknown(pres, labels)

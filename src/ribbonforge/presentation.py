@@ -25,16 +25,17 @@ Everything read from the positions of arrows reads the *slot table*
 (``_slot_table``), the one index of them, built in one pass and kept for
 the last four presentations asked for; no reader mutates one.  The arrows
 are numbered curve by curve as slots 0, 1, ..., and each slot records its
-curve, its direction, the next and previous slot on its curve, the *mate*
-slot carrying the same label, and its label.  An end of an arrow is the
-*dart* 2·slot + end (0 = tail, 1 = head), so sorting darts sorts the
-(curve, position, end) nodes they stand for.  A label on other than two
-arrows, which only a bug inside the package can produce, is caught by every
-build.  Two passes over a graph read the table: ``_curve_roots`` gives
-each curve's component root and whether the curve graph is balanced,
-behind components, their counts and orientability; and ``curve_forest``
-gives the breadth-first trees, for spanning trees and the cycles of
-certificates.  ``_curve_roots`` reads ``_parity``, the one parity
+curve, its direction, the *mate* slot carrying the same label, and its
+label.  An end of an arrow is the *dart* 2·slot + end (0 = tail, 1 = head),
+so sorting darts sorts the (curve, position, end) nodes they stand for, and
+each dart records the far end of its *plain arc* to the next arrow along
+the curve, so that one lookup steps along a curve either way.  A label on
+other than two arrows, which only a bug inside the package can produce, is
+caught by every build.  Two passes over a graph read the table:
+``_curve_roots`` gives each curve's component root and whether the curve
+graph is balanced, behind components, their counts and orientability; and
+``curve_forest`` gives the breadth-first trees, for spanning trees and the
+cycles of certificates.  ``_curve_roots`` reads ``_parity``, the one parity
 union-find over a signed multigraph on numbered nodes, which separating
 vertices (``links.is_separating_vertex``, a component count of the graph
 less the vertex), the minor search's step oracle, the two-colouring of
@@ -225,7 +226,7 @@ def serialize_arp(pres: ArrowPresentation) -> str:
             lines.append("()")
             continue
         for arrow in curve:
-            if _TOKEN_RE.match(arrow.label) is None or arrow.label.endswith("'"):
+            if _TOKEN_RE.fullmatch(arrow.label) is None or arrow.label.endswith("'"):
                 raise ParseError(f"label {arrow.label!r} not serializable")
         lines.append(" ".join(a.label if a.along else a.label + "'" for a in curve))
     return "\n".join(lines)
@@ -245,16 +246,17 @@ class _SlotTable(NamedTuple):
 
     Curve c holds slots ``start[c]`` to ``start[c + 1] - 1`` in reading
     order.  Per slot: ``curve``, ``along`` (whether the arrow points along
-    its curve), ``nxt`` and ``prv`` (the next and previous slot on its curve),
-    ``mate`` (the other slot of its label), ``label`` and ``arrow`` itself.
+    its curve), ``mate`` (the other slot of its label), ``label`` and
+    ``arrow`` itself.  Per dart: ``plain``, the dart at the other end of its
+    plain arc, so that ``plain[2 * s + along[s]] >> 1`` is the next slot on
+    s's curve and ``plain[2 * s + 1 - along[s]] >> 1`` the previous one.
     ``first`` maps each label to its first slot.
     """
 
     start: list[int]
     curve: list[int]
     along: tuple[bool, ...]
-    nxt: list[int]
-    prv: list[int]
+    plain: list[int]
     mate: list[int]
     label: tuple[str, ...]
     arrow: tuple[Arrow, ...]
@@ -284,11 +286,16 @@ def _slot_table(pres: ArrowPresentation) -> _SlotTable:
     n = len(curve)
     arrow = tuple(chain.from_iterable(curves))
     label, along = zip(*arrow) if n else ((), ())
-    nxt = list(range(1, n + 1))
-    prv = list(range(-1, n - 1))
+    # an arrow along its curve is left at its head and entered at its tail,
+    # one against it the other way round
+    plain = [0] * (2 * n)
     for b, e in zip(start, start[1:]):
         if b != e:
-            nxt[e - 1], prv[b] = b, e - 1
+            d = 2 * e - 2 + along[e - 1]  # where the last arrow is left
+            for t in range(b, e):
+                x = 2 * t + 1 - along[t]  # where arrow t is entered
+                plain[d], plain[x] = x, d
+                d = x ^ 1
     mate = list(range(n))
     first: dict[str, int] = {}
     for t, lab in enumerate(label):
@@ -299,7 +306,7 @@ def _slot_table(pres: ArrowPresentation) -> _SlotTable:
             mate[u], mate[t] = t, u
     else:
         if 2 * len(first) == n:
-            table = _SlotTable(start, curve, along, nxt, prv, mate, label, arrow, first)
+            table = _SlotTable(start, curve, along, plain, mate, label, arrow, first)
             _RECENT = ((pres, table),) + recent[:3]
             return table
     # the first label, in order of first occurrence, on other than two arrows

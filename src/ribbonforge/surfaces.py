@@ -3,13 +3,15 @@
 Each arrow contributes two darts, its tail and its head, numbered from the
 slot table (see ``presentation``): dart 2·slot + end, with end 0 for the
 tail and 1 for the head.  The *arc complex* of some curves joins the darts
-by the *plain arc* from each arrow to the next along its curve and by each
-arrow itself, from tail to head, except that an *opened* edge replaces its
-two arrows α and β by its two *free sides*, which join {head α, tail β} and
-{head β, tail α}.  Each dart then lies on one plain arc and one *cross*
-arc, so the complex falls into cycles; ``_open`` sets the walkers' flags
-for a set of labels.  Each cycle leaves its first dart by its plain arc,
-and the arcs alternate from there.  Three walkers follow them, one per job:
+by two involutions, as the flag model of a graph on a surface does (Lando
+and Zvonkin, 2004): the *plain arc* from each arrow to the next along its
+curve, the slot table's ``plain``, and the *cross arc*, each arrow itself
+from tail to head, except that an *opened* edge replaces its two arrows α
+and β by its two *free sides*, which join {head α, tail β} and {head β,
+tail α}; ``_open`` sets the walkers' flags for a set of labels.  So the
+complex falls into cycles, each leaving its first dart by its plain arc,
+the arcs alternating from there.  Three walkers follow them, one per job,
+each taking a plain arc with one lookup:
 
 - ``walk_arcs`` records their darts in order, for the two readers of dart
   order: ``trace_boundary``, which turns the boundary components into
@@ -111,7 +113,7 @@ def walk_arcs(
     Each cycle leaves its first dart (``_starts``) by the plain arc, and the
     arcs alternate from there, so its odd places hold the darts it leaves
     by their cross arcs."""
-    _, _, along, nxt, prv, mate, _, _, _ = table
+    plain, mate = table.plain, table.mate
     order: list[int] = []
     ends: list[int] = []
     seen = [0] * (2 * len(mate))  # a list indexes faster than a bytearray
@@ -120,14 +122,7 @@ def walk_arcs(
         while True:
             seen[d] = 1
             order.append(d)
-            s = d >> 1
-            if d & 1 == along[s]:
-                # the plain arc: an arrow along its curve is left at its head
-                t = nxt[s]
-                d = 2 * t + 1 - along[t]
-            else:
-                t = prv[s]
-                d = 2 * t + along[t]
+            d = plain[d]  # the plain arc
             seen[d] = 1
             order.append(d)
             # the cross arc: a free side to the mate slot, or the arrow
@@ -148,7 +143,8 @@ def _splice_words(
     tail, and an opened edge's free side, which carries an arrow only when
     ``dual`` is set, when left at its head; an arrow of the label that
     already points that way is reused rather than built again."""
-    _, _, along, nxt, prv, mate, label, arrow, _ = table
+    along, plain, mate = table.along, table.plain, table.mate
+    label, arrow = table.label, table.arrow
     words: list[Curve] = []
     seen = [0] * (2 * len(mate))
     for first in _starts(table, curves, opened, seen):
@@ -156,13 +152,7 @@ def _splice_words(
         d = first
         while True:
             seen[d] = 1
-            s = d >> 1
-            if d & 1 == along[s]:
-                t = nxt[s]
-                d = 2 * t + 1 - along[t]
-            else:
-                t = prv[s]
-                d = 2 * t + along[t]
+            d = plain[d]
             seen[d] = 1
             s = d >> 1
             forward = d & 1 == opened[s]
@@ -187,7 +177,7 @@ def _cycles(table: _SlotTable, opened: Sequence[int]) -> tuple[int, list[int]]:
     negated at the darts the cycle leaves by their cross arcs.  A cycle is
     the same set of darts whichever dart it starts from, so each starts at
     the least dart not yet walked, leaving it by its plain arc."""
-    _, _, along, nxt, prv, mate, _, _, _ = table
+    plain, mate = table.plain, table.mate
     marks = [0] * (2 * len(mate))
     cycles = 0
     for first in range(len(marks)):
@@ -198,13 +188,7 @@ def _cycles(table: _SlotTable, opened: Sequence[int]) -> tuple[int, list[int]]:
         d = first
         while True:
             marks[d] = cycles
-            s = d >> 1
-            if d & 1 == along[s]:
-                t = nxt[s]
-                d = 2 * t + 1 - along[t]
-            else:
-                t = prv[s]
-                d = 2 * t + along[t]
+            d = plain[d]
             marks[d] = cross
             s = d >> 1
             d = 2 * mate[s] + 1 - (d & 1) if opened[s] else d ^ 1

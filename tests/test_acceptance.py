@@ -7,6 +7,7 @@ strings are pinned, so a criterion that passes on different counts fails.
 """
 
 import inspect
+from importlib import import_module
 
 import pytest
 
@@ -222,6 +223,47 @@ def test_a_planted_direction_blind_key_fails_five_criteria(monkeypatch, fresh_ke
         3: "dual of the toroidal theta at e2 is not B3",
         7: "G='e1 e1': orientable=False but twisted-loop minor found=True",
         10: "generators disagree at 2 edges: 8 vs 14 classes",
+    }
+
+
+@pytest.fixture
+def fresh_tables(fresh_keys):
+    """``fresh_keys``, and the cached surface summaries and target floors
+    too, for a planted slot-table fault that every reader sees."""
+    for cached in (surfaces.surface_summary, minors._least_dual_genus):
+        cached.cache_clear()
+    yield
+    for cached in (surfaces.surface_summary, minors._least_dual_genus):
+        cached.cache_clear()
+
+
+def test_a_planted_plain_arc_fault_fails_criteria_1_2_and_4(monkeypatch, fresh_tables):
+    # the one plain-arc rule pairs each arrow's entry dart with the next
+    # arrow's exit dart, as if every arrow pointed the other way.  It stays
+    # an involution, so every walk ends (one that is not loops for ever),
+    # but the walkers then step along each curve against the directions
+    # that the splices write.  The cached minor targets are built before
+    # the fault; the planted table keeps its own ring
+    minors._b3_theta_t()
+    presentation = import_module("ribbonforge.presentation")
+    source = inspect.getsource(presentation._slot_table)
+    for rule, planted in (
+        ("d = 2 * e - 2 + along[e - 1]", "d = 2 * e - 1 - along[e - 1]"),
+        ("x = 2 * t + 1 - along[t]", "x = 2 * t + along[t]"),
+    ):
+        assert source.count(rule) == 1
+        source = source.replace(rule, planted)
+    namespace = dict(vars(presentation), _RECENT=())
+    exec(source, namespace)
+    for module in (presentation, surfaces, canonical, moves, links):
+        monkeypatch.setattr(module, "_slot_table", namespace["_slot_table"])
+    results = {number: run_criterion(number) for number in criterion_numbers()}
+    assert {n for n, result in results.items() if not result.passed} == {1, 2, 4}
+    assert results[1].details.startswith("6 mismatches, e.g. ")
+    assert {n: results[n].details for n in (2, 4)} == {
+        2: "raised InternalInvariantViolation: Euler genus 0 where its parent"
+        " predicts 2",
+        4: "random graph 5: Euler genus rose along ('contract_edge', 'e1')",
     }
 
 

@@ -96,6 +96,15 @@ def test_parse_arp_rejects_bad_tokens():
         parse_arp("a ''")
 
 
+@pytest.mark.parametrize("label", ["a'", "a b", "#x", "()", "x-y", "a\n", "a\nb", "é"])
+def test_serialize_arp_refuses_labels_it_cannot_read_back(label):
+    # the whole label must be a token: one ending in a newline, which the
+    # token pattern's ``$`` lets through, would be written across two lines
+    g = presentation([[Arrow(label, True), Arrow(label, False)]])
+    with pytest.raises(ParseError, match="not serializable"):
+        serialize_arp(g)
+
+
 def test_parse_empty_text_gives_empty_presentation():
     assert parse_arp("") == EMPTY
     assert parse_arp("# nothing here") == EMPTY
