@@ -44,6 +44,7 @@ from .presentation import (
     Arrow,
     ArrowPresentation,
     _check_vertex,
+    _curve_graph,
     _group_by_root,
     _parity,
     _slot_table,
@@ -53,7 +54,7 @@ from .presentation import (
     restriction,
 )
 from .oddcycles import _colour_word, _interlaced, _odd_cycle
-from .surfaces import _dual_genus, _open, is_orientable, surface_summary, walk_arcs
+from .surfaces import _dual_genus, _open, _splice_words, is_orientable, surface_summary
 
 # -- PD codes ----------------------------------------------------------------
 
@@ -219,9 +220,7 @@ def is_separating_vertex(pres: ArrowPresentation, index: int) -> bool:
     the package can produce, raises ``InternalInvariantViolation``.
     """
     _check_vertex(pres, index)
-    table = _slot_table(pres)
-    curve, mate = table.curve, table.mate
-    ends = [(curve[s], curve[mate[s]]) for s in table.first.values()]
+    ends = [(a, b) for a, b, _ in _curve_graph(_slot_table(pres))]
     off = [(a, b, False) for a, b in ends if index not in (a, b)]
     root = _parity(len(pres.curves), off)[0]
     reached = {
@@ -394,14 +393,16 @@ def represents_link(
 
     The decision is polynomial: the graph must be orientable and, component
     by component, the interlacement graph of its spanning-tree partial dual
-    must be bipartite.  One walk of the arc complex reads every
-    component's spanning-tree partial dual as a word, which ``_colour_word``
-    two-colours without listing interlaced pairs; only a component that
-    fails lists its pairs, for ``_odd_cycle``'s chordless odd cycle, in
-    O(L + pairs) for its word of length L.  A positive answer carries a
-    witness W whose partial dual is checked to be plane without building
-    it: Euler's formula for G^W reads its vertices and faces as two cycle
-    counts on G's own slot table (``surfaces._dual_genus``).  A negative
+    must be bipartite.  One splice walk, the one ``partial_dual`` makes
+    (``surfaces._splice_words``), opens every spanning-tree edge and writes
+    each component's spanning-tree partial dual as the word of its one
+    curve, which ``_colour_word`` two-colours without listing interlaced
+    pairs; only a component that fails lists its pairs, for
+    ``_odd_cycle``'s chordless odd cycle, in O(L + pairs) for its word of
+    length L.  A positive answer carries a witness W whose partial dual is
+    checked to be plane without building it: Euler's formula for G^W reads
+    its vertices and faces as two cycle counts on G's own slot table
+    (``surfaces._dual_genus``).  A negative
     answer carries a verified minor certificate to one of the three
     forbidden patterns (unless ``certificates`` is off, which skips the
     extraction and its replay).  Certificates are explicit scripts,
@@ -426,18 +427,18 @@ def represents_link(
         for group in groups
         if pres.curves[group[0]]
     ]
-    # the spanning-tree partial dual of every component at once: one walk
-    # with the tree edges opened, one cycle per component in group order,
-    # whose cross arcs carry the arrows of its one curve
+    # the spanning-tree partial dual of every component at once: one splice
+    # walk with the tree edges opened, one new curve per component in group
+    # order
     opened = _open(table, chain.from_iterable(trees))
-    order, ends = walk_arcs(table, range(len(pres.curves)), opened)
-    if len(ends) != len(trees):
+    curves = _splice_words(table, range(len(pres.curves)), opened, True)
+    if len(curves) != len(trees):
         raise InternalInvariantViolation(
             "spanning-tree partial dual is not a one-vertex graph"
         )
     witness: list[str] = []
-    for tree, b, e in zip(trees, [0, *ends], ends):
-        word = [table.label[d >> 1] for d in order[b + 1:e:2]]
+    for tree, curve in zip(trees, curves):
+        word = [arrow.label for arrow in curve]
         colouring = _colour_word(word)
         if colouring is None:
             cycle = _odd_cycle(word)

@@ -35,12 +35,13 @@ caught by every build.  Two passes over a graph read the table:
 ``_curve_roots`` gives each curve's component root and whether the curve
 graph is balanced, behind components, their counts and orientability; and
 ``curve_forest`` gives the breadth-first trees, for spanning trees and the
-cycles of certificates.  ``_curve_roots`` reads ``_parity``, the one parity
-union-find over a signed multigraph on numbered nodes, which separating
-vertices (``links.is_separating_vertex``, a component count of the graph
-less the vertex), the minor search's step oracle, the two-colouring of
-interlacement graphs and the stack colouring of a one-vertex graph's word
-(``oddcycles``) read too.
+cycles of certificates.  ``_curve_roots`` runs ``_parity``, the one parity
+union-find over a signed multigraph on numbered nodes, over
+``_curve_graph``, the one builder of the signed curve graph's edge list.
+Separating vertices (``links.is_separating_vertex``, a component count of
+the graph less the vertex) and the minor search's step oracle read that
+list too; the two-colouring of interlacement graphs and the stack
+colouring of a one-vertex graph's word (``oddcycles``) read ``_parity``.
 """
 
 from __future__ import annotations
@@ -356,18 +357,23 @@ def _parity(
     return parent, side, clashes
 
 
+def _curve_graph(table: _SlotTable) -> list[tuple[int, int, bool]]:
+    """The signed curve graph, one edge per label in ``first``'s order: the
+    curves of the label's two arrows, twisted when they point opposite
+    ways."""
+    curve, along, mate = table.curve, table.along, table.mate
+    return [
+        (curve[s], curve[mate[s]], along[s] != along[mate[s]])
+        for s in table.first.values()
+    ]
+
+
 def _curve_roots(table: _SlotTable) -> tuple[list[int], bool]:
     """The root (least curve) of each curve's component, and whether the
     curves can be read so that every edge is untwisted, that is whether no
     cycle of the curve graph, a loop included, has an odd number of twisted
-    edges: ``_parity`` over the curve graph, where an edge is twisted when
-    its arrows point opposite ways."""
-    curve, along, mate = table.curve, table.along, table.mate
-    edges = [
-        (curve[s], curve[mate[s]], along[s] != along[mate[s]])
-        for s in table.first.values()
-    ]
-    root, _, clashes = _parity(len(table.start) - 1, edges)
+    edges: ``_parity`` over ``_curve_graph``."""
+    root, _, clashes = _parity(len(table.start) - 1, _curve_graph(table))
     return root, not clashes
 
 

@@ -13,14 +13,16 @@ complex falls into cycles, each leaving its first dart by its plain arc,
 the arcs alternating from there.  Three walkers follow them, one per job,
 each taking a plain arc with one lookup:
 
-- ``walk_arcs`` records their darts in order, for the two readers of dart
-  order: ``trace_boundary``, which turns the boundary components into
-  (curve, position, end) nodes, and ``links.represents_link``, which reads
-  the word of each component's spanning-tree partial dual;
 - ``_splice_words`` writes the arrows on their cross arcs as it goes, one
   new curve per cycle, for the splice that contracts a set of edges or
-  takes the partial dual at it (see ``moves``).  It walks only the curves
-  carrying the set and starts where ``walk_arcs`` does (``_starts``);
+  takes the partial dual at it (see ``moves``), and for
+  ``links.represents_link``, which reads the word of each component's
+  spanning-tree partial dual.  It is the one walker that takes a set of
+  curves, those carrying the set, and it starts each cycle where
+  ``_starts``, the one statement of the start rule, says;
+- ``trace_boundary`` opens every edge and records the darts of each cycle
+  in order as (curve, position, end) nodes, the boundary components,
+  numbering each dart with its component as it goes;
 - ``_cycles`` counts them, in one pass over every dart, starting each at
   its least dart, and marks each dart with its cycle, negated where the
   cycle leaves it by its cross arc.  With every edge opened, the cycles
@@ -36,10 +38,6 @@ each taking a plain arc with one lookup:
   ``_dual_genus`` counts it for one A, for the decision's plane witness,
   and ``_spanning_boundaries`` counts f(V, A) for every A, for the minor
   search's floor on the least Euler genus of a partial dual.
-
-With every edge opened, ``_starts`` too starts each cycle at its least
-dart, so ``walk_arcs`` and ``_cycles`` number the cycles alike and the
-darts that ``_cycles`` marks negative are ``walk_arcs``' odd places.
 
 An edge is twisted when its two arrows point opposite ways.  The graph
 is orientable unless some cycle has an odd number of twisted edges.
@@ -65,6 +63,7 @@ from .presentation import (
     Arrow,
     ArrowPresentation,
     Curve,
+    _curve_graph,
     _curve_roots,
     _group_by_root,
     _parity,
@@ -104,45 +103,17 @@ def _starts(
                 yield first ^ 1 if first == entry else first
 
 
-def walk_arcs(
-    table: _SlotTable, curves: Iterable[int], opened: Sequence[int]
-) -> tuple[list[int], list[int]]:
-    """The cycles of the arc complex of some curves, with ``opened`` set at
-    the slots of the opened edges: every dart of the curves in walking
-    order, and the index in that list just past each cycle's last dart.
-    Each cycle leaves its first dart (``_starts``) by the plain arc, and the
-    arcs alternate from there, so its odd places hold the darts it leaves
-    by their cross arcs."""
-    plain, mate = table.plain, table.mate
-    order: list[int] = []
-    ends: list[int] = []
-    seen = [0] * (2 * len(mate))  # a list indexes faster than a bytearray
-    for first in _starts(table, curves, opened, seen):
-        d = first
-        while True:
-            seen[d] = 1
-            order.append(d)
-            d = plain[d]  # the plain arc
-            seen[d] = 1
-            order.append(d)
-            # the cross arc: a free side to the mate slot, or the arrow
-            s = d >> 1
-            d = 2 * mate[s] + 1 - (d & 1) if opened[s] else d ^ 1
-            if d == first:
-                break
-        ends.append(len(order))
-    return order, ends
-
-
 def _splice_words(
     table: _SlotTable, curves: Iterable[int], opened: Sequence[int], dual: bool
 ) -> list[Curve]:
-    """The new curves of a splice, in walk order: the ``walk_arcs`` cycles,
-    each written as it is walked from the arrows on its cross arcs, pointing
-    the way it runs.  A closed edge's arrow runs forward when left at its
-    tail, and an opened edge's free side, which carries an arrow only when
-    ``dual`` is set, when left at its head; an arrow of the label that
-    already points that way is reused rather than built again."""
+    """The new curves of a splice, in walk order: the cycles of the arc
+    complex of some curves, with ``opened`` set at the slots of the opened
+    edges, each started by ``_starts`` and written as it is walked from the
+    arrows on its cross arcs, pointing the way it runs.  A closed edge's
+    arrow runs forward when left at its tail, and an opened edge's free
+    side, which carries an arrow only when ``dual`` is set, when left at
+    its head; an arrow of the label that already points that way is reused
+    rather than built again."""
     along, plain, mate = table.along, table.plain, table.mate
     label, arrow = table.label, table.arrow
     words: list[Curve] = []
@@ -172,11 +143,11 @@ def _splice_words(
 
 def _cycles(table: _SlotTable, opened: Sequence[int]) -> tuple[int, list[int]]:
     """The cycles of the arc complex of every curve, with ``opened`` set at
-    the slots of the opened edges, as ``walk_arcs`` gives them but not
-    recorded: their number, and each dart's mark, c + 1 on the c-th cycle,
-    negated at the darts the cycle leaves by their cross arcs.  A cycle is
-    the same set of darts whichever dart it starts from, so each starts at
-    the least dart not yet walked, leaving it by its plain arc."""
+    the slots of the opened edges, not recorded: their number, and each
+    dart's mark, c + 1 on the c-th cycle, negated at the darts the cycle
+    leaves by their cross arcs.  A cycle is the same set of darts whichever
+    dart it starts from, so each starts at the least dart not yet walked,
+    leaving it by its plain arc."""
     plain, mate = table.plain, table.mate
     marks = [0] * (2 * len(mate))
     cycles = 0
@@ -254,16 +225,30 @@ def trace_boundary(pres: ArrowPresentation):
     Returns ``(walks, edge_walks)`` where ``walks`` is a list of boundary
     components (cycles of nodes, or ``("vertex", i)`` markers for isolated
     vertices) and ``edge_walks`` maps each label to the sorted pair of walk
-    indices containing its two free sides.
+    indices containing its two free sides.  Each walk starts at its least
+    dart not yet walked, as ``_starts`` has it when no edge is closed.
     """
     table = _slot_table(pres)
-    opened = [1] * len(table.mate)
-    order, ends = walk_arcs(table, range(len(pres.curves)), opened)
-    walks: list[Walk] = [
-        tuple(_node(table, d) for d in order[b:e]) for b, e in zip([0, *ends], ends)
-    ]
+    plain, mate = table.plain, table.mate
+    walks: list[Walk] = []
+    walk_of = [-1] * (2 * len(mate))
+    for first in range(len(walk_of)):
+        if walk_of[first] >= 0:
+            continue
+        c, walk = len(walks), []
+        d = first
+        while True:
+            walk_of[d] = c
+            walk.append(_node(table, d))
+            d = plain[d]
+            walk_of[d] = c
+            walk.append(_node(table, d))
+            s = d >> 1
+            d = 2 * mate[s] + 1 - (d & 1)  # the free side to the mate slot
+            if d == first:
+                break
+        walks.append(tuple(walk))
     walks.extend(("vertex", i) for i, curve in enumerate(pres.curves) if not curve)
-    walk_of, mate = [abs(m) - 1 for m in _cycles(table, opened)[1]], table.mate
     edge_walks = {
         label: tuple(sorted((walk_of[2 * s + 1], walk_of[2 * mate[s] + 1])))
         for label, s in sorted(table.first.items())
@@ -427,18 +412,16 @@ def _steps(
     sides run the same way exactly when both ends of the first arrow are
     left by their free sides or neither is.
     """
-    curve, along, mate = table.curve, table.along, table.mate
+    mate = table.mate
     walks, marks = walk
-    index, curve_edges, walk_edges = {}, [], []
+    index, walk_edges = {}, []
     for label, s in table.first.items():
-        t = mate[s]
-        index[label] = len(curve_edges)
-        curve_edges.append((curve[s], curve[t], along[s] != along[t]))
+        index[label] = len(walk_edges)
         head, tail = marks[2 * s + 1], marks[2 * s]
         same_way = (head < 0) == (tail < 0)
-        walk_edges.append((abs(head) - 1, abs(marks[2 * t + 1]) - 1, same_way))
+        walk_edges.append((abs(head) - 1, abs(marks[2 * mate[s] + 1]) - 1, same_way))
     # (node count, signed edges)
-    graph = len(table.start) - 1, curve_edges
+    graph = len(table.start) - 1, _curve_graph(table)
     dual = walks, walk_edges
 
     def genus(label: str, contracted: bool) -> int:

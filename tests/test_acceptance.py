@@ -6,10 +6,10 @@ one pass/fail line per criterion; the summary line for each is also printed
 strings are pinned, so a criterion that passes on different counts fails.
 """
 
-import inspect
 from importlib import import_module
 
 import pytest
+from plant import plant
 
 import ribbonforge.canonical as canonical
 import ribbonforge.enumeration as enumeration
@@ -28,6 +28,11 @@ from ribbonforge import (
     random_ribbon_graph,
     run_criterion,
 )
+
+# the package exports a function of the same name, so the module is looked up
+presentation = import_module("ribbonforge.presentation")
+# the modules that read the slot table, each through its own binding
+SLOT_TABLE_READERS = (presentation, surfaces, canonical, moves, links)
 
 DETAILS = {
     1: "8779 (graph, subset) pairs agree",
@@ -137,12 +142,11 @@ def test_a_planted_bare_vertex_fault_fails_criterion_2(monkeypatch):
     # the witness's dual counted without the bare curves among its
     # vertices: a representable graph with a bare vertex has its plane
     # witness refused
-    source = inspect.getsource(surfaces._dual_genus)
-    count = "v = _cycles(table, opened)[0] + bare"
-    assert source.count(count) == 1
-    namespace = dict(vars(surfaces))
-    exec(source.replace(count, "v = _cycles(table, opened)[0]"), namespace)
-    monkeypatch.setattr(links, "_dual_genus", namespace["_dual_genus"])
+    plant(
+        monkeypatch, surfaces._dual_genus,
+        ("v = _cycles(table, opened)[0] + bare", "v = _cycles(table, opened)[0]"),
+        into=[links],
+    )
     result = run_criterion(2)
     assert not result.passed
     assert result.details == (
@@ -155,11 +159,10 @@ def test_a_planted_positive_cross_mark_fails_criteria_7_and_8(monkeypatch):
     # positive, as the rest: the step oracle then reads every edge's two
     # free sides as run the same way, and the minor search meets a child
     # whose genus its parent did not predict
-    source = inspect.getsource(surfaces._cycles)
-    assert source.count("cross = -cycles") == 1
-    namespace = dict(vars(surfaces))
-    exec(source.replace("cross = -cycles", "cross = cycles"), namespace)
-    monkeypatch.setattr(surfaces, "_cycles", namespace["_cycles"])
+    plant(
+        monkeypatch, surfaces._cycles, ("cross = -cycles", "cross = cycles"),
+        into=[surfaces],
+    )
     for number in (7, 8):
         result = run_criterion(number)
         assert not result.passed
@@ -176,13 +179,12 @@ def test_a_planted_direction_flip_fault_fails_criteria_3_and_4(monkeypatch):
     # minor targets are built before the fault, so that no later test reads
     # them wrong
     minors._b3_theta_t()
-    source = inspect.getsource(surfaces._splice_words)
-    pick = "arrow[s] if along[s] == forward\n"
-    assert source.count(pick) == 1
-    namespace = dict(vars(surfaces))
-    exec(source.replace(pick, "arrow[s] if along[s] == forward or not opened[s]\n"),
-         namespace)
-    monkeypatch.setattr(moves, "_splice_words", namespace["_splice_words"])
+    plant(
+        monkeypatch, surfaces._splice_words,
+        ("arrow[s] if along[s] == forward\n",
+         "arrow[s] if along[s] == forward or not opened[s]\n"),
+        into=[moves],
+    )
     details = {}
     for number in (3, 4):
         result = run_criterion(number)
@@ -210,12 +212,11 @@ def test_a_planted_direction_blind_key_fails_five_criteria(monkeypatch, fresh_ke
     # the canonical code of a label's second arrow drops the direction its
     # first arrow set, so that a twisted edge keys as an untwisted one.
     # Criterion 1 still passes, on fewer pairs
-    source = inspect.getsource(canonical._render)
-    code = "code = v ^ a ^ 1"
-    assert source.count(code) == 1
-    namespace = dict(vars(canonical))
-    exec(source.replace(code, "code = (v & -2) ^ a ^ 1"), namespace)
-    monkeypatch.setattr(canonical, "_render", namespace["_render"])
+    plant(
+        monkeypatch, canonical._render,
+        ("code = v ^ a ^ 1", "code = (v & -2) ^ a ^ 1"),
+        into=[canonical],
+    )
     results = {number: run_criterion(number) for number in criterion_numbers()}
     assert {n for n, result in results.items() if not result.passed} == {2, 3, 7, 8, 10}
     assert {n: results[n].details for n in (1, 3, 7, 10)} == {
@@ -245,18 +246,12 @@ def test_a_planted_plain_arc_fault_fails_criteria_1_2_and_4(monkeypatch, fresh_t
     # that the splices write.  The cached minor targets are built before
     # the fault; the planted table keeps its own ring
     minors._b3_theta_t()
-    presentation = import_module("ribbonforge.presentation")
-    source = inspect.getsource(presentation._slot_table)
-    for rule, planted in (
+    plant(
+        monkeypatch, presentation._slot_table,
         ("d = 2 * e - 2 + along[e - 1]", "d = 2 * e - 1 - along[e - 1]"),
         ("x = 2 * t + 1 - along[t]", "x = 2 * t + along[t]"),
-    ):
-        assert source.count(rule) == 1
-        source = source.replace(rule, planted)
-    namespace = dict(vars(presentation), _RECENT=())
-    exec(source, namespace)
-    for module in (presentation, surfaces, canonical, moves, links):
-        monkeypatch.setattr(module, "_slot_table", namespace["_slot_table"])
+        into=SLOT_TABLE_READERS, _RECENT=(),
+    )
     results = {number: run_criterion(number) for number in criterion_numbers()}
     assert {n for n, result in results.items() if not result.passed} == {1, 2, 4}
     assert results[1].details.startswith("6 mismatches, e.g. ")
@@ -264,6 +259,56 @@ def test_a_planted_plain_arc_fault_fails_criteria_1_2_and_4(monkeypatch, fresh_t
         2: "raised InternalInvariantViolation: Euler genus 0 where its parent"
         " predicts 2",
         4: "random graph 5: Euler genus rose along ('contract_edge', 'e1')",
+    }
+
+
+def test_a_planted_stale_ring_table_fails_seven_criteria(monkeypatch, fresh_tables):
+    # the slot-table ring, on a hit that is not its latest entry, hands back
+    # the latest entry's table, another presentation's.  The cached minor
+    # targets are built before the fault; the planted table keeps its own
+    # ring
+    minors._b3_theta_t()
+    plant(
+        monkeypatch, presentation._slot_table,
+        ("return entry[1]", "return recent[0][1]"),
+        into=SLOT_TABLE_READERS, _RECENT=(),
+    )
+    results = {number: run_criterion(number) for number in criterion_numbers()}
+    assert {n for n, result in results.items() if not result.passed} == {
+        1, 2, 3, 4, 5, 7, 8,
+    }
+    assert {n: results[n].details for n in (1, 2, 3, 4, 5, 7, 8)} == {
+        1: "raised InternalInvariantViolation: label 'e1' seen less than twice",
+        2: "raised InternalInvariantViolation: odd Euler genus 1 on an"
+        " orientable surface",
+        3: "dual of the toroidal theta at e3 is not B3",
+        4: "G='e1 e1\\ne2 e2': contraction differs from dual-then-delete at e1",
+        5: "raised InternalInvariantViolation: minor script does not reach its"
+        " target",
+        7: "raised UnknownLabel: label 'e2' not present exactly twice",
+        8: "raised UnknownLabel: label 'e2' not present exactly twice",
+    }
+
+
+def test_a_planted_dropped_class_fails_criterion_10(monkeypatch):
+    # each enumeration layer drops its last class.  The planted layers keep
+    # their own cache.  The criteria that check a property of each class
+    # pass on fewer classes; only the cross-check of the two generators,
+    # which stops at 3 edges, fails
+    plant(
+        monkeypatch, enumeration._layer,
+        ("for key in sorted(seen))", "for key in sorted(seen)[:-1])"),
+        into=[enumeration],
+    )
+    results = {number: run_criterion(number) for number in criterion_numbers()}
+    assert {n for n, result in results.items() if not result.passed} == {10}
+    assert {n: results[n].details for n in (1, 2, 4, 7, 8, 10)} == {
+        1: "7545 (graph, subset) pairs agree",
+        2: "856 graphs, three deciders agree",
+        4: "1101 graphs satisfy all operation identities",
+        7: "101 graphs match",
+        8: "303 (graph, bound) pairs agree; family sizes n=0: 2, n=1: 4, n=2: 12",
+        10: "generators disagree at 1 edges: 2 vs 3 classes",
     }
 
 

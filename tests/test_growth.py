@@ -3,13 +3,12 @@ the package's executed lines (``growth.exponent``), never by a line count
 or a time; where the work is done inside builtins, which executes no line
 of the package, by a count of that work."""
 
-import inspect
 import random
-from importlib import import_module
 
 import pytest
 from closures import braid_closure_pd
 from growth import executed_lines, exponent, slope
+from plant import planted
 
 from ribbonforge import (
     Arrow,
@@ -26,9 +25,6 @@ from ribbonforge.links import _bouquet_reduction
 from ribbonforge.moves import _contract_edges
 from ribbonforge.presentation import _min_rotation, _parity, _slot_table
 from ribbonforge.surfaces import _spanning_boundaries, _steps, _surface_walk
-
-# the module, which the package's ``presentation`` function shadows
-PRESENTATION = import_module("ribbonforge.presentation")
 
 
 def _descending_chain(n):
@@ -167,17 +163,12 @@ def test_min_rotation_builds_at_most_two_rotations(n):
 def test_a_planted_all_rotations_fault_fails_the_rotation_count():
     # min over every rotation: the same answer, and the same line count up
     # to a constant, from n rotations
-    source = inspect.getsource(PRESENTATION._min_rotation)
-    plants = {
-        "range(curve.count(least) - 1)": "range(len(curve) - 1)",
-        "curve.index(least, i + 1)": "(i + 1) % len(curve)",
-    }
-    for before, after in plants.items():
-        assert source.count(before) == 1
-        source = source.replace(before, after)
-    namespace = dict(vars(PRESENTATION))
-    exec(source, namespace)
-    assert _rotations_built(namespace["_min_rotation"], 1000) > 2
+    every_rotation = planted(
+        _min_rotation,
+        ("range(curve.count(least) - 1)", "range(len(curve) - 1)"),
+        ("curve.index(least, i + 1)", "(i + 1) % len(curve)"),
+    )
+    assert _rotations_built(every_rotation, 1000) > 2
 
 
 def _cycle_and_tree(loops):

@@ -1,6 +1,5 @@
 """Diagram ingestion, interlacement, biseparations, the representability verdict."""
 
-import inspect
 import random
 import re
 from importlib import import_module, resources
@@ -11,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from closures import B3_WORDS, THETA_T_WORDS, braid_closure_pd, glue, twist
+from plant import plant
 from ribbonforge import (
     MinorScript,
     NotABouquet,
@@ -554,11 +554,7 @@ def test_the_stack_colouring_matches_the_pairs_on_closure_duals(
     ids=["no same-group clash", "merged groups untied"],
 )
 def test_a_planted_stack_fault_fails_the_colouring_oracle(monkeypatch, old, new, word):
-    source = inspect.getsource(ODDCYCLES._colour_word)
-    assert source.count(old) == 1
-    namespace = dict(vars(ODDCYCLES))
-    exec(source.replace(old, new), namespace)
-    monkeypatch.setattr(ODDCYCLES, "_colour_word", namespace["_colour_word"])
+    plant(monkeypatch, ODDCYCLES._colour_word, (old, new), into=[ODDCYCLES])
     with pytest.raises(AssertionError):
         _check_colour_word(word)
 
@@ -639,11 +635,7 @@ CHORDED = "d b e a d c a b c e".split()
 )
 def test_a_planted_chord_fault_fails_the_odd_cycle_property(monkeypatch, old, new):
     _check_odd_cycle(CHORDED)
-    source = inspect.getsource(ODDCYCLES._odd_cycle)
-    assert source.count(old) == 1
-    namespace = dict(vars(ODDCYCLES))
-    exec(source.replace(old, new), namespace)
-    monkeypatch.setattr(ODDCYCLES, "_odd_cycle", namespace["_odd_cycle"])
+    plant(monkeypatch, ODDCYCLES._odd_cycle, (old, new), into=[ODDCYCLES])
     with pytest.raises(AssertionError):
         _check_odd_cycle(CHORDED)
 

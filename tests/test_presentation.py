@@ -1,6 +1,5 @@
 """Arrow presentations: construction, validation, text format, structure."""
 
-import inspect
 import random
 import sys
 import threading
@@ -11,6 +10,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from plant import plant
 
 from ribbonforge import (
     EMPTY,
@@ -366,14 +366,11 @@ def test_a_planted_unskipped_vertex_fails_the_separating_oracle(monkeypatch):
     # the vertex's own edges left in the parity pass: every far end then
     # shares the vertex's component, so the middle of a path reads as one
     # block
-    source = inspect.getsource(LINKS.is_separating_vertex)
-    before = "for a, b in ends if index not in (a, b)]"
-    assert source.count(before) == 1
-    source = source.replace(before, "for a, b in ends]")
-    namespace = dict(vars(LINKS))
-    exec(source, namespace)
-    patched = namespace["is_separating_vertex"]
-    monkeypatch.setattr(LINKS, "is_separating_vertex", patched)
+    plant(
+        monkeypatch, LINKS.is_separating_vertex,
+        ("for a, b in ends if index not in (a, b)]", "for a, b in ends]"),
+        into=[LINKS],
+    )
     with pytest.raises(AssertionError):
         _check_separating(from_words([["e0"], ["e0", "e1"], ["e1"]]), [(0, 1), (1, 2)])
 
@@ -449,13 +446,7 @@ def test_parity_matches_the_brute_force_oracles(graph):
     ids=["larger root kept", "halving without parity"],
 )
 def test_a_planted_kernel_fault_fails_the_parity_oracles(monkeypatch, old, new, graph):
-    source = inspect.getsource(PRESENTATION._parity)
-    for before, after in (old, new):
-        assert source.count(before) == 1
-        source = source.replace(before, after)
-    namespace = dict(vars(PRESENTATION))
-    exec(source, namespace)
-    monkeypatch.setattr(PRESENTATION, "_parity", namespace["_parity"])
+    plant(monkeypatch, PRESENTATION._parity, old, new, into=[PRESENTATION])
     with pytest.raises(AssertionError):
         _check_parity(*graph)
 

@@ -1,6 +1,5 @@
 """Boundary tracing, genus, orientability: frozen small oracles + identities."""
 
-import inspect
 import random
 from importlib import import_module
 from itertools import product
@@ -8,6 +7,7 @@ from itertools import product
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from plant import plant
 
 from ribbonforge import (
     EMPTY,
@@ -38,13 +38,11 @@ from ribbonforge.presentation import _slot_table, _trusted
 from ribbonforge.surfaces import (
     _cycles,
     _dual_genus,
-    _node,
     _open,
     _spanning_boundaries,
     _steps,
     _surface_walk,
     odd_twist_cycle,
-    walk_arcs,
 )
 
 # the module itself, whose names the planted faults patch
@@ -105,7 +103,8 @@ def test_trace_boundary_walk_order_is_pinned():
 
 
 def reference_walk_arcs(pres, curve_indices, opened, sides_labelled):
-    """The arc-list walker ``walk_arcs`` replaced: build every arc, then walk.
+    """The arc-list walker that the slot-table walkers replaced: build every
+    arc, then walk.
 
     Arcs are numbered curve by curve (each position's plain arc, then its
     arrow unless opened), then the free sides in label order; each cycle
@@ -177,25 +176,8 @@ def openings(pres, rng):
         yield range(len(pres.curves)), opened
 
 
-def node_walk_arcs(pres, curve_indices, opened, sides_labelled):
-    """``walk_arcs`` and the splice walker ``_splice_words`` called with the
-    flags of the opened labels, as a splice calls them: each cycle's darts
-    read back as (curve, position, end) nodes, and its arrows as the splice
-    writes them, in walk order, to compare with the oracle."""
-    table = _slot_table(pres)
-    flags = _open(table, opened)
-    order, ends = SURFACES.walk_arcs(table, curve_indices, flags)
-    words = SURFACES._splice_words(table, curve_indices, flags, sides_labelled)
-    cycles = list(zip([0, *ends], ends))
-    assert len(words) == len(cycles)
-    return [
-        ([_node(table, d) for d in order[b:e]], list(word))
-        for (b, e), word in zip(cycles, words)
-    ]
-
-
 def one_dart_on(pres, cycles):
-    """The oracle's cycles in the start convention of ``walk_arcs``.
+    """The oracle's cycles in the start convention of ``_starts``.
 
     Where the oracle starts a cycle at an entry dart, by crossing its arrow
     first, the walker starts one dart on, at the arrow's other end: the
@@ -212,6 +194,10 @@ def one_dart_on(pres, cycles):
 
 
 def test_walk_matches_the_arc_list_oracle():
+    # each cycle of the splice walker, called with the flags of the opened
+    # labels as a splice calls it, writes the oracle's arrows in the
+    # oracle's order, up to the start convention; with every edge opened on
+    # every curve, the boundary walks are the oracle's nodes
     rng = random.Random("walk-oracle")
     graphs = [random_ribbon_graph(1 + i % 12, f"wo-{i}") for i in range(300)]
     for n in (101, 401):
@@ -221,28 +207,34 @@ def test_walk_matches_the_arc_list_oracle():
             graphs.append(partial_dual(build_B(n), rng.sample(labels, n // 3)))
     moved = 0
     for g in graphs:
+        table = _slot_table(g)
         for curves, opened in openings(g, rng):
+            flags = _open(table, opened)
             for sides in (False, True):
                 expected = reference_walk_arcs(g, curves, opened, sides)
-                got = node_walk_arcs(g, curves, opened, sides)
-                assert got == one_dart_on(g, expected), g.words()
-                moved += got != expected
+                got = SURFACES._splice_words(table, curves, flags, sides)
+                want = [tuple(arrows) for _, arrows in one_dart_on(g, expected)]
+                assert got == want, g.words()
+                moved += want != [tuple(arrows) for _, arrows in expected]
+        expected = reference_walk_arcs(g, range(len(g.curves)), _slots(g), False)
+        walks = [walk for walk in trace_boundary(g)[0] if walk[0] != "vertex"]
+        assert walks == [tuple(nodes) for nodes, _ in expected], g.words()
     assert moved  # some cycles do start at an entry dart
 
 
 def test_a_planted_least_dart_start_fails_the_walk_oracle(monkeypatch):
-    # the shared start rule without the entry exception, so that both
-    # walkers start every cycle at its least dart: a cycle through a curve's
-    # closed first arrow then runs against the way the curve is read.
-    # Cycles and their places stay, so boundary counts, the spanning table
-    # and the step oracle do not see it, and a splice stays equivalent, so
-    # no acceptance criterion does; the arc-list oracle does
-    source = inspect.getsource(SURFACES._starts)
-    rule = "entry = 2 * b + 1 - along[b] if e - b > 1 and not opened[b] else -1"
-    assert source.count(rule) == 1
-    namespace = dict(vars(SURFACES))
-    exec(source.replace(rule, "entry = -1"), namespace)
-    monkeypatch.setattr(SURFACES, "_starts", namespace["_starts"])
+    # the start rule without the entry exception, so that the splice walker
+    # starts every cycle at its least dart: a cycle through a curve's closed
+    # first arrow then runs against the way the curve is read.  Cycles and
+    # their places stay, so boundary counts, the spanning table and the
+    # step oracle do not see it, and a splice stays equivalent, so no
+    # acceptance criterion does; the arc-list oracle does
+    plant(
+        monkeypatch, SURFACES._starts,
+        ("entry = 2 * b + 1 - along[b] if e - b > 1 and not opened[b] else -1",
+         "entry = -1"),
+        into=[SURFACES],
+    )
     with pytest.raises(AssertionError):
         test_walk_matches_the_arc_list_oracle()
 
@@ -250,32 +242,36 @@ def test_a_planted_least_dart_start_fails_the_walk_oracle(monkeypatch):
 def test_a_planted_direction_flip_fault_fails_the_walk_oracle(monkeypatch):
     # the splice walker writes a closed edge's stored arrow whichever way
     # the walk runs through it, dropping its direction flip
-    source = inspect.getsource(SURFACES._splice_words)
-    pick = "arrow[s] if along[s] == forward\n"
-    assert source.count(pick) == 1
-    namespace = dict(vars(SURFACES))
-    exec(source.replace(pick, "arrow[s] if along[s] == forward or not opened[s]\n"),
-         namespace)
-    monkeypatch.setattr(SURFACES, "_splice_words", namespace["_splice_words"])
+    plant(
+        monkeypatch, SURFACES._splice_words,
+        ("arrow[s] if along[s] == forward\n",
+         "arrow[s] if along[s] == forward or not opened[s]\n"),
+        into=[SURFACES],
+    )
     with pytest.raises(AssertionError):
         test_walk_matches_the_arc_list_oracle()
 
 
 def _check_marks(g, chosen):
     """The ``_cycles`` marks of g with the labels ``chosen`` opened against
-    the ``walk_arcs`` cycles of every curve: each dart's mark is its cycle
-    plus one, and with every edge opened it is negative exactly at the
-    cycles' odd places, the darts they leave by their free sides."""
+    the arc-list oracle's cycles of every curve, which start at their least
+    unwalked dart as ``_cycles`` does: each dart's mark is its cycle plus
+    one, and with every edge opened, where every cycle leaves its first
+    dart by its plain arc, it is negative exactly at the cycles' odd
+    places, the darts they leave by their free sides."""
     table = _slot_table(g)
-    flags = _open(table, chosen)
-    count, marks = SURFACES._cycles(table, flags)
-    order, ends = walk_arcs(table, range(len(g.curves)), flags)
-    assert count == len(ends)
-    cycle, odd = [0] * len(order), [False] * len(order)
-    for c, (b, e) in enumerate(zip([0, *ends], ends)):
-        for i in range(b, e):
-            cycle[order[i]] = c
-            odd[order[i]] = i % 2 == 1
+    slots = _slots(g)
+    count, marks = SURFACES._cycles(table, _open(table, chosen))
+    expected = reference_walk_arcs(
+        g, range(len(g.curves)), {label: slots[label] for label in chosen}, False
+    )
+    assert count == len(expected)
+    cycle, odd = [0] * len(marks), [False] * len(marks)
+    for c, (nodes, _) in enumerate(expected):
+        for i, (ci, pi, end) in enumerate(nodes):
+            dart = 2 * (table.start[ci] + pi) + end
+            cycle[dart] = c
+            odd[dart] = i % 2 == 1
     assert [abs(m) - 1 for m in marks] == cycle, (g.words(), chosen)
     if set(chosen) == set(g.labels()):
         assert [m < 0 for m in marks] == odd, g.words()
@@ -283,7 +279,7 @@ def _check_marks(g, chosen):
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 32), st.integers(0, 10**6), st.data())
-def test_the_marks_number_the_walk_arcs_cycles(n, seed, data):
+def test_the_marks_number_the_oracle_cycles(n, seed, data):
     g = random_ribbon_graph(n, seed)
     labels = g.labels()
     drawn = data.draw(st.sets(st.sampled_from(labels))) if labels else set()
@@ -494,12 +490,10 @@ def test_step_genera_on_every_class_up_to_four_edges():
 def test_a_planted_unskipped_edge_fails_the_step_genera_oracle(monkeypatch, name):
     # the parity union-find not leaving e out: e's own ends are then always
     # joined, so no edge is ever a bridge and a bridge's deletion reads γ − 2
-    source = inspect.getsource(SURFACES._steps)
-    assert source.count("edges[:i] + edges[i + 1:]") == 2
-    source = source.replace("edges[:i] + edges[i + 1:]", "edges")
-    namespace = dict(vars(SURFACES))
-    exec(source, namespace)
-    monkeypatch.setattr(SURFACES, "_steps", namespace["_steps"])
+    plant(
+        monkeypatch, SURFACES._steps, ("edges[:i] + edges[i + 1:]", "edges", 2),
+        into=[SURFACES],
+    )
     (case,) = [case[1:] for case in STEP_CASES if case[0] == name]
     with pytest.raises(AssertionError):
         test_step_genera_by_kind(*case)
@@ -509,11 +503,10 @@ def test_a_planted_positive_cross_mark_fails_the_step_and_mark_oracles(monkeypat
     # the darts a cycle leaves by their cross arcs marked positive, as the
     # rest are: the cycles and their count stay, so no surface summary sees
     # it, but every edge's two free sides then read as run the same way
-    source = inspect.getsource(SURFACES._cycles)
-    assert source.count("cross = -cycles") == 1
-    namespace = dict(vars(SURFACES))
-    exec(source.replace("cross = -cycles", "cross = cycles"), namespace)
-    monkeypatch.setattr(SURFACES, "_cycles", namespace["_cycles"])
+    plant(
+        monkeypatch, SURFACES._cycles, ("cross = -cycles", "cross = cycles"),
+        into=[SURFACES],
+    )
     failed = set()
     for name, words, label, deleted, contracted in STEP_CASES:
         try:
@@ -604,16 +597,18 @@ def test_step_orientability_matches_the_built_children(g):
 def test_walk_with_a_set_opened_counts_the_spanning_boundary(g, data):
     # f(V, A): the cycles with A opened on every curve, plus the bare curves,
     # are the boundary components of the spanning subgraph (V, A); the
-    # count-only walk counts the same cycles
+    # count-only walk counts the cycles of the arc-list oracle
     labels = g.labels()
     drawn = data.draw(st.sets(st.sampled_from(labels))) if labels else set()
     table = _slot_table(g)
+    slots = _slots(g)
     for chosen in (set(), drawn, set(labels)):
         flags = bytes(label in chosen for label in table.label)
-        _, ends = walk_arcs(table, range(len(g.curves)), flags)
-        assert _cycles(table, flags)[0] == len(ends)
+        opened = {label: slots[label] for label in chosen}
+        cycles = len(reference_walk_arcs(g, range(len(g.curves)), opened, False))
+        assert _cycles(table, flags)[0] == cycles
         spanning = _trusted([a for a in c if a.label in chosen] for c in g.curves)
-        assert len(ends) + g.curves.count(()) == boundary_component_count(spanning)
+        assert cycles + g.curves.count(()) == boundary_component_count(spanning)
 
 
 @settings(max_examples=200, deadline=None)
