@@ -31,17 +31,17 @@ so sorting darts sorts the (curve, position, end) nodes they stand for, and
 each dart records the far end of its *plain arc* to the next arrow along
 the curve, so that one lookup steps along a curve either way.  A label on
 other than two arrows, which only a bug inside the package can produce, is
-caught by every build.  Two passes over a graph read the table:
-``_curve_roots`` gives each curve's component root and whether the curve
-graph is balanced, behind components, their counts and orientability; and
-``curve_forest`` gives the breadth-first trees, for spanning trees and the
-cycles of certificates.  ``_curve_roots`` runs ``_parity``, the one parity
-union-find over a signed multigraph on numbered nodes, over
-``_curve_graph``, the one builder of the signed curve graph's edge list.
-Separating vertices (``links.is_separating_vertex``, a component count of
-the graph less the vertex) and the minor search's step oracle read that
-list too; the two-colouring of interlacement graphs and the stack
-colouring of a one-vertex graph's word (``oddcycles``) read ``_parity``.
+caught by every build.  ``_curve_graph`` alone reads a label's two slots
+as an edge (curve, curve, twisted) of the signed curve graph, and every
+reader of that graph takes its list: ``_curve_roots``, through
+``_parity``, the one parity union-find over a signed multigraph on
+numbered nodes, gives each curve's component root and whether the graph
+is balanced, behind components, their counts and orientability;
+``curve_forest`` gives the breadth-first trees and each curve's side, for
+spanning trees and odd-twist cycles; ``twists``, ``underlying_edges``,
+separating vertices and the minor search's step oracle read it whole.
+The two-colouring of interlacement graphs and the stack colouring of a
+one-vertex graph's word (``oddcycles``) read ``_parity``.
 """
 
 from __future__ import annotations
@@ -380,9 +380,9 @@ def _curve_roots(table: _SlotTable) -> tuple[list[int], bool]:
 def underlying_edges(pres: ArrowPresentation) -> dict[str, tuple[int, int]]:
     """label -> (curve, curve) incidence map of the underlying multigraph."""
     table = _slot_table(pres)
-    curve, mate = table.curve, table.mate
     return {
-        label: (curve[s], curve[mate[s]]) for label, s in sorted(table.first.items())
+        label: (a, b)
+        for label, (a, b, _) in sorted(zip(table.first, _curve_graph(table)))
     }
 
 
@@ -390,18 +390,16 @@ class CurveForest(NamedTuple):
     """A breadth-first spanning forest of the curve graph.
 
     Each component is rooted at its least curve and searched breadth-first,
-    taking at every curve its non-loop edges in (label, far curve) order.
-    ``order`` lists the curves as visited; ``root``, ``parent`` (a root is
-    its own parent) and ``label`` (the tree edge to the parent, None at a
-    root) are indexed by curve; ``incident`` holds the sorted non-loop
-    (label, far curve) pairs of each curve.
+    taking at every curve its non-loop edges of ``_curve_graph`` in label
+    order.  Indexed by curve: ``root``, ``parent`` (a root is its own
+    parent), ``label`` (the tree edge to the parent, None at a root) and
+    ``side``, the parity of the twisted tree edges on the path from the root.
     """
 
-    order: list[int]
     root: list[int]
     parent: list[int]
     label: list[str | None]
-    incident: list[list[tuple[str, int]]]
+    side: list[int]
 
 
 def _group_by_root(root: list[int]) -> list[list[int]]:
@@ -414,17 +412,18 @@ def _group_by_root(root: list[int]) -> list[list[int]]:
 
 def curve_forest(table: _SlotTable) -> CurveForest:
     """The breadth-first forest of the presentation whose slot table is given."""
-    curve, mate, label = table.curve, table.mate, table.label
     n = len(table.start) - 1
-    incident: list[list[tuple[str, int]]] = [[] for _ in range(n)]
-    for s, t in enumerate(mate):
-        if curve[s] != curve[t]:
-            incident[curve[s]].append((label[s], curve[t]))
+    incident: list[list[tuple[str, int, bool]]] = [[] for _ in range(n)]
+    for lab, (a, b, twisted) in zip(table.first, _curve_graph(table)):
+        if a != b:
+            incident[a].append((lab, b, twisted))
+            incident[b].append((lab, a, twisted))
     for lst in incident:
         lst.sort()
     root = [-1] * n
     parent = list(range(n))
     tree_label: list[str | None] = [None] * n
+    side = [0] * n
     order: list[int] = []
     for r in range(n):
         if root[r] >= 0:
@@ -435,11 +434,12 @@ def curve_forest(table: _SlotTable) -> CurveForest:
         while i < len(order):
             v = order[i]
             i += 1
-            for lab, w in incident[v]:
+            for lab, w, twisted in incident[v]:
                 if root[w] < 0:
                     root[w], parent[w], tree_label[w] = r, v, lab
+                    side[w] = side[v] ^ twisted
                     order.append(w)
-    return CurveForest(order, root, parent, tree_label, incident)
+    return CurveForest(root, parent, tree_label, side)
 
 
 def component_vertex_sets(pres: ArrowPresentation) -> list[set[int]]:

@@ -39,13 +39,13 @@ each taking a plain arc with one lookup:
   and ``_spanning_boundaries`` counts f(V, A) for every A, for the minor
   search's floor on the least Euler genus of a partial dual.
 
-An edge is twisted when its two arrows point opposite ways.  The graph
-is orientable unless some cycle has an odd number of twisted edges.
-``_surface_walk`` reads connected components and orientability from
-``_curve_roots``, the parity union-find ``_parity`` over the curve graph
-of the slot table that it walks; ``_steps`` asks the same union-find about
-each child; ``odd_twist_cycle`` finds such a cycle, for certificates, on
-the breadth-first ``curve_forest`` of the same kind of table.
+An edge is twisted when its two arrows point opposite ways
+(``_curve_graph``).  The graph is orientable unless some cycle has an odd
+number of twisted edges.  ``_surface_walk`` reads connected components
+and orientability from ``_curve_roots``, the parity union-find ``_parity``
+over the curve graph; ``_steps`` asks the same union-find about each
+child; ``odd_twist_cycle`` finds such a cycle at the least edge by (root,
+lesser end, label) that clashes with the sides of ``curve_forest``.
 
 Euler's formula for a ribbon graph with v vertices, e edges, f boundary
 components and k connected components reads  v − e + f = 2k − γ  where γ is
@@ -65,7 +65,6 @@ from .presentation import (
     Curve,
     _curve_graph,
     _curve_roots,
-    _group_by_root,
     _parity,
     _slot_table,
     _SlotTable,
@@ -264,10 +263,9 @@ def twists(pres: ArrowPresentation) -> dict[str, int]:
     exactly the gauge freedom the orientability test quotients out.
     """
     table = _slot_table(pres)
-    along, mate = table.along, table.mate
     return {
-        label: 1 if along[s] == along[mate[s]] else -1
-        for label, s in sorted(table.first.items())
+        label: -1 if twisted else 1
+        for label, (_, _, twisted) in sorted(zip(table.first, _curve_graph(table)))
     }
 
 
@@ -276,39 +274,35 @@ def odd_twist_cycle(pres: ArrowPresentation) -> tuple[list[str], str] | None:
 
     Returns (labels to contract in order, label kept as the final twisted
     loop).  The least twisted loop is returned as ([], its label).
-    Otherwise the parity of each curve along ``curve_forest`` is compared
-    across the non-tree edges, taking components in root order, then curves
-    by index, then labels; the first conflict w-v closes the cycle, whose
-    chain runs up the tree from v to where the root paths of v and w meet
-    and down to w.
+    Otherwise an edge of ``_curve_graph`` *clashes* when the sides of its
+    ends in ``curve_forest`` differ by other than its twist, as no tree edge
+    does, and the least clash by (root, lesser end v, label), that is taking
+    components in root order, then curves by index, then labels, closes the
+    cycle: its chain runs up the tree from v to where the root paths of v
+    and the greater end w meet and down to w.
     """
     table = _slot_table(pres)
-    curve, along, mate, label = table.curve, table.along, table.mate, table.label
-    twisted = {label[s] for s, t in enumerate(mate) if along[s] != along[t]}
-    loops = [label[s] for s, t in enumerate(mate) if curve[s] == curve[t]]
-    loops = twisted.intersection(loops)
+    edges = list(zip(table.first, _curve_graph(table)))
+    loops = [lab for lab, (a, b, twisted) in edges if a == b and twisted]
     if loops:
         return [], min(loops)
-    forest = curve_forest(table)
-    parity = [False] * len(pres.curves)
-    for v in forest.order:
-        if forest.label[v] is not None:
-            parity[v] = parity[forest.parent[v]] ^ (forest.label[v] in twisted)
-    for comp in _group_by_root(forest.root):
-        for v in comp:
-            for lab, w in forest.incident[v]:
-                if w > v and parity[v] ^ parity[w] ^ (lab in twisted):
-                    up, down = [v], [w]
-                    for path in (up, down):
-                        while forest.parent[path[-1]] != path[-1]:
-                            path.append(forest.parent[path[-1]])
-                    while len(up) > 1 and len(down) > 1 and up[-2] == down[-2]:
-                        up.pop()
-                        down.pop()
-                    chain = [forest.label[x] for x in up[:-1]]
-                    chain += [forest.label[x] for x in reversed(down[:-1])]
-                    return chain, lab
-    return None
+    root, parent, tree_label, side = curve_forest(table)
+    clashes = [
+        (root[a], min(a, b), lab, max(a, b))
+        for lab, (a, b, twisted) in edges
+        if side[a] ^ side[b] ^ twisted
+    ]
+    if not clashes:
+        return None
+    _, v, lab, w = min(clashes)
+    up, down = [v], [w]
+    for path in (up, down):
+        while parent[path[-1]] != path[-1]:
+            path.append(parent[path[-1]])
+    while len(up) > 1 and len(down) > 1 and up[-2] == down[-2]:
+        up.pop()
+        down.pop()
+    return [tree_label[x] for x in [*up[:-1], *reversed(down[:-1])]], lab
 
 
 def is_orientable(pres: ArrowPresentation) -> bool:

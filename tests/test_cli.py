@@ -2,8 +2,13 @@
 
 import io
 import json
+import os
+import tempfile
+from contextlib import redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ribbonforge import build_B, equivalent, from_words, parse_arp, serialize_arp
 from ribbonforge.cli import main
@@ -339,3 +344,54 @@ def test_pretty_flag_indents(arp, capsys):
     _, pretty = run(capsys, "info", arp(B1), "--pretty")
     assert json.loads(compact) == json.loads(pretty)
     assert "\n  " in pretty and "\n  " not in compact
+
+
+@st.composite
+def _arp_inputs(draw):
+    """.arp text of a graph of at most 7 edges in one or two parts, each
+    arrow's direction drawn and each part's arrows cut into curves at drawn
+    places, so that some curves are bare; with one of its labels and a
+    drawn set of them."""
+    lines, labels = [], []
+    for part in "ef"[: draw(st.integers(1, 2))]:
+        count = draw(st.integers(0, 7 - len(labels)))
+        labels += [f"{part}{i}" for i in range(count)]
+        tokens = [
+            f"{part}{i // 2}" + ("'" if draw(st.booleans()) else "")
+            for i in range(2 * count)
+        ]
+        tokens = draw(st.permutations(tokens))
+        cuts = sorted(draw(st.lists(st.integers(0, len(tokens)), max_size=3)))
+        bounds = [0, *cuts, len(tokens)]
+        lines += [" ".join(tokens[a:b]) or "()" for a, b in zip(bounds, bounds[1:])]
+    label = draw(st.sampled_from(labels)) if labels else "x"
+    chosen = draw(st.sets(st.sampled_from(labels))) if labels else set()
+    return "\n".join(lines) + "\n", label, ",".join(sorted(chosen)) or ","
+
+
+@settings(max_examples=50, deadline=None)
+@given(_arp_inputs())
+def test_no_valid_arp_input_exits_3(case):
+    # exit 3 is kept for a violated internal invariant: no command that
+    # reads an .arp file may reach one on valid input
+    text, label, chosen = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.arp")
+        with open(path, "w") as handle:
+            handle.write(text)
+        commands = [
+            ["info", path],
+            ["delete", path, "-e", label],
+            ["contract", path, "-e", label],
+            ["dual", path, "-e", chosen],
+            ["dual", path, "--all"],
+            ["canonical", path],
+            ["equivalent", path, path],
+            *(["has-minor", path, "--target", t] for t in ("bbar1", "b3", "theta-t")),
+            ["scan", path],
+            ["interlacement", path],
+            ["represents-link", path, "--witness", "--certificate"],
+        ]
+        with redirect_stdout(io.StringIO()):
+            codes = {" ".join(argv[:1] + argv[2:]): main(argv) for argv in commands}
+    assert 3 not in codes.values(), (text, codes)

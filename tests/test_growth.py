@@ -13,6 +13,7 @@ from plant import planted
 from ribbonforge import (
     Arrow,
     all_A_ribbon_graph,
+    bbar1_script,
     build_B,
     from_words,
     is_separating_vertex,
@@ -195,6 +196,21 @@ def test_is_separating_vertex_is_linear_on_rings_of_loops():
     sizes = [1000, 2000, 4000, 8000]
     growth = exponent(lambda g: is_separating_vertex(g, 0), _ring_of_loops, sizes)
     assert growth <= 1.15
+
+
+def _twisted_ring(n):
+    """A ring of n curves, e_i joining curves i and i + 1, with e_0's second
+    arrow reversed: one cycle, of odd twist, through every curve."""
+    words = [[f"e{i}", f"e{(i - 1) % n}"] for i in range(n)]
+    words[1][1] += "'"
+    return from_words(words)
+
+
+def test_bbar1_script_is_linear_on_twisted_rings():
+    # the refusal path: the odd-twist cycle is the whole ring, so the script
+    # contracts n − 1 edges and replays them
+    sizes = [1000, 2000, 4000, 8000]
+    assert exponent(bbar1_script, _twisted_ring, sizes) <= 1.15
 
 
 def _plane_bouquet_genus(n):

@@ -373,6 +373,23 @@ def test_orientability_against_curve_flips():
         assert is_orientable(g) == flattenable == (odd_twist_cycle(g) is None), g
 
 
+def test_a_planted_side_that_ignores_twisted_tree_edges_fails_the_flip_oracle(
+    monkeypatch,
+):
+    # the forest's side not flipped across a twisted tree edge, so that a
+    # non-tree edge clashes by its own twist alone.  Orientability is read
+    # off the parity union-find, so no surface summary sees it; nor does
+    # any acceptance criterion, since odd_twist_cycle keeps its answer on
+    # every class up to 4 edges
+    plant(
+        monkeypatch, SURFACES.curve_forest,
+        ("side[w] = side[v] ^ twisted", "side[w] = side[v]"),
+        into=[SURFACES],
+    )
+    with pytest.raises(AssertionError):
+        test_orientability_against_curve_flips()
+
+
 def test_euler_formula_on_random_graphs():
     rng = random.Random("euler")
     for i in range(300):
